@@ -159,17 +159,12 @@ void run_all_queues(harness::SeriesTable& table, MakeWorkload make,
                                   threads, total_ops, runs);
   run_series<harness::WcqAdapter>(table, make.template operator()<harness::WcqAdapter>(),
                                   threads, total_ops, runs);
-  run_series<harness::YmcAdapter>(table, make.template operator()<harness::YmcAdapter>(),
-                                  threads, total_ops, runs);
   run_series<harness::NcqAdapter>(table, make.template operator()<harness::NcqAdapter>(),
                                   threads, total_ops, runs);
   run_series<harness::CcqAdapter>(table, make.template operator()<harness::CcqAdapter>(),
                                   threads, total_ops, runs);
   run_series<harness::ScqAdapter>(table, make.template operator()<harness::ScqAdapter>(),
                                   threads, total_ops, runs);
-  run_series<harness::CrTurnAdapter>(
-      table, make.template operator()<harness::CrTurnAdapter>(), threads,
-      total_ops, runs);
   run_series<harness::MsqAdapter>(table, make.template operator()<harness::MsqAdapter>(),
                                   threads, total_ops, runs);
   run_series<harness::LcrqAdapter>(table, make.template operator()<harness::LcrqAdapter>(),
@@ -189,9 +184,6 @@ void run_all_queues_latency(harness::MetricsTable& table, MakeWorkload make,
   run_series_latency<harness::WcqAdapter>(
       table, make.template operator()<harness::WcqAdapter>(), threads,
       total_ops, runs);
-  run_series_latency<harness::YmcAdapter>(
-      table, make.template operator()<harness::YmcAdapter>(), threads,
-      total_ops, runs);
   run_series_latency<harness::NcqAdapter>(
       table, make.template operator()<harness::NcqAdapter>(), threads,
       total_ops, runs);
@@ -200,9 +192,6 @@ void run_all_queues_latency(harness::MetricsTable& table, MakeWorkload make,
       total_ops, runs);
   run_series_latency<harness::ScqAdapter>(
       table, make.template operator()<harness::ScqAdapter>(), threads,
-      total_ops, runs);
-  run_series_latency<harness::CrTurnAdapter>(
-      table, make.template operator()<harness::CrTurnAdapter>(), threads,
       total_ops, runs);
   run_series_latency<harness::MsqAdapter>(
       table, make.template operator()<harness::MsqAdapter>(), threads,

@@ -43,11 +43,10 @@ class CcqRing {
 
   static constexpr std::uint64_t kUnbounded = ~std::uint64_t{0};
 
-  CcqRing(unsigned order, bool remap, bool portable)
+  CcqRing(unsigned order, bool remap)
       : geo_(order),
         remap_(remap ? ring::Remap::cache(geo_, kLineBits)
                      : ring::Remap::identity(geo_)),
-        portable_(portable),
         threshold_(geo_) {
     entries_ = static_cast<ring::SplitEntry*>(
         mem::alloc(geo_.ring_size() * sizeof(ring::SplitEntry)));
@@ -82,7 +81,7 @@ class CcqRing {
             (meta_safe(m) ||
              head_.load(std::memory_order_seq_cst) <= t)) {
           if (!ring::pair_cas(&entries_[j], {m, i},
-                              {pack_meta(tcycle, true), eidx}, portable_)) {
+                              {pack_meta(tcycle, true), eidx})) {
             continue;  // entry (or our snapshot) moved; re-evaluate
           }
           threshold_.arm();
@@ -109,10 +108,7 @@ class CcqRing {
         const std::uint64_t ecycle = meta_cycle(m);
         if (ecycle == hcycle && i != kBotIdx) {
           // Consume: index back to BOT, meta (cycle + safe) untouched.
-          if (!ring::pair_cas(&entries_[j], {m, i}, {m, kBotIdx},
-                              portable_)) {
-            continue;
-          }
+          if (!ring::pair_cas(&entries_[j], {m, i}, {m, kBotIdx})) continue;
           *out = i;
           return kOk;
         }
@@ -123,9 +119,7 @@ class CcqRing {
               i == kBotIdx
                   ? detail::Pair{pack_meta(hcycle, meta_safe(m)), kBotIdx}
                   : detail::Pair{pack_meta(ecycle, false), i};
-          if (!ring::pair_cas(&entries_[j], {m, i}, fresh, portable_)) {
-            continue;
-          }
+          if (!ring::pair_cas(&entries_[j], {m, i}, fresh)) continue;
         }
         advanced = true;
         break;
@@ -166,7 +160,6 @@ class CcqRing {
 
   const ring::Geometry geo_;
   const ring::Remap remap_;
-  const bool portable_;
 
   alignas(detail::kNoFalseSharing) std::atomic<std::uint64_t> head_{0};
   alignas(detail::kNoFalseSharing) std::atomic<std::uint64_t> tail_{0};
@@ -178,19 +171,14 @@ class CcqRing {
 // construction (indexes-only rings + data array), as for SCQ.
 class CcqQueue {
  public:
-  // Backend-internal configuration; the public surface is wcq::options.
-  struct Config {
-    unsigned order = 16;  // capacity = 2^order values
-    bool remap = true;
-    bool portable = false;  // __atomic CAS2 instead of cmpxchg16b
-  };
-
   using Handle = TrivialHandle;
 
-  explicit CcqQueue(const Config& cfg)
-      : n_(std::uint64_t{1} << cfg.order),
-        aq_(cfg.order, cfg.remap, cfg.portable),
-        fq_(cfg.order, cfg.remap, cfg.portable) {
+  // Reads order (capacity = 2^order values) and remap. Positions and
+  // cycles follow SCQ's Geometry, so the ceiling is the same.
+  explicit CcqQueue(const options& opt)
+      : n_(std::uint64_t{1} << opt.validate("ccq", ring::kMaxOrder).order()),
+        aq_(opt.order(), opt.remap()),
+        fq_(opt.order(), opt.remap()) {
     data_ = static_cast<std::atomic<std::uint64_t>*>(
         mem::alloc(n_ * sizeof(std::atomic<std::uint64_t>)));
     for (std::uint64_t i = 0; i < n_; ++i) {
@@ -198,9 +186,6 @@ class CcqQueue {
       aq_.enqueue_idx(i, CcqRing::kUnbounded);
     }
   }
-
-  explicit CcqQueue(const options& opt)
-      : CcqQueue(Config{opt.order(), opt.remap(), opt.portable()}) {}
 
   ~CcqQueue() { mem::free(data_, n_ * sizeof(std::atomic<std::uint64_t>)); }
 

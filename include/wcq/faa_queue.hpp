@@ -31,32 +31,19 @@ namespace wcq {
 
 class FaaQueue {
  public:
-  // Backend-internal configuration; the public surface is wcq::options.
-  struct Config {
-    unsigned seg_order = 10;  // 1024 slots per segment
-    unsigned max_threads = 128;
-    unsigned retire_threshold = 0;  // 0 = auto (see wcq/smr.hpp)
-  };
-
   using Handle = RegistryHandle<FaaQueue>;
 
   static constexpr std::uint64_t kEmptyCell = ~std::uint64_t{0};
   static constexpr std::uint64_t kTakenCell = ~std::uint64_t{0} - 1;
 
-  explicit FaaQueue(const Config& cfg)
-      : seg_order_(cfg.seg_order),
-        seg_slots_(std::uint64_t{1} << cfg.seg_order),
-        slots_(cfg.max_threads ? cfg.max_threads : 1),
-        smr_(slots_.capacity(), cfg.retire_threshold) {
+  // Reads max_threads.
+  explicit FaaQueue(const options& opt)
+      : slots_(opt.validate("faa").max_threads()), smr_(slots_.capacity()) {
     Segment* first = new_segment(0);
     first_.store(first, std::memory_order_relaxed);
     head_seg_.store(first, std::memory_order_relaxed);
     tail_seg_.store(first, std::memory_order_relaxed);
   }
-
-  explicit FaaQueue(const options& opt)
-      : FaaQueue(Config{opt.seg_order(), opt.max_threads(),
-                        opt.retire_threshold()}) {}
 
   ~FaaQueue() {
     assert(slots_.live() == 0 &&
@@ -130,11 +117,11 @@ class FaaQueue {
       std::size_t done = 0;
       for (; done < rem; ++done) {
         const std::uint64_t t = t0 + done;
-        if (s == nullptr || s->id != (t >> seg_order_)) {
-          s = find_segment(&tail_seg_, t >> seg_order_);
+        if (s == nullptr || s->id != (t >> kSegOrder)) {
+          s = find_segment(&tail_seg_, t >> kSegOrder);
         }
         std::uint64_t expected = kEmptyCell;
-        if (!s->slots()[t & (seg_slots_ - 1)].compare_exchange_strong(
+        if (!s->slots()[t & (kSegSlots - 1)].compare_exchange_strong(
                 expected, p[done], std::memory_order_release,
                 std::memory_order_relaxed)) {
           // A too-fast dequeuer consumed this ticket. Abandon the rest
@@ -172,12 +159,12 @@ class FaaQueue {
       Segment* s = nullptr;
       for (std::uint64_t i = 0; i < k; ++i) {
         const std::uint64_t t = h0 + i;
-        if (s == nullptr || s->id != (t >> seg_order_)) {
-          s = find_segment(&head_seg_, t >> seg_order_);
+        if (s == nullptr || s->id != (t >> kSegOrder)) {
+          s = find_segment(&head_seg_, t >> kSegOrder);
         }
-        const std::uint64_t old = s->slots()[t & (seg_slots_ - 1)].exchange(
+        const std::uint64_t old = s->slots()[t & (kSegSlots - 1)].exchange(
             kTakenCell, std::memory_order_acq_rel);
-        if ((t & (seg_slots_ - 1)) == 0) reclaim_segments(h.slot());
+        if ((t & (kSegSlots - 1)) == 0) reclaim_segments(h.slot());
         if (old != kEmptyCell) out[got++] = old;
       }
     }
@@ -189,6 +176,10 @@ class FaaQueue {
  private:
   friend class RegistryHandle<FaaQueue>;
 
+  // 2^10 = 1024 slots per segment.
+  static constexpr unsigned kSegOrder = 10;
+  static constexpr std::uint64_t kSegSlots = std::uint64_t{1} << kSegOrder;
+
   void release_slot(unsigned slot) {
     smr_.quiesce(slot);
     slots_.release(slot);
@@ -198,9 +189,9 @@ class FaaQueue {
     assert(v < kTakenCell && "sentinel values cannot be enqueued");
     for (;;) {
       const std::uint64_t t = tail_.fetch_add(1, std::memory_order_seq_cst);
-      Segment* s = find_segment(&tail_seg_, t >> seg_order_);
+      Segment* s = find_segment(&tail_seg_, t >> kSegOrder);
       std::uint64_t expected = kEmptyCell;
-      if (s->slots()[t & (seg_slots_ - 1)].compare_exchange_strong(
+      if (s->slots()[t & (kSegSlots - 1)].compare_exchange_strong(
               expected, v, std::memory_order_release,
               std::memory_order_relaxed)) {
         return true;
@@ -216,12 +207,12 @@ class FaaQueue {
         return false;
       }
       const std::uint64_t h = head_.fetch_add(1, std::memory_order_seq_cst);
-      Segment* s = find_segment(&head_seg_, h >> seg_order_);
-      const std::uint64_t old = s->slots()[h & (seg_slots_ - 1)].exchange(
+      Segment* s = find_segment(&head_seg_, h >> kSegOrder);
+      const std::uint64_t old = s->slots()[h & (kSegSlots - 1)].exchange(
           kTakenCell, std::memory_order_acq_rel);
       // First ticket of a segment: a previous segment just became
       // fully issued — amortized point to retire drained segments.
-      if ((h & (seg_slots_ - 1)) == 0) reclaim_segments(slot);
+      if ((h & (kSegSlots - 1)) == 0) reclaim_segments(slot);
       if (old != kEmptyCell) {
         *v = old;
         return true;
@@ -233,14 +224,14 @@ class FaaQueue {
     std::uint64_t id = 0;
     Segment* prev = nullptr;  // immutable after publication
     std::atomic<Segment*> next{nullptr};
-    // seg_slots_ atomic slots live in trailing storage (see slots()).
+    // kSegSlots atomic slots live in trailing storage (see slots()).
     std::atomic<std::uint64_t>* slots() {
       return reinterpret_cast<std::atomic<std::uint64_t>*>(this + 1);
     }
   };
 
   std::size_t segment_bytes() const {
-    return sizeof(Segment) + seg_slots_ * sizeof(std::atomic<std::uint64_t>);
+    return sizeof(Segment) + kSegSlots * sizeof(std::atomic<std::uint64_t>);
   }
 
   Segment* new_segment(std::uint64_t id) {
@@ -248,7 +239,7 @@ class FaaQueue {
     Segment* s = new (raw) Segment();
     s->id = id;
     std::atomic<std::uint64_t>* slots = s->slots();
-    for (std::uint64_t i = 0; i < seg_slots_; ++i) {
+    for (std::uint64_t i = 0; i < kSegSlots; ++i) {
       new (&slots[i]) std::atomic<std::uint64_t>(kEmptyCell);
     }
     return s;
@@ -278,9 +269,9 @@ class FaaQueue {
   // the laggards.
   void reclaim_segments(unsigned slot) {
     const std::uint64_t head_id =
-        head_.load(std::memory_order_acquire) >> seg_order_;
+        head_.load(std::memory_order_acquire) >> kSegOrder;
     const std::uint64_t tail_id =
-        tail_.load(std::memory_order_acquire) >> seg_order_;
+        tail_.load(std::memory_order_acquire) >> kSegOrder;
     const std::uint64_t head_hint_id =
         head_seg_.load(std::memory_order_acquire)->id;
     const std::uint64_t tail_hint_id =
@@ -333,9 +324,6 @@ class FaaQueue {
     }
     return s;
   }
-
-  const unsigned seg_order_;
-  const std::uint64_t seg_slots_;
 
   alignas(detail::kNoFalseSharing) std::atomic<std::uint64_t> head_{0};
   alignas(detail::kNoFalseSharing) std::atomic<std::uint64_t> tail_{0};

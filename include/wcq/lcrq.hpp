@@ -33,30 +33,25 @@ namespace wcq {
 
 class LcrqQueue {
  public:
-  // Backend-internal configuration; the public surface is wcq::options.
-  struct Config {
-    unsigned order = 16;  // 2^order cells per ring (paper §6 default)
-    unsigned max_threads = 128;
-    unsigned retire_threshold = 0;  // 0 = auto (see wcq/smr.hpp)
-  };
-
   using Handle = RegistryHandle<LcrqQueue>;
 
   static constexpr std::uint64_t kEmptyVal = ~std::uint64_t{0};
 
-  explicit LcrqQueue(const Config& cfg)
-      : order_(check_order(cfg.order)),
+  // Largest ring order: keeps the packed [safe | idx] arithmetic of a
+  // cell's sidx word far from overflow.
+  static constexpr unsigned kMaxOrder = 30;
+
+  // Reads order (2^order cells per ring, paper §6 default 16) and
+  // max_threads.
+  explicit LcrqQueue(const options& opt)
+      : order_(opt.validate("lcrq", kMaxOrder).order()),
         ring_size_(std::uint64_t{1} << order_),
-        slots_(cfg.max_threads ? cfg.max_threads : 1),
-        smr_(slots_.capacity(), cfg.retire_threshold) {
+        slots_(opt.max_threads()),
+        smr_(slots_.capacity()) {
     Crq* c = new_crq();
     head_.store(c, std::memory_order_relaxed);
     tail_.store(c, std::memory_order_relaxed);
   }
-
-  explicit LcrqQueue(const options& opt)
-      : LcrqQueue(
-            Config{opt.order(), opt.max_threads(), opt.retire_threshold()}) {}
 
   ~LcrqQueue() {
     assert(slots_.live() == 0 &&
@@ -294,13 +289,6 @@ class LcrqQueue {
         return;
       }
     }
-  }
-
-  static unsigned check_order(unsigned order) {
-    if (order > 30) {
-      throw std::invalid_argument("lcrq: ring order exceeds 30");
-    }
-    return order;
   }
 
   std::size_t crq_bytes() const {

@@ -24,24 +24,15 @@ namespace wcq {
 
 class MsqQueue {
  public:
-  // Backend-internal configuration; the public surface is wcq::options.
-  struct Config {
-    unsigned max_threads = 128;
-    unsigned retire_threshold = 0;  // 0 = auto (see wcq/smr.hpp)
-  };
-
   using Handle = RegistryHandle<MsqQueue>;
 
-  explicit MsqQueue(const Config& cfg)
-      : slots_(cfg.max_threads ? cfg.max_threads : 1),
-        smr_(slots_.capacity(), cfg.retire_threshold) {
+  // Reads max_threads.
+  explicit MsqQueue(const options& opt)
+      : slots_(opt.validate("msq").max_threads()), smr_(slots_.capacity()) {
     Node* dummy = new_node(0);
     head_.store(dummy, std::memory_order_relaxed);
     tail_.store(dummy, std::memory_order_relaxed);
   }
-
-  explicit MsqQueue(const options& opt)
-      : MsqQueue(Config{opt.max_threads(), opt.retire_threshold()}) {}
 
   ~MsqQueue() {
     assert(slots_.live() == 0 &&

@@ -9,24 +9,31 @@
 ///       wcq::options{}.order(16).max_threads(64).help_delay(16));
 /// \endcode
 ///
-/// Knobs not meaningful for a given backend are simply ignored by it
-/// (e.g. patience for SCQ, seg_order for everything but FAA), so one
-/// options value can configure a whole lineup of queues identically —
-/// which is exactly what the benchmark harness does.
+/// Knobs not meaningful for a given backend are ignored by it (e.g.
+/// patience for SCQ, order for MSQ), so one options value can configure
+/// a whole lineup of queues identically — which is exactly what the
+/// benchmark harness does. Every backend's constructor first calls
+/// validate(), the one refusal rule: a knob outside its range throws
+/// std::invalid_argument naming the knob, on every backend alike,
+/// whether or not that backend reads the knob.
 #pragma once
+
+#include <climits>
+#include <stdexcept>
+#include <string>
+
+#include "wcq/detail.hpp"
 
 namespace wcq {
 
 /// How `wcq::sharded<T>` picks the shard an operation lands on.
-/// Ordering contract per picker is documented on wcq/sharded.hpp; all
-/// of them preserve per-shard FIFO, only `sequenced` restores a global
-/// order (by serializing the picker — test builds, not production).
+/// Ordering contract per picker is documented on wcq/sharded.hpp; both
+/// preserve per-shard FIFO. `options::shards(1)` is the global-FIFO
+/// mode.
 enum class shard_policy : unsigned char {
   round_robin,  ///< per-handle cursor, one step per op (default)
   sticky,       ///< producer/consumer shard affinity, rebalance on
                 ///< full (push) or empty (pop)
-  load_aware,   ///< two-choice by approximate shard occupancy
-  sequenced,    ///< global ticket order under a picker lock (tests)
 };
 
 /// Fluent configuration builder shared by every queue backend.
@@ -36,17 +43,22 @@ enum class shard_policy : unsigned char {
 /// the same-name no-argument overload reads the knob back.
 class options {
  public:
+  /// A validate() ceiling the calling backend does not have.
+  static constexpr unsigned kNoLimit = UINT_MAX;
+  /// Most shards one wcq::sharded may split into.
+  static constexpr unsigned kMaxShards = 256;
+
   constexpr options() = default;
 
   /// Ring capacity = 2^order values (bounded backends; paper §6
-  /// uses 16).
+  /// uses 16). The ceiling is what the backend's entries can encode.
   constexpr options& order(unsigned v) {
     order_ = v;
     return *this;
   }
   constexpr unsigned order() const { return order_; }
 
-  /// Upper bound on *simultaneously live* handles. With RAII
+  /// Upper bound on *simultaneously live* handles, >= 1. With RAII
   /// recycling this is a concurrency bound, not a lifetime-total
   /// bound.
   constexpr options& max_threads(unsigned v) {
@@ -55,16 +67,16 @@ class options {
   }
   constexpr unsigned max_threads() const { return max_threads_; }
 
-  /// Fast-path attempts before an enqueue is published for helping
-  /// (wCQ; paper §6 default 16).
+  /// Fast-path attempts before an enqueue is published for helping,
+  /// >= 1 (wCQ; paper §6 default 16).
   constexpr options& enqueue_patience(unsigned v) {
     enqueue_patience_ = v;
     return *this;
   }
   constexpr unsigned enqueue_patience() const { return enqueue_patience_; }
 
-  /// Fast-path attempts before a dequeue is published for helping
-  /// (wCQ; paper §6 default 64).
+  /// Fast-path attempts before a dequeue is published for helping,
+  /// >= 1 (wCQ; paper §6 default 64).
   constexpr options& dequeue_patience(unsigned v) {
     dequeue_patience_ = v;
     return *this;
@@ -79,7 +91,8 @@ class options {
     return *this;
   }
 
-  /// Own operations between peer help checks (wCQ §3.1).
+  /// Own operations between peer help checks, >= 1 (wCQ §3.1).
+  /// UINT_MAX in effect turns helping off.
   constexpr options& help_delay(unsigned v) {
     help_delay_ = v;
     return *this;
@@ -93,38 +106,11 @@ class options {
   }
   constexpr bool remap() const { return remap_; }
 
-  /// LL/SC-shaped ring operations (the §4 portable build) for
-  /// backends that support both forms in one type (SCQ). wCQ's
-  /// portable build is a distinct type (WcqPortableQueue) and ignores
-  /// this.
-  constexpr options& portable(bool v) {
-    portable_ = v;
-    return *this;
-  }
-  constexpr bool portable() const { return portable_; }
-
-  /// Segment capacity = 2^seg_order slots (unbounded FAA backend).
-  constexpr options& seg_order(unsigned v) {
-    seg_order_ = v;
-    return *this;
-  }
-  constexpr unsigned seg_order() const { return seg_order_; }
-
-  /// SMR amnesty: retired nodes a thread may park before it must run
-  /// a reclamation scan (backends with dynamic memory: MSQ, FAA,
-  /// LCRQ). 0 = auto, the MAX_GARBAGE(n) = 2n shape over max_threads.
-  /// Total parked garbage is bounded by max_threads x this value.
-  constexpr options& retire_threshold(unsigned v) {
-    retire_threshold_ = v;
-    return *this;
-  }
-  constexpr unsigned retire_threshold() const { return retire_threshold_; }
-
-  /// Shard count for wcq::sharded (must be a power of two; its
-  /// constructor throws std::invalid_argument otherwise). 0 = auto:
-  /// a machine-derived count (see wcq/sharded.hpp). Total capacity
-  /// stays 2^order — it is split across the shards, so one options
-  /// value sizes a sharded and an unsharded queue identically.
+  /// Shard count for wcq::sharded: a power of two up to kMaxShards,
+  /// or 0 = auto, a machine-derived count (see wcq/sharded.hpp). Total
+  /// capacity stays 2^order — it is split across the shards, so order
+  /// must exceed log2(shards), and one options value sizes a sharded
+  /// and an unsharded queue identically.
   constexpr options& shards(unsigned v) {
     shards_ = v;
     return *this;
@@ -141,25 +127,65 @@ class options {
   constexpr shard_policy_t shard_policy() const { return shard_policy_; }
 
   /// Largest batch one try_push_n/try_pop_n call amortizes over a
-  /// single shard selection; longer spans are processed in chunks of
-  /// this size (re-picking between chunks). Must be >= 1 — the
-  /// sharded constructor throws std::invalid_argument on 0.
+  /// single shard selection, >= 1; longer spans are processed in
+  /// chunks of this size (re-picking between chunks).
   constexpr options& batch_limit(unsigned v) {
     batch_limit_ = v;
     return *this;
   }
   constexpr unsigned batch_limit() const { return batch_limit_; }
 
+  /// The one refusal rule: throws std::invalid_argument, prefixed by
+  /// `who` and naming the knob, when
+  ///  - enqueue_patience, dequeue_patience, help_delay, max_threads or
+  ///    batch_limit is 0;
+  ///  - shards is not 0 (auto) or a power of two up to kMaxShards, or
+  ///    order does not exceed log2(shards);
+  ///  - order or max_threads exceeds the calling backend's ceiling
+  ///    (`max_order`, `max_threads`: what its entries can encode).
+  ///
+  /// Never clamps. Returns *this, so a constructor can validate in its
+  /// first member initializer.
+  const options& validate(const char* who, unsigned max_order = kNoLimit,
+                          unsigned max_threads = kNoLimit) const {
+    if (enqueue_patience_ == 0) refuse(who, "enqueue_patience must be >= 1");
+    if (dequeue_patience_ == 0) refuse(who, "dequeue_patience must be >= 1");
+    if (help_delay_ == 0) refuse(who, "help_delay must be >= 1");
+    if (max_threads_ == 0) refuse(who, "max_threads must be >= 1");
+    if (max_threads_ > max_threads) {
+      refuse(who, "max_threads exceeds", max_threads);
+    }
+    if (order_ > max_order) refuse(who, "order exceeds", max_order);
+    if ((shards_ & (shards_ - 1)) != 0 || shards_ > kMaxShards) {
+      refuse(who, "shards must be 0 or a power of two up to", kMaxShards);
+    }
+    if (shards_ > 1 && order_ <= detail::log2_pow2(shards_)) {
+      refuse(who, "order must exceed log2(shards)");
+    }
+    if (batch_limit_ == 0) refuse(who, "batch_limit must be >= 1");
+    return *this;
+  }
+
  private:
+  // Out of line and cold: the message is built only on refusal.
+  [[noreturn, gnu::cold, gnu::noinline]] static void refuse(
+      const char* who, const char* rule, unsigned limit = kNoLimit) {
+    std::string msg(who);
+    msg += ": ";
+    msg += rule;
+    if (limit != kNoLimit) {
+      msg += ' ';
+      msg += std::to_string(limit);
+    }
+    throw std::invalid_argument(msg);
+  }
+
   unsigned order_ = 16;
   unsigned max_threads_ = 128;
   unsigned enqueue_patience_ = 16;
   unsigned dequeue_patience_ = 64;
   unsigned help_delay_ = 16;
   bool remap_ = true;
-  bool portable_ = false;
-  unsigned seg_order_ = 10;
-  unsigned retire_threshold_ = 0;
   unsigned shards_ = 0;  // 0 = auto
   shard_policy_t shard_policy_ = shard_policy_t::round_robin;
   unsigned batch_limit_ = 64;

@@ -50,15 +50,18 @@ static_assert(sizeof(SplitEntry) == sizeof(detail::Pair),
 static_assert(offsetof(SplitEntry, meta) == offsetof(detail::Pair, word) &&
               offsetof(SplitEntry, idx) == offsetof(detail::Pair, note));
 
-/// CAS2 over a two-word entry. `portable` selects the __atomic builtin
-/// path (the paper's Section 4 portable-build posture, and the only
-/// path TSan can instrument) over native cmpxchg16b.
-template <typename TwoWordEntry>
+/// CAS2 over a two-word entry. `Portable` selects, at compile time, the
+/// __atomic builtin path (the paper's Section 4 portable-build posture,
+/// and the only path TSan can instrument) over native cmpxchg16b.
+template <bool Portable = false, typename TwoWordEntry>
 inline bool pair_cas(TwoWordEntry* e, detail::Pair expected,
-                     detail::Pair desired, bool portable) {
+                     detail::Pair desired) {
   detail::Pair* addr = reinterpret_cast<detail::Pair*>(e);
-  return portable ? detail::cas2_portable(addr, &expected, desired)
-                  : detail::cas2(addr, &expected, desired);
+  if constexpr (Portable) {
+    return detail::cas2_portable(addr, &expected, desired);
+  } else {
+    return detail::cas2(addr, &expected, desired);
+  }
 }
 
 }  // namespace wcq::ring

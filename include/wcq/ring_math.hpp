@@ -26,6 +26,13 @@
 
 namespace wcq::ring {
 
+/// Largest order a packed 64-bit entry can encode: the index (order+1
+/// bits), the safe bit and at least one cycle bit share the word. The
+/// cycle field then has 62-order bits, so for every order up to this
+/// one it wraps only at position 2^63 — the bound the 63-bit position
+/// counters already impose.
+inline constexpr unsigned kMaxOrder = 61;
+
 /// Cycle/index arithmetic for a ring of 2^(order+1) entries backing a
 /// queue of 2^order indices. Pure value type: every ring variant owns
 /// one and delegates its packing instead of inlining shift soup.

@@ -17,21 +17,15 @@ namespace wcq {
 
 class ScqQueue {
  public:
-  // Backend-internal configuration; the public surface is wcq::options.
-  struct Config {
-    unsigned order = 16;  // capacity = 2^order values
-    bool remap = true;
-    bool portable = false;
-  };
-
   // SCQ keeps no per-thread state; the empty handle exists so every
   // backend has the same shape behind wcq::concepts::Backend.
   using Handle = TrivialHandle;
 
-  explicit ScqQueue(const Config& cfg)
-      : n_(std::uint64_t{1} << cfg.order),
-        aq_(cfg.order, cfg.remap, cfg.portable),
-        fq_(cfg.order, cfg.remap, cfg.portable) {
+  // Reads order (capacity = 2^order values) and remap.
+  explicit ScqQueue(const options& opt)
+      : n_(std::uint64_t{1} << opt.validate("scq", ring::kMaxOrder).order()),
+        aq_(opt.order(), opt.remap()),
+        fq_(opt.order(), opt.remap()) {
     data_ = static_cast<std::atomic<std::uint64_t>*>(
         mem::alloc(n_ * sizeof(std::atomic<std::uint64_t>)));
     for (std::uint64_t i = 0; i < n_; ++i) {
@@ -39,9 +33,6 @@ class ScqQueue {
       aq_.enqueue_idx(i, ScqRing::kUnbounded);
     }
   }
-
-  explicit ScqQueue(const options& opt)
-      : ScqQueue(Config{opt.order(), opt.remap(), opt.portable()}) {}
 
   ~ScqQueue() { mem::free(data_, n_ * sizeof(std::atomic<std::uint64_t>)); }
 

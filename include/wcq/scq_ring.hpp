@@ -27,6 +27,8 @@
 //       happens exactly once (the CAS2 that flips a claim note to its
 //       phase-B form is the only way the entry word changes while
 //       claimed).
+//   ScqRingT<true, false, true>  the same ring with every CAS2 on the
+//       portable __atomic path (WcqPortableQueue, the §4 build).
 //   ScqRingT<false, true>  ("FinalScqRing")  plain SCQ plus a closed
 //       bit in Tail: once close() is called no new enqueue ticket is
 //       issued, and drain_idx() sweeps the surviving tickets so an
@@ -79,11 +81,12 @@ struct alignas(detail::kNoFalseSharing) RingRequest {
                                          // the global Head ticket stream
 };
 
-template <bool Noted, bool Finalizable = false>
+template <bool Noted, bool Finalizable = false, bool Portable = false>
 class ScqRingT {
   // The noted ring is the queue-level wCQ ring; segment finalization
-  // belongs to plain rings inside LSCQ. Nothing needs both.
-  static_assert(!(Noted && Finalizable));
+  // belongs to plain rings inside LSCQ. Nothing needs both. Portable
+  // picks the CAS2 path, which only the noted ring has.
+  static_assert(!(Noted && Finalizable) && (Noted || !Portable));
 
  public:
   enum Result : int {
@@ -96,20 +99,16 @@ class ScqRingT {
   static constexpr std::uint64_t kUnbounded = ~std::uint64_t{0};
 
   // Capacity is 2^order indices; the ring itself has 2^(order+1)
-  // entries. `remap` toggles Cache_Remap; `portable_consume` replaces
-  // the fetch_or consume with a CAS loop, mimicking the LL/SC-friendly
-  // portable build of the paper's Section 4 (the noted ring's consume
-  // is already a CAS2, so it only keeps the flag for interface parity).
-  // `reqs` is the queue's RingRequest array, which notes reference by
-  // slot; required iff Noted. `is_fq` is the ring's identity bit in
-  // request ctl words (0 = free-index ring aq, 1 = value ring fq), so
-  // helpers never step a request against the wrong ring.
-  ScqRingT(unsigned order, bool remap, bool portable_consume,
-           RingRequest* reqs = nullptr, bool is_fq = false)
+  // entries. `remap` toggles Cache_Remap. `reqs` is the queue's
+  // RingRequest array, which notes reference by slot; required iff
+  // Noted. `is_fq` is the ring's identity bit in request ctl words
+  // (0 = free-index ring aq, 1 = value ring fq), so helpers never step
+  // a request against the wrong ring.
+  ScqRingT(unsigned order, bool remap, RingRequest* reqs = nullptr,
+           bool is_fq = false)
       : geo_(order),
         remap_(remap ? ring::Remap::cache(geo_, kLineBits)
                      : ring::Remap::identity(geo_)),
-        portable_consume_(portable_consume),
         reqs_(reqs),
         is_fq_(is_fq),
         threshold_(geo_) {
@@ -362,7 +361,7 @@ class ScqRingT {
   bool pair_cas(std::uint64_t j, detail::Pair expected, detail::Pair desired)
     requires(Noted)
   {
-    return ring::pair_cas(&entries_[j], expected, desired, portable_consume_);
+    return ring::pair_cas<Portable>(&entries_[j], expected, desired);
   }
 
   // Mark the entry consumed (index -> BOT) keeping cycle and safe bit.
@@ -371,16 +370,8 @@ class ScqRingT {
   bool consume(std::uint64_t j, std::uint64_t seen) {
     if constexpr (Noted) {
       return word_cas(j, seen, seen | geo_.bot());
-    } else if (!portable_consume_) {
-      entries_[j].word.fetch_or(geo_.bot(), std::memory_order_acq_rel);
-      return true;
     } else {
-      // Portable build: single-width CAS loop (LL/SC-emulation shape).
-      std::uint64_t e = seen;
-      while (!entries_[j].word.compare_exchange_weak(
-          e, e | geo_.bot(), std::memory_order_acq_rel,
-          std::memory_order_acquire)) {
-      }
+      entries_[j].word.fetch_or(geo_.bot(), std::memory_order_acq_rel);
       return true;
     }
   }
@@ -434,7 +425,6 @@ class ScqRingT {
 
   const ring::Geometry geo_;
   const ring::Remap remap_;
-  const bool portable_consume_;
   RingRequest* const reqs_;
   const bool is_fq_;
 

@@ -15,11 +15,8 @@
 /// Precisely: values a single handle pushes into the same shard are
 /// dequeued from that shard in push order, but two values a producer
 /// spreads over different shards may be observed by a consumer in
-/// either order. Workloads needing a global order have two options:
-/// one shard (`options::shards(1)` — the plain queue), or
-/// `shard_policy::sequenced`, which serializes shard selection behind
-/// a ticket lock to restore exact global FIFO — a test/debug mode,
-/// deliberately not wait-free and not fast.
+/// either order. Workloads needing a global order use one shard
+/// (`options::shards(1)` — the plain queue behind the same surface).
 ///
 /// ## Pickers (`options::shard_policy`)
 ///
@@ -33,11 +30,6 @@
 ///    direction and stays there — the zero-interference layout when
 ///    threads <= shards — rebalancing only when the home refuses:
 ///    push moves home on full, pop moves home on empty.
-///  - `load_aware`: two-choice sampling over the layer's per-shard
-///    occupancy estimates (push-successes minus pop-successes,
-///    relaxed): push targets the emptier of two sampled shards, pop
-///    the fuller. Falls back to a scan when the chosen shard refuses.
-///  - `sequenced`: see above.
 ///
 /// ## Batch API
 ///
@@ -53,9 +45,10 @@
 /// Total capacity stays `2^order` for bounded backends: the order is
 /// split as `order - log2(shards)` per shard, so one options value
 /// sizes sharded and unsharded queues identically. The constructor
-/// throws `std::invalid_argument` when the split leaves a shard under
-/// two slots, when `shards` is not a power of two, or when
-/// `batch_limit` is zero (refuse, never silently clamp).
+/// refuses bad knobs through `options::validate` (a shard count that
+/// is not a power of two, a split leaving a shard under two slots, a
+/// zero `batch_limit`, ...) with `std::invalid_argument` — refuse,
+/// never silently clamp.
 #pragma once
 
 #include <algorithm>
@@ -93,22 +86,13 @@ class sharded {
   class handle;
 
   explicit sharded(const options& opt = options{})
-      : nshards_(resolve_shards(opt.shards())),
+      : nshards_(resolve_shards(opt)),
         mask_(nshards_ - 1),
-        policy_(opt.shard_policy()),
+        step_(opt.shard_policy() == shard_policy::round_robin ? 1 : 0),
         batch_limit_(opt.batch_limit()) {
-    if (batch_limit_ == 0) {
-      throw std::invalid_argument("sharded: batch_limit must be >= 1");
-    }
-    unsigned shard_bits = 0;
-    while ((1u << shard_bits) < nshards_) ++shard_bits;
-    if (opt.order() <= shard_bits) {
-      throw std::invalid_argument(
-          "sharded: order must exceed log2(shards) — the per-shard "
-          "split would leave rings under two slots");
-    }
+    // Each shard is one plain queue holding its slice of 2^order.
     options per_shard = opt;
-    per_shard.order(opt.order() - shard_bits);
+    per_shard.order(opt.order() - detail::log2_pow2(nshards_)).shards(1);
     shards_ = static_cast<Backend*>(mem::alloc(nshards_ * sizeof(Backend)));
     unsigned made = 0;
     try {
@@ -120,9 +104,6 @@ class sharded {
       mem::free(shards_, nshards_ * sizeof(Backend));
       throw;
     }
-    loads_ = static_cast<ShardLoad*>(
-        mem::alloc(nshards_ * sizeof(ShardLoad), alignof(ShardLoad)));
-    for (unsigned s = 0; s < nshards_; ++s) new (&loads_[s]) ShardLoad();
   }
 
   ~sharded() {
@@ -137,8 +118,6 @@ class sharded {
         }
       }
     }
-    for (unsigned s = 0; s < nshards_; ++s) loads_[s].~ShardLoad();
-    mem::free(loads_, nshards_ * sizeof(ShardLoad), alignof(ShardLoad));
     for (unsigned s = 0; s < nshards_; ++s) shards_[s].~Backend();
     mem::free(shards_, nshards_ * sizeof(Backend));
   }
@@ -157,10 +136,8 @@ class sharded {
         : q_(std::exchange(o.q_, nullptr)),
           subs_(o.subs_),
           scratch_(o.scratch_),
-          id_(o.id_),
           push_cur_(o.push_cur_),
-          pop_cur_(o.pop_cur_),
-          rng_(o.rng_) {}
+          pop_cur_(o.pop_cur_) {}
 
     handle& operator=(handle&& o) noexcept {
       if (this != &o) {
@@ -168,10 +145,8 @@ class sharded {
         q_ = std::exchange(o.q_, nullptr);
         subs_ = o.subs_;
         scratch_ = o.scratch_;
-        id_ = o.id_;
         push_cur_ = o.push_cur_;
         pop_cur_ = o.pop_cur_;
-        rng_ = o.rng_;
       }
       return *this;
     }
@@ -187,13 +162,7 @@ class sharded {
 
     handle(sharded* q, BackendHandle* subs, std::uint64_t* scratch,
            unsigned id)
-        : q_(q),
-          subs_(subs),
-          scratch_(scratch),
-          id_(id),
-          push_cur_(id),
-          pop_cur_(id),
-          rng_(std::uint64_t{id} * 0x9e3779b97f4a7c15ull + 1) {}
+        : q_(q), subs_(subs), scratch_(scratch), push_cur_(id), pop_cur_(id) {}
 
     void release() {
       if (q_ != nullptr) {
@@ -207,12 +176,11 @@ class sharded {
     sharded* q_ = nullptr;
     BackendHandle* subs_ = nullptr;
     std::uint64_t* scratch_ = nullptr;  // batch_limit slots
-    unsigned id_ = 0;
-    // round_robin cursor / sticky home, one per direction. Masked at
-    // use; push and pop start aligned for single-handle FIFO.
+    // round_robin cursor / sticky home, one per direction, starting at
+    // the handle's id. Masked at use; push and pop start aligned for
+    // single-handle FIFO.
     unsigned push_cur_ = 0;
     unsigned pop_cur_ = 0;
-    std::uint64_t rng_ = 0;  // splitmix64 state (load_aware sampling)
   };
 
   /// nullopt iff some shard has all max_threads handle slots live.
@@ -306,13 +274,6 @@ class sharded {
   /// Direct access to one shard (tests and benches; not a stable API).
   Backend& shard(unsigned s) { return shards_[s]; }
 
-  /// Approximate occupancy of shard s: push successes minus pop
-  /// successes, relaxed counters — the load_aware picker's signal.
-  /// Transiently off by in-flight ops; exact once the queue is quiet.
-  std::int64_t shard_load(unsigned s) const {
-    return loads_[s].size.load(std::memory_order_relaxed);
-  }
-
   /// Total capacity (bounded backends): the sum over shards, which by
   /// construction is 2^order.
   auto capacity() const
@@ -362,215 +323,58 @@ class sharded {
   }
 
  private:
-  struct alignas(detail::kNoFalseSharing) ShardLoad {
-    std::atomic<std::int64_t> size{0};
-  };
-
-  // Serializes one direction of the sequenced picker.
-  class PickerLock {
-   public:
-    explicit PickerLock(std::atomic<bool>& l) : l_(l) {
-      while (l_.exchange(true, std::memory_order_acquire)) {
-        detail::cpu_pause();
-      }
+  // The shard count with 0 = auto resolved — a power of two derived
+  // from the machine, one shard per ~4 cpus, capped at 8 (the
+  // topology-aware sweep in the benches picks its own counts; this
+  // default just has to be sane anywhere) — after validating `opt`
+  // with that count.
+  static unsigned resolve_shards(const options& opt) {
+    unsigned n = opt.shards();
+    if (n == 0) {
+      const unsigned want = std::thread::hardware_concurrency() / 4;
+      n = 1;
+      while (n * 2 <= want && n < 8) n *= 2;
     }
-    ~PickerLock() { l_.store(false, std::memory_order_release); }
-    PickerLock(const PickerLock&) = delete;
-    PickerLock& operator=(const PickerLock&) = delete;
-
-   private:
-    std::atomic<bool>& l_;
-  };
-
-  struct alignas(detail::kNoFalseSharing) SeqSide {
-    std::atomic<bool> lock{false};
-    std::uint64_t tick = 0;  // guarded by lock
-  };
-
-  // 0 = auto: a power of two derived from the machine — one shard per
-  // ~4 cpus, capped at 8 (the topology-aware sweep in the benches
-  // picks its own counts; this default just has to be sane anywhere).
-  static unsigned resolve_shards(unsigned requested) {
-    if (requested == 0) {
-      unsigned hw = std::thread::hardware_concurrency();
-      if (hw == 0) hw = 1;
-      unsigned want = hw / 4;
-      if (want == 0) want = 1;
-      if (want > 8) want = 8;
-      unsigned p = 1;
-      while (p * 2 <= want) p *= 2;
-      return p;
-    }
-    if ((requested & (requested - 1)) != 0) {
-      throw std::invalid_argument(
-          "sharded: shards must be a power of two (the picker masks, "
-          "never divides)");
-    }
-    if (requested > kMaxShards) {
-      throw std::invalid_argument("sharded: shards exceeds 256");
-    }
-    return requested;
+    options{opt}.shards(n).validate("sharded");
+    return n;
   }
 
-  static constexpr unsigned kMaxShards = 256;
-
-  unsigned sample(handle& h) const {
-    h.rng_ += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = h.rng_;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return static_cast<unsigned>((z ^ (z >> 31))) & mask_;
-  }
-
-  bool push_at(unsigned s, std::uint64_t slot, handle& h) {
-    if (!shards_[s].try_push(slot, h.subs_[s])) return false;
-    loads_[s].size.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-
-  bool pop_at(unsigned s, std::uint64_t* slot, handle& h) {
-    if (!shards_[s].try_pop(slot, h.subs_[s])) return false;
-    loads_[s].size.fetch_sub(1, std::memory_order_relaxed);
-    return true;
-  }
-
+  // Single-slot ops scan from the handle's cursor and, on success, set
+  // it to the accepting shard plus step_: round_robin moves one past
+  // it, sticky adopts it as the new home (rebalance on full/empty). A
+  // fully failed scan leaves the cursor, and so the push/pop
+  // alignment, untouched.
   bool push_slot(std::uint64_t slot, handle& h) {
-    switch (policy_) {
-      case shard_policy::sequenced: {
-        // Strict ticket order: the op is bound to its shard; a full
-        // shard refuses rather than break the sequence. The ticket is
-        // only consumed on success, so push k and pop k always meet
-        // at the same shard.
-        PickerLock g(seq_push_.lock);
-        const unsigned s = static_cast<unsigned>(seq_push_.tick) & mask_;
-        if (!push_at(s, slot, h)) return false;
-        ++seq_push_.tick;
+    const unsigned c = h.push_cur_;
+    for (unsigned k = 0; k < nshards_; ++k) {
+      const unsigned s = (c + k) & mask_;
+      if (shards_[s].try_push(slot, h.subs_[s])) {
+        h.push_cur_ = c + k + step_;
         return true;
       }
-      case shard_policy::sticky: {
-        const unsigned home = h.push_cur_ & mask_;
-        if (push_at(home, slot, h)) return true;
-        for (unsigned k = 1; k < nshards_; ++k) {
-          const unsigned s = (home + k) & mask_;
-          if (push_at(s, slot, h)) {
-            h.push_cur_ = s;  // rebalance-on-full: adopt the new home
-            return true;
-          }
-        }
-        return false;
-      }
-      case shard_policy::load_aware: {
-        const unsigned a = sample(h);
-        const unsigned b = sample(h);
-        const unsigned s = loads_[a].size.load(std::memory_order_relaxed) <=
-                                   loads_[b].size.load(std::memory_order_relaxed)
-                               ? a
-                               : b;
-        if (push_at(s, slot, h)) return true;
-        for (unsigned k = 1; k < nshards_; ++k) {
-          if (push_at((s + k) & mask_, slot, h)) return true;
-        }
-        return false;
-      }
-      case shard_policy::round_robin:
-      default: {
-        const unsigned c = h.push_cur_;
-        for (unsigned k = 0; k < nshards_; ++k) {
-          if (push_at((c + k) & mask_, slot, h)) {
-            // Advance past the accepting shard; a fully-failed scan
-            // leaves the cursor (and the push/pop alignment) alone.
-            h.push_cur_ = c + k + 1;
-            return true;
-          }
-        }
-        return false;
-      }
     }
+    return false;
   }
 
   bool pop_slot(std::uint64_t* slot, handle& h) {
-    switch (policy_) {
-      case shard_policy::sequenced: {
-        PickerLock g(seq_pop_.lock);
-        const unsigned s = static_cast<unsigned>(seq_pop_.tick) & mask_;
-        if (!pop_at(s, slot, h)) return false;
-        ++seq_pop_.tick;
+    const unsigned c = h.pop_cur_;
+    for (unsigned k = 0; k < nshards_; ++k) {
+      const unsigned s = (c + k) & mask_;
+      if (shards_[s].try_pop(slot, h.subs_[s])) {
+        h.pop_cur_ = c + k + step_;
         return true;
       }
-      case shard_policy::sticky: {
-        const unsigned home = h.pop_cur_ & mask_;
-        if (pop_at(home, slot, h)) return true;
-        for (unsigned k = 1; k < nshards_; ++k) {
-          const unsigned s = (home + k) & mask_;
-          if (pop_at(s, slot, h)) {
-            h.pop_cur_ = s;  // rebalance-on-empty
-            return true;
-          }
-        }
-        return false;
-      }
-      case shard_policy::load_aware: {
-        const unsigned a = sample(h);
-        const unsigned b = sample(h);
-        const unsigned s = loads_[a].size.load(std::memory_order_relaxed) >=
-                                   loads_[b].size.load(std::memory_order_relaxed)
-                               ? a
-                               : b;
-        if (pop_at(s, slot, h)) return true;
-        for (unsigned k = 1; k < nshards_; ++k) {
-          if (pop_at((s + k) & mask_, slot, h)) return true;
-        }
-        return false;
-      }
-      case shard_policy::round_robin:
-      default: {
-        const unsigned c = h.pop_cur_;
-        for (unsigned k = 0; k < nshards_; ++k) {
-          if (pop_at((c + k) & mask_, slot, h)) {
-            h.pop_cur_ = c + k + 1;
-            return true;
-          }
-        }
-        return false;
-      }
     }
+    return false;
   }
 
-  // The shard a batch chunk should target, advancing picker state
-  // once per CHUNK (that is the amortization): rr steps its cursor,
-  // sticky stays home, load_aware re-samples.
-  unsigned pick_push_shard(handle& h) {
-    switch (policy_) {
-      case shard_policy::sticky:
-        return h.push_cur_ & mask_;
-      case shard_policy::load_aware: {
-        const unsigned a = sample(h);
-        const unsigned b = sample(h);
-        return loads_[a].size.load(std::memory_order_relaxed) <=
-                       loads_[b].size.load(std::memory_order_relaxed)
-                   ? a
-                   : b;
-      }
-      default:
-        return (h.push_cur_++) & mask_;
-    }
-  }
-
-  unsigned pick_pop_shard(handle& h) {
-    switch (policy_) {
-      case shard_policy::sticky:
-        return h.pop_cur_ & mask_;
-      case shard_policy::load_aware: {
-        const unsigned a = sample(h);
-        const unsigned b = sample(h);
-        return loads_[a].size.load(std::memory_order_relaxed) >=
-                       loads_[b].size.load(std::memory_order_relaxed)
-                   ? a
-                   : b;
-      }
-      default:
-        return (h.pop_cur_++) & mask_;
-    }
+  // The shard a batch chunk targets, advancing the cursor once per
+  // CHUNK (that is the amortization): round_robin steps, sticky stays
+  // home.
+  unsigned pick(unsigned& cur) const {
+    const unsigned s = cur & mask_;
+    cur += step_;
+    return s;
   }
 
   // Push a run of encoded slots into shard s; native backend burst
@@ -578,40 +382,32 @@ class sharded {
   // amortization). Returns slots accepted.
   std::size_t shard_push_n(unsigned s, const std::uint64_t* slots,
                            std::size_t n, handle& h) {
-    std::size_t ok = 0;
     if constexpr (requires {
                     {
                       shards_[s].try_push_n(slots, n, h.subs_[s])
                     } -> std::same_as<std::size_t>;
                   }) {
-      ok = shards_[s].try_push_n(slots, n, h.subs_[s]);
+      return shards_[s].try_push_n(slots, n, h.subs_[s]);
     } else {
+      std::size_t ok = 0;
       while (ok < n && shards_[s].try_push(slots[ok], h.subs_[s])) ++ok;
+      return ok;
     }
-    if (ok > 0) {
-      loads_[s].size.fetch_add(static_cast<std::int64_t>(ok),
-                               std::memory_order_relaxed);
-    }
-    return ok;
   }
 
   std::size_t shard_pop_n(unsigned s, std::uint64_t* slots, std::size_t n,
                           handle& h) {
-    std::size_t ok = 0;
     if constexpr (requires {
                     {
                       shards_[s].try_pop_n(slots, n, h.subs_[s])
                     } -> std::same_as<std::size_t>;
                   }) {
-      ok = shards_[s].try_pop_n(slots, n, h.subs_[s]);
+      return shards_[s].try_pop_n(slots, n, h.subs_[s]);
     } else {
+      std::size_t ok = 0;
       while (ok < n && shards_[s].try_pop(&slots[ok], h.subs_[s])) ++ok;
+      return ok;
     }
-    if (ok > 0) {
-      loads_[s].size.fetch_sub(static_cast<std::int64_t>(ok),
-                               std::memory_order_relaxed);
-    }
-    return ok;
   }
 
   // Slot-level batch push: one shard pick per chunk; when the picked
@@ -620,14 +416,9 @@ class sharded {
   // and the remainder re-picks. Stops only on a global refusal.
   std::size_t push_slots(const std::uint64_t* slots, std::size_t n,
                          handle& h) {
-    if (policy_ == shard_policy::sequenced) {
-      std::size_t done = 0;
-      while (done < n && push_slot(slots[done], h)) ++done;
-      return done;
-    }
     std::size_t done = 0;
     while (done < n) {
-      const unsigned s = pick_push_shard(h);
+      const unsigned s = pick(h.push_cur_);
       done += shard_push_n(s, slots + done, n - done, h);
       if (done == n) break;
       if (!push_slot(slots[done], h)) break;
@@ -637,14 +428,9 @@ class sharded {
   }
 
   std::size_t pop_slots(std::uint64_t* slots, std::size_t n, handle& h) {
-    if (policy_ == shard_policy::sequenced) {
-      std::size_t done = 0;
-      while (done < n && pop_slot(&slots[done], h)) ++done;
-      return done;
-    }
     std::size_t done = 0;
     while (done < n) {
-      const unsigned s = pick_pop_shard(h);
+      const unsigned s = pick(h.pop_cur_);
       done += shard_pop_n(s, slots + done, n - done, h);
       if (done == n) break;
       if (!pop_slot(&slots[done], h)) break;
@@ -655,13 +441,11 @@ class sharded {
 
   const unsigned nshards_;
   const unsigned mask_;
-  const shard_policy policy_;
+  // Cursor advance after a success: 1 for round_robin, 0 for sticky.
+  const unsigned step_;
   const unsigned batch_limit_;
   Backend* shards_ = nullptr;
-  ShardLoad* loads_ = nullptr;
   std::atomic<unsigned> next_handle_{0};
-  SeqSide seq_push_;
-  SeqSide seq_pop_;
 };
 
 }  // namespace wcq

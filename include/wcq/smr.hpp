@@ -1,7 +1,7 @@
 /// \file
 /// wcq::smr — the shared safe-memory-reclamation layer every
-/// dynamic-memory backend (MSQ, FAA, LCRQ, future YMC/LSCQ/uwCQ)
-/// routes retired nodes through.
+/// dynamic-memory backend (MSQ, FAA, LCRQ, LSCQ) routes retired nodes
+/// through.
 ///
 /// One Domain per queue, sized by the queue's max_threads: each
 /// handle slot owns a fixed strip of hazard-pointer words plus one
@@ -29,8 +29,8 @@
 /// Retiring is wait-free and amortized: retired nodes park on the
 /// calling slot's local list, stamped with the current epoch; when
 /// the list reaches the amnesty bound (MAX_GARBAGE shape: 2 x
-/// max_threads by default, wcq::options::retire_threshold to
-/// override) the slot scans — one epoch bump, one snapshot of all
+/// max_threads, unless the Domain constructor is given another) the
+/// slot scans — one epoch bump, one snapshot of all
 /// hazard words and pinned epochs — and frees every node that is both
 /// unprotected and epoch-safe. Total parked garbage is therefore
 /// bounded by max_threads x threshold (+ nodes pinned by laggards),

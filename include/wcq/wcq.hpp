@@ -54,49 +54,39 @@ struct WcqTestAccess;
 template <bool Portable>
 class WcqQueueT {
  public:
-  // Backend-internal configuration; the public surface is
-  // wcq::options. Kept because the paper's knob names (MAX_PATIENCE,
-  // HELP_DELAY) map onto it one-to-one.
-  struct Config {
-    // capacity = 2^order values. Note words carry ring indices in 21
-    // aux bits, so order must be <= detail::kMaxNoteOrder (20); the
-    // constructor throws std::invalid_argument beyond that.
-    unsigned order = 16;
-    // Note words index threads by a 9-bit slot, so at most
-    // detail::kMaxNoteThreads (512) concurrent handles; the
-    // constructor throws std::invalid_argument beyond that.
-    unsigned max_threads = 128;
-    unsigned enqueue_patience = 16;  // paper Section 6
-    unsigned dequeue_patience = 64;
-    unsigned help_delay = 16;
-    bool remap = true;
-  };
-
   class Handle;
 
-  explicit WcqQueueT(const Config& cfg)
-      : cfg_(sanitize(cfg)),
-        n_(std::uint64_t{1} << cfg_.order),
+  // Reads order, max_threads, both patience knobs (MAX_PATIENCE),
+  // help_delay (HELP_DELAY) and remap. Note words carry ring indices in
+  // 21 aux bits and thread slots in 9, so validate() refuses an order
+  // above detail::kMaxNoteOrder (20) and max_threads above
+  // detail::kMaxNoteThreads (512).
+  explicit WcqQueueT(const options& opt)
+      : max_threads_(opt.validate("wcq", detail::kMaxNoteOrder,
+                                  detail::kMaxNoteThreads)
+                         .max_threads()),
+        enqueue_patience_(opt.enqueue_patience()),
+        dequeue_patience_(opt.dequeue_patience()),
+        help_delay_(opt.help_delay()),
+        n_(std::uint64_t{1} << opt.order()),
         reqs_(static_cast<RingRequest*>(
-            mem::alloc(cfg_.max_threads * sizeof(RingRequest)))),
-        aq_(cfg_.order, cfg_.remap, Portable, reqs_, /*is_fq=*/false),
-        fq_(cfg_.order, cfg_.remap, Portable, reqs_, /*is_fq=*/true),
-        slots_(cfg_.max_threads) {
-    for (unsigned i = 0; i < cfg_.max_threads; ++i) {
+            mem::alloc(max_threads_ * sizeof(RingRequest)))),
+        aq_(opt.order(), opt.remap(), reqs_, /*is_fq=*/false),
+        fq_(opt.order(), opt.remap(), reqs_, /*is_fq=*/true),
+        slots_(max_threads_) {
+    for (unsigned i = 0; i < max_threads_; ++i) {
       new (&reqs_[i]) RingRequest();
     }
     data_ = static_cast<std::atomic<std::uint64_t>*>(
         mem::alloc(n_ * sizeof(std::atomic<std::uint64_t>)));
     for (std::uint64_t i = 0; i < n_; ++i) {
       data_[i].store(0, std::memory_order_relaxed);
-      aq_.enqueue_idx(i, WcqRing::kUnbounded);
+      aq_.enqueue_idx(i, Ring::kUnbounded);
     }
     recs_ = static_cast<ThreadRec*>(
-        mem::alloc(cfg_.max_threads * sizeof(ThreadRec)));
-    for (unsigned i = 0; i < cfg_.max_threads; ++i) new (&recs_[i]) ThreadRec();
+        mem::alloc(max_threads_ * sizeof(ThreadRec)));
+    for (unsigned i = 0; i < max_threads_; ++i) new (&recs_[i]) ThreadRec();
   }
-
-  explicit WcqQueueT(const options& opt) : WcqQueueT(config_from(opt)) {}
 
   ~WcqQueueT() {
     // Lifetime contract: every handle must die before its queue — a
@@ -104,11 +94,11 @@ class WcqQueueT {
     // memory. Catch the misuse here, where the guilty queue is known.
     assert(slots_.live() == 0 &&
            "wcq: a Handle is outliving its queue (use-after-free ahead)");
-    for (unsigned i = 0; i < cfg_.max_threads; ++i) recs_[i].~ThreadRec();
-    mem::free(recs_, cfg_.max_threads * sizeof(ThreadRec));
+    for (unsigned i = 0; i < max_threads_; ++i) recs_[i].~ThreadRec();
+    mem::free(recs_, max_threads_ * sizeof(ThreadRec));
     mem::free(data_, n_ * sizeof(std::atomic<std::uint64_t>));
-    for (unsigned i = 0; i < cfg_.max_threads; ++i) reqs_[i].~RingRequest();
-    mem::free(reqs_, cfg_.max_threads * sizeof(RingRequest));
+    for (unsigned i = 0; i < max_threads_; ++i) reqs_[i].~RingRequest();
+    mem::free(reqs_, max_threads_ * sizeof(RingRequest));
   }
 
   WcqQueueT(const WcqQueueT&) = delete;
@@ -146,14 +136,14 @@ class WcqQueueT {
     maybe_help(rec);
 #if !defined(WCQ_ALL_SLOW)
     std::uint64_t idx = 0;
-    const WcqRing::Result rc = aq_.dequeue_idx(&idx, cfg_.enqueue_patience);
-    if (rc == WcqRing::kEmpty) {
+    const typename Ring::Result rc = aq_.dequeue_idx(&idx, enqueue_patience_);
+    if (rc == Ring::kEmpty) {
       rec->fast_enq.fetch_add(1, std::memory_order_relaxed);
       return false;  // full: definitive, no slow path needed
     }
-    if (rc == WcqRing::kOk) {
+    if (rc == Ring::kOk) {
       data_[idx].store(v, std::memory_order_relaxed);
-      if (fq_.enqueue_idx(idx, cfg_.enqueue_patience) == WcqRing::kOk) {
+      if (fq_.enqueue_idx(idx, enqueue_patience_) == Ring::kOk) {
         rec->fast_enq.fetch_add(1, std::memory_order_relaxed);
         return true;
       }
@@ -175,14 +165,14 @@ class WcqQueueT {
     maybe_help(rec);
 #if !defined(WCQ_ALL_SLOW)
     std::uint64_t idx = 0;
-    const WcqRing::Result rc = fq_.dequeue_idx(&idx, cfg_.dequeue_patience);
-    if (rc == WcqRing::kEmpty) {
+    const typename Ring::Result rc = fq_.dequeue_idx(&idx, dequeue_patience_);
+    if (rc == Ring::kEmpty) {
       rec->fast_deq.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
-    if (rc == WcqRing::kOk) {
+    if (rc == Ring::kOk) {
       *v = data_[idx].load(std::memory_order_relaxed);
-      if (aq_.enqueue_idx(idx, cfg_.enqueue_patience) != WcqRing::kOk) {
+      if (aq_.enqueue_idx(idx, enqueue_patience_) != Ring::kOk) {
         publish_ring_op(rec, /*fq_ring=*/false, /*deq=*/false, idx);
         complete_ring_op(rec, nullptr);
       }
@@ -216,6 +206,9 @@ class WcqQueueT {
   // helper-completion path gets deterministic coverage.
   friend struct WcqTestAccess<Portable>;
 
+  // The wCQ ring, its CAS2s on the portable path iff Portable.
+  using Ring = ScqRingT<true, false, Portable>;
+
   struct alignas(detail::kNoFalseSharing) ThreadRec {
     std::atomic<std::uint64_t> fast_enq{0};
     std::atomic<std::uint64_t> slow_enq{0};
@@ -228,35 +221,6 @@ class WcqQueueT {
     std::uint64_t op_count = 0;
     unsigned help_cursor = 0;
   };
-
-  static Config config_from(const options& opt) {
-    Config cfg;
-    cfg.order = opt.order();
-    cfg.max_threads = opt.max_threads();
-    cfg.enqueue_patience = opt.enqueue_patience();
-    cfg.dequeue_patience = opt.dequeue_patience();
-    cfg.help_delay = opt.help_delay();
-    cfg.remap = opt.remap();
-    return cfg;
-  }
-
-  static Config sanitize(Config cfg) {
-    if (cfg.enqueue_patience == 0) cfg.enqueue_patience = 1;
-    if (cfg.dequeue_patience == 0) cfg.dequeue_patience = 1;
-    if (cfg.help_delay == 0) cfg.help_delay = 1;
-    if (cfg.max_threads == 0) cfg.max_threads = 1;
-    // Every note must be representable: 9 slot bits, 21 aux bits.
-    // Reject rather than clamp — a silently halved capacity or lost
-    // handle slots would be far harder to debug than this throw.
-    if (cfg.max_threads > detail::kMaxNoteThreads) {
-      throw std::invalid_argument(
-          "wcq: max_threads exceeds kMaxNoteThreads (512)");
-    }
-    if (cfg.order > detail::kMaxNoteOrder) {
-      throw std::invalid_argument("wcq: order exceeds kMaxNoteOrder (20)");
-    }
-    return cfg;
-  }
 
   void release_rec(ThreadRec* rec) {
     // The owner is past its last operation, so its request is Idle and
@@ -278,7 +242,7 @@ class WcqQueueT {
     r->arg.store(arg, std::memory_order_relaxed);
     r->result.store(detail::pack_result(seq, detail::kResultNone),
                     std::memory_order_relaxed);
-    WcqRing& ring = fq_ring ? fq_ : aq_;
+    Ring& ring = fq_ring ? fq_ : aq_;
     r->pos.store(deq ? ring.head() : ring.tail(), std::memory_order_relaxed);
     r->ctl.store(detail::pack_ctl(seq, 0, fq_ring, deq, detail::kReqPending),
                  std::memory_order_release);
@@ -336,7 +300,7 @@ class WcqQueueT {
   // Every help_delay own-operations, look at one peer (round-robin)
   // and drive its pending request, if any, to completion.
   void maybe_help(ThreadRec* rec) {
-    if (++rec->op_count % cfg_.help_delay != 0) return;
+    if (++rec->op_count % help_delay_ != 0) return;
     const unsigned touched = slots_.high_water();
     if (touched <= 1) return;
     unsigned peer = rec->help_cursor++ % touched;
@@ -351,11 +315,14 @@ class WcqQueueT {
     }
   }
 
-  const Config cfg_;
+  const unsigned max_threads_;
+  const unsigned enqueue_patience_;
+  const unsigned dequeue_patience_;
+  const unsigned help_delay_;
   const std::uint64_t n_;
   RingRequest* const reqs_;  // shared by both rings, indexed by slot
-  WcqRing aq_;
-  WcqRing fq_;
+  Ring aq_;
+  Ring fq_;
   std::atomic<std::uint64_t>* data_ = nullptr;
   ThreadRec* recs_ = nullptr;
   SlotRegistry slots_;
@@ -424,7 +391,7 @@ struct WcqTestAccess {
   // a test never installs a garbage index.
   static bool publish_stalled_push(Q& q, H& h, std::uint64_t v) {
     std::uint64_t idx = 0;
-    if (q.aq_.dequeue_idx(&idx, WcqRing::kUnbounded) != WcqRing::kOk) {
+    if (q.aq_.dequeue_idx(&idx, Q::Ring::kUnbounded) != Q::Ring::kOk) {
       return false;
     }
     q.data_[idx].store(v, std::memory_order_relaxed);

@@ -22,11 +22,6 @@
 #include <thread>
 #include <vector>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace wcq::topo {
 
 struct CpuTopology {
@@ -163,20 +158,6 @@ inline unsigned shard_cpu(unsigned shard, unsigned worker) {
   const CpuTopology& t = cpu_topology();
   const auto& cluster = t.clusters[shard % t.clusters.size()];
   return cluster[worker % cluster.size()];
-}
-
-// Pin the calling thread onto the cluster backing `shard` (no-op off
-// Linux). Benches use this for the node-local vs interleaved sweeps.
-inline void pin_to_shard_cluster(unsigned shard, unsigned worker) {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(shard_cpu(shard, worker), &set);
-  pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)shard;
-  (void)worker;
-#endif
 }
 
 }  // namespace wcq::topo

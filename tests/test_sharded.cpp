@@ -1,5 +1,6 @@
 // wcq::sharded correctness: the queue-of-queues layer's own contract
-// (per-shard FIFO, relaxed cross-shard order), every picker policy,
+// (per-shard FIFO, relaxed cross-shard order, global FIFO with one
+// shard), both picker policies,
 // the batch API's edge cases (partial fills, zero spans, boxed
 // payloads, sentinel refusal, chunking), constructor validation, and
 // handle churn over recycled sub-handle rows. The shared battery
@@ -25,22 +26,23 @@ using namespace wcq;
 constexpr shard_policy kAllPolicies[] = {
     shard_policy::round_robin,
     shard_policy::sticky,
-    shard_policy::load_aware,
-    shard_policy::sequenced,
 };
 
 const char* policy_name(shard_policy p) {
-  switch (p) {
-    case shard_policy::round_robin:
-      return "round_robin";
-    case shard_policy::sticky:
-      return "sticky";
-    case shard_policy::load_aware:
-      return "load_aware";
-    case shard_policy::sequenced:
-      return "sequenced";
+  return p == shard_policy::sticky ? "sticky" : "round_robin";
+}
+
+// Each shard's contents, read by draining it through a backend handle
+// (the queue is left empty).
+std::vector<std::vector<std::uint64_t>> drain_shards(
+    sharded<std::uint64_t>& q) {
+  std::vector<std::vector<std::uint64_t>> held(q.shard_count());
+  for (unsigned s = 0; s < q.shard_count(); ++s) {
+    auto bh = q.shard(s).get_handle();
+    std::uint64_t v = 0;
+    while (q.shard(s).try_pop(&v, bh)) held[s].push_back(v);
   }
-  return "?";
+  return held;
 }
 
 // MPMC no-loss/no-duplication across shards, every policy. Producers
@@ -110,18 +112,25 @@ void test_per_shard_fifo_sticky() {
     WCQ_CHECK(q.try_push(i, h), "sticky push %llu refused",
               (unsigned long long)i);
   }
-  // Exactly one shard is non-empty, and it holds everything.
+  // Exactly one shard is non-empty, and it holds everything in push
+  // order.
   unsigned loaded = 0;
-  for (unsigned s = 0; s < q.shard_count(); ++s) {
-    if (q.shard_load(s) != 0) {
-      ++loaded;
-      WCQ_CHECK(q.shard_load(s) == static_cast<std::int64_t>(n),
-                "sticky scattered: shard %u holds %lld of %llu", s,
-                (long long)q.shard_load(s), (unsigned long long)n);
+  for (const auto& held : drain_shards(q)) {
+    if (held.empty()) continue;
+    ++loaded;
+    WCQ_CHECK(held.size() == n, "sticky scattered: a shard holds %zu of %llu",
+              held.size(), (unsigned long long)n);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      WCQ_CHECK(held[i] == i, "sticky shard FIFO broken at %llu",
+                (unsigned long long)i);
     }
   }
   WCQ_CHECK(loaded == 1, "sticky touched %u shards", loaded);
   // Same handle, aligned home: exact FIFO back out.
+  for (std::uint64_t i = 0; i < n; ++i) {
+    WCQ_CHECK(q.try_push(i, h), "sticky re-push %llu refused",
+              (unsigned long long)i);
+  }
   for (std::uint64_t i = 0; i < n; ++i) {
     const auto v = q.try_pop(h);
     WCQ_CHECK(v && *v == i, "sticky FIFO broken at %llu",
@@ -146,12 +155,16 @@ void test_sticky_rebalance() {
   }
   WCQ_CHECK(!q.try_push(999, h), "push past total capacity succeeded");
   unsigned non_empty = 0;
-  for (unsigned s = 0; s < 4; ++s) non_empty += q.shard_load(s) != 0;
+  for (const auto& held : drain_shards(q)) non_empty += !held.empty();
   WCQ_CHECK(non_empty == 4, "rebalance-on-full reached %u of 4 shards",
             non_empty);
 
-  // A second handle (different home) drains everything: rebalance-on-
-  // empty walks it across all shards.
+  // Refill, then a second handle (different home) drains everything:
+  // rebalance-on-empty walks it across all shards.
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    WCQ_CHECK(q.try_push(i, h), "refill push %llu refused",
+              (unsigned long long)i);
+  }
   auto h2 = q.get_handle();
   unsigned got = 0;
   while (q.try_pop(h2)) ++got;
@@ -159,27 +172,37 @@ void test_sticky_rebalance() {
   std::printf("  ok sharded_rebalance sticky full/empty\n");
 }
 
-// Sequenced policy restores exact global FIFO even though values
-// spread across shards: push k and pop k meet at the same shard
-// because tickets are only consumed on success.
-void test_sequenced_global_fifo() {
-  sharded<std::uint64_t> q(
-      options{}.order(10).shards(4).shard_policy(shard_policy::sequenced));
+// Round-robin ordering. A lone handle's aligned push/pop cursors give
+// exact FIFO across 4 shards. With shards(1) the order is global:
+// values two handles push alternately come back, through a third
+// handle, in the one push order.
+void test_round_robin_fifo() {
+  sharded<std::uint64_t> q(options{}.order(10).shards(4));
   auto h = q.get_handle();
   const std::uint64_t n = 700;
   for (std::uint64_t i = 0; i < n; ++i) {
-    WCQ_CHECK(q.try_push(i, h), "sequenced push refused");
-  }
-  // All four shards hold a slice — this is not one-shard FIFO.
-  for (unsigned s = 0; s < 4; ++s) {
-    WCQ_CHECK(q.shard_load(s) > 0, "sequenced skipped shard %u", s);
+    WCQ_CHECK(q.try_push(i, h), "round_robin push %llu refused",
+              (unsigned long long)i);
   }
   for (std::uint64_t i = 0; i < n; ++i) {
     const auto v = q.try_pop(h);
-    WCQ_CHECK(v && *v == i, "sequenced global FIFO broken at %llu: got %llu",
+    WCQ_CHECK(v && *v == i, "round_robin FIFO broken at %llu",
+              (unsigned long long)i);
+  }
+
+  sharded<std::uint64_t> one(options{}.order(10).shards(1));
+  auto p0 = one.get_handle();
+  auto p1 = one.get_handle();
+  auto c = one.get_handle();
+  for (std::uint64_t i = 0; i < n; ++i) {
+    WCQ_CHECK(one.try_push(i, i % 2 ? p1 : p0), "shards(1) push refused");
+  }
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const auto v = one.try_pop(c);
+    WCQ_CHECK(v && *v == i, "shards(1) global FIFO broken at %llu: got %llu",
               (unsigned long long)i, (unsigned long long)(v ? *v : ~0ull));
   }
-  std::printf("  ok sharded_sequenced global FIFO across shards\n");
+  std::printf("  ok sharded_rr_fifo   per handle; shards(1) global\n");
 }
 
 // Batch edges: zero-size spans, spans above batch_limit (chunking),
@@ -370,7 +393,7 @@ int main() {
   test_mpmc_all_policies();
   test_per_shard_fifo_sticky();
   test_sticky_rebalance();
-  test_sequenced_global_fifo();
+  test_round_robin_fifo();
   test_batch_edges();
   test_batch_boxed();
   test_batch_sentinel_refusal();

@@ -1,16 +1,22 @@
 // Typed wcq::queue<T> facade coverage: inline slot_codec for small
 // trivially copyable T (must be bit-exact and allocation-free), the
 // boxed pointer-indirection codec for anything larger (no leaks on
-// failed pushes or on teardown with values still queued), and the
-// concept surface working over a non-default backend.
+// failed pushes or on teardown with values still queued), the
+// concept surface working over a non-default backend, and the one
+// options refusal rule across the whole lineup.
+#include <climits>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "queue_test_common.hpp"
 #include "wcq/concepts.hpp"
 #include "wcq/faa_queue.hpp"
 #include "wcq/queue.hpp"
 #include "wcq/scq.hpp"
+#include "wcq/sharded.hpp"
 
 namespace {
 
@@ -157,6 +163,39 @@ void test_non_default_backend() {
   std::printf("  ok typed_scq_backend\n");
 }
 
+// The one refusal rule: every lineup backend, and sharded, refuses
+// each out-of-range knob with std::invalid_argument — whether or not
+// it reads that knob — and never clamps. `max_order` is the backend's
+// order ceiling (options::kNoLimit: it reads no order).
+template <typename Q>
+void test_refusals(const char* name, unsigned max_order) {
+  std::vector<std::pair<const char*, options>> rows = {
+      {"enqueue_patience 0", options{}.enqueue_patience(0)},
+      {"dequeue_patience 0", options{}.dequeue_patience(0)},
+      {"help_delay 0", options{}.help_delay(0)},
+      {"max_threads 0", options{}.max_threads(0)},
+      {"shards 3", options{}.shards(3)},
+      {"batch_limit 0", options{}.batch_limit(0)},
+  };
+  if (max_order != options::kNoLimit) {
+    // One shard, so sharded's per-shard order is the whole order.
+    rows.push_back(
+        {"order past ceiling", options{}.shards(1).order(max_order + 1)});
+  }
+  for (const auto& [knob, opt] : rows) {
+    bool refused = false;
+    try {
+      Q q(opt);
+    } catch (const std::invalid_argument&) {
+      refused = true;
+    }
+    WCQ_CHECK(refused, "%s accepted %s", name, knob);
+  }
+  // Helping off (the bench suite's wcq_nohelp rung) is in range.
+  Q ok(options{}.order(6).shards(1).help_delay(UINT_MAX));
+  std::printf("  ok refusals          %s (%zu rows)\n", name, rows.size());
+}
+
 }  // namespace
 
 int main() {
@@ -166,5 +205,16 @@ int main() {
   test_boxed_teardown_drains();
   test_faa_reserved_values_refused();
   test_non_default_backend();
+  test_refusals<harness::WcqAdapter>("wcq", detail::kMaxNoteOrder);
+  test_refusals<harness::WcqPortableAdapter>("wcq-portable",
+                                             detail::kMaxNoteOrder);
+  test_refusals<harness::ScqAdapter>("scq", ring::kMaxOrder);
+  test_refusals<harness::NcqAdapter>("ncq", ring::kMaxOrder);
+  test_refusals<harness::CcqAdapter>("ccq", ring::kMaxOrder);
+  test_refusals<harness::LscqAdapter>("lscq", LscqQueue::kMaxOrder);
+  test_refusals<harness::LcrqAdapter>("lcrq", LcrqQueue::kMaxOrder);
+  test_refusals<harness::FaaAdapter>("faa", options::kNoLimit);
+  test_refusals<harness::MsqAdapter>("msq", options::kNoLimit);
+  test_refusals<sharded<std::uint64_t>>("sharded", detail::kMaxNoteOrder);
   return 0;
 }
