@@ -28,6 +28,19 @@ inline void cpu_pause() {
 #endif
 }
 
+// Bump a counter that only one thread ever writes: the holder of the
+// per-slot record it lives in (wCQ's ThreadRec, the SMR SlotState).
+// One writer makes the read-modify-write safe as a relaxed load plus a
+// relaxed store, with no locked RMW on the hot path. The field stays a
+// std::atomic so readers summing it concurrently (stats()) are
+// race-free and see each field grow monotonically. When a slot changes
+// hands, SlotRegistry's release -> acquire edge orders the last
+// owner's final store before the next owner's first load.
+inline void owner_bump(std::atomic<std::uint64_t>& counter) {
+  counter.store(counter.load(std::memory_order_relaxed) + 1,
+                std::memory_order_relaxed);
+}
+
 // Returns the number of index bits needed for `x` (x must be a power
 // of two).
 inline constexpr unsigned log2_pow2(std::uint64_t x) {

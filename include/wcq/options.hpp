@@ -91,8 +91,9 @@ class options {
     return *this;
   }
 
-  /// Own operations between peer help checks, >= 1 (wCQ §3.1).
-  /// UINT_MAX in effect turns helping off.
+  /// One peer help check every `v` own operations of a handle, the
+  /// first on its `v`-th; `v` >= 1 (wCQ §3.1). UINT_MAX in effect
+  /// turns helping off.
   constexpr options& help_delay(unsigned v) {
     help_delay_ = v;
     return *this;

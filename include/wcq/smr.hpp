@@ -152,7 +152,7 @@ class Domain {
     s.retired.push_back(
         Retired{p, del, ctx, epoch_.load(std::memory_order_acquire)});
     s.retired_count.store(s.retired.size(), std::memory_order_relaxed);
-    s.retire_calls.fetch_add(1, std::memory_order_relaxed);
+    detail::owner_bump(s.retire_calls);
     if (s.retired.size() >= threshold_) scan(slot);
   }
 
@@ -162,7 +162,7 @@ class Domain {
   /// cut.
   void scan(unsigned slot) {
     SlotState& s = state_[slot];
-    s.scans.fetch_add(1, std::memory_order_relaxed);
+    detail::owner_bump(s.scans);
     epoch_.fetch_add(1, std::memory_order_seq_cst);
 
     // Snapshot the protection state *after* the bump: any reader that
@@ -195,7 +195,7 @@ class Domain {
       // its root pointer before the unlink that preceded this retire.
       if (r.epoch < min_epoch && !protected_by_hazard(r.p)) {
         r.del(r.p, r.ctx);
-        s.reclaimed.fetch_add(1, std::memory_order_relaxed);
+        detail::owner_bump(s.reclaimed);
       } else {
         s.retired[kept++] = r;
       }
@@ -243,7 +243,9 @@ class Domain {
     std::atomic<std::uint64_t> epoch{kQuiescent};
     // Owner-only (the slot holder; recycled with the slot). The
     // atomic mirrors below exist so stats()/tests can read counts
-    // from other threads without touching the vector.
+    // from other threads without touching the vector; the counters
+    // are bumped with detail::owner_bump, since nobody else writes
+    // them.
     std::vector<Retired> retired;
     std::atomic<std::uint64_t> retired_count{0};
     std::atomic<std::uint64_t> reclaimed{0};

@@ -10,7 +10,8 @@
 // a request; the commit is made unique by a single Pending->Phase2
 // transition on the request's ctl word, not by an executor claim.
 // Threads check one peer for a pending request every `help_delay` own
-// operations ("to amortize the cost of help_threads", Section 3.1).
+// operations, the first on the `help_delay`-th ("to amortize the cost
+// of help_threads", Section 3.1).
 //
 // A queue-level operation on the slow path is two ring-level requests
 // driven in order by the owner (enqueue: aq-dequeue a free index,
@@ -36,11 +37,19 @@
 
 namespace wcq {
 
+// Operation counters, kept per handle slot and summed by stats(). Each
+// slot's counters are written only by the thread holding that handle.
+// A stats() call racing live handles reads the fields one at a time:
+// every field is monotone across calls, but the snapshot may lag
+// operations still in flight and need not be consistent across
+// fields. Once the handles are quiescent the sums are exact.
 struct WcqStats {
   std::uint64_t fast_enqueues = 0;
   std::uint64_t slow_enqueues = 0;
   std::uint64_t fast_dequeues = 0;
   std::uint64_t slow_dequeues = 0;
+  // Peer requests driven. A handle checks one peer every help_delay
+  // own operations, the first check on its help_delay-th operation.
   std::uint64_t helps = 0;
 };
 
@@ -85,7 +94,9 @@ class WcqQueueT {
     }
     recs_ = static_cast<ThreadRec*>(
         mem::alloc(max_threads_ * sizeof(ThreadRec)));
-    for (unsigned i = 0; i < max_threads_; ++i) new (&recs_[i]) ThreadRec();
+    for (unsigned i = 0; i < max_threads_; ++i) {
+      new (&recs_[i]) ThreadRec(help_delay_);
+    }
   }
 
   ~WcqQueueT() {
@@ -138,24 +149,24 @@ class WcqQueueT {
     std::uint64_t idx = 0;
     const typename Ring::Result rc = aq_.dequeue_idx(&idx, enqueue_patience_);
     if (rc == Ring::kEmpty) {
-      rec->fast_enq.fetch_add(1, std::memory_order_relaxed);
+      detail::owner_bump(rec->fast_enq);
       return false;  // full: definitive, no slow path needed
     }
     if (rc == Ring::kOk) {
       data_[idx].store(v, std::memory_order_relaxed);
       if (fq_.enqueue_idx(idx, enqueue_patience_) == Ring::kOk) {
-        rec->fast_enq.fetch_add(1, std::memory_order_relaxed);
+        detail::owner_bump(rec->fast_enq);
         return true;
       }
       // We already own the free index; only the second stage needs the
       // cooperative path (a ring enqueue cannot fail, only contend).
-      rec->slow_enq.fetch_add(1, std::memory_order_relaxed);
+      detail::owner_bump(rec->slow_enq);
       publish_ring_op(rec, /*fq_ring=*/true, /*deq=*/false, idx);
       complete_ring_op(rec, nullptr);
       return true;
     }
 #endif
-    rec->slow_enq.fetch_add(1, std::memory_order_relaxed);
+    detail::owner_bump(rec->slow_enq);
     return slow_push(rec, v);
   }
 
@@ -167,7 +178,7 @@ class WcqQueueT {
     std::uint64_t idx = 0;
     const typename Ring::Result rc = fq_.dequeue_idx(&idx, dequeue_patience_);
     if (rc == Ring::kEmpty) {
-      rec->fast_deq.fetch_add(1, std::memory_order_relaxed);
+      detail::owner_bump(rec->fast_deq);
       return false;
     }
     if (rc == Ring::kOk) {
@@ -176,14 +187,17 @@ class WcqQueueT {
         publish_ring_op(rec, /*fq_ring=*/false, /*deq=*/false, idx);
         complete_ring_op(rec, nullptr);
       }
-      rec->fast_deq.fetch_add(1, std::memory_order_relaxed);
+      detail::owner_bump(rec->fast_deq);
       return true;
     }
 #endif
-    rec->slow_deq.fetch_add(1, std::memory_order_relaxed);
+    detail::owner_bump(rec->slow_deq);
     return slow_pop(rec, v);
   }
 
+  // Sums every handle slot's counters (see WcqStats). Safe to call from
+  // any thread at any time; racing live handles it returns a per-field
+  // monotone snapshot that may lag operations still in flight.
   WcqStats stats() const {
     WcqStats s;
     // Counters survive slot recycling (they are per-slot accumulators,
@@ -209,18 +223,30 @@ class WcqQueueT {
   // The wCQ ring, its CAS2s on the portable path iff Portable.
   using Ring = ScqRingT<true, false, Portable>;
 
+  // One per handle slot, written only by the thread holding the slot:
+  // helpers drive the slot's RingRequest, never its ThreadRec. With one
+  // writer the counters are bumped by detail::owner_bump (relaxed load
+  // + relaxed store, no locked RMW); they stay atomics so stats() can
+  // sum them from any thread. A recycled slot's record passes to its
+  // next owner through SlotRegistry's release -> acquire edge, so the
+  // new owner continues from the last owner's final values, the help
+  // countdown included.
   struct alignas(detail::kNoFalseSharing) ThreadRec {
+    explicit ThreadRec(unsigned help_delay) : help_countdown(help_delay) {}
+
     std::atomic<std::uint64_t> fast_enq{0};
     std::atomic<std::uint64_t> slow_enq{0};
     std::atomic<std::uint64_t> fast_deq{0};
     std::atomic<std::uint64_t> slow_deq{0};
     std::atomic<std::uint64_t> helps{0};
-    // Owner-thread locals (never touched by helpers). seq is only
-    // published through the RingRequest ctl word.
+    // Owner-thread locals. seq is only published through the
+    // RingRequest ctl word.
     std::uint64_t seq = 0;
-    std::uint64_t op_count = 0;
+    unsigned help_countdown;  // own ops left until the next peer check
     unsigned help_cursor = 0;
   };
+  static_assert(sizeof(ThreadRec) == detail::kNoFalseSharing,
+                "a ThreadRec must stay one false-sharing unit");
 
   void release_rec(ThreadRec* rec) {
     // The owner is past its last operation, so its request is Idle and
@@ -297,10 +323,12 @@ class WcqQueueT {
     return true;
   }
 
-  // Every help_delay own-operations, look at one peer (round-robin)
-  // and drive its pending request, if any, to completion.
+  // Once every help_delay own operations, first on the help_delay-th,
+  // look at one peer (round-robin) and drive its pending request, if
+  // any, to completion. A countdown keeps division off the hot path.
   void maybe_help(ThreadRec* rec) {
-    if (++rec->op_count % help_delay_ != 0) return;
+    if (--rec->help_countdown != 0) return;
+    rec->help_countdown = help_delay_;
     const unsigned touched = slots_.high_water();
     if (touched <= 1) return;
     unsigned peer = rec->help_cursor++ % touched;
@@ -310,9 +338,7 @@ class WcqQueueT {
       // one step forward is guaranteed to leave our record.
       peer = rec->help_cursor++ % touched;
     }
-    if (help_request(&reqs_[peer])) {
-      rec->helps.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (help_request(&reqs_[peer])) detail::owner_bump(rec->helps);
   }
 
   const unsigned max_threads_;

@@ -23,6 +23,24 @@ namespace {
 
 using namespace wcq;
 
+// The counters a queue exposes that only ever grow: stats() (wCQ) and
+// smr_stats()'s cumulative fields (SMR backends). Each is summed from
+// per-slot counters that only the slot holder writes.
+template <typename Q>
+std::vector<std::uint64_t> monotone_counters(const Q& q) {
+  std::vector<std::uint64_t> c;
+  if constexpr (requires { q.stats(); }) {
+    const auto s = q.stats();
+    c.insert(c.end(), {s.fast_enqueues, s.slow_enqueues, s.fast_dequeues,
+                       s.slow_dequeues, s.helps});
+  }
+  if constexpr (requires { q.smr_stats(); }) {
+    const auto s = q.smr_stats();
+    c.insert(c.end(), {s.reclaimed_nodes, s.retire_calls, s.scans});
+  }
+  return c;
+}
+
 // Waves of producer/consumer threads over ONE queue. Each wave fully
 // joins (releasing its handles) before the next starts; cumulative
 // thread count is far above max_threads, which the old surface would
@@ -48,6 +66,25 @@ void test_churn_waves(const char* name) {
     std::vector<std::atomic<std::uint32_t>> seen(wave_total);
     for (auto& s : seen) s.store(0, std::memory_order_relaxed);
     std::atomic<std::uint64_t> consumed{0};
+
+    // A reader polling the counters while the wave's handles bump
+    // them: every field must be monotone between polls. Under TSan
+    // this is the race net for the owner-only counter bump.
+    std::atomic<bool> wave_done{false};
+    std::thread poller([&] {
+      std::vector<std::uint64_t> last = monotone_counters(q);
+      do {
+        const std::vector<std::uint64_t> now = monotone_counters(q);
+        for (std::size_t i = 0; i < now.size(); ++i) {
+          WCQ_CHECK(now[i] >= last[i],
+                    "%s: wave %u counter %zu went back from %llu to %llu",
+                    name, wave, i, (unsigned long long)last[i],
+                    (unsigned long long)now[i]);
+        }
+        last = now;
+        std::this_thread::yield();
+      } while (!wave_done.load(std::memory_order_acquire));
+    });
 
     std::vector<std::thread> threads;
     threads.reserve(kProducers + kConsumers);
@@ -86,6 +123,8 @@ void test_churn_waves(const char* name) {
       });
     }
     for (auto& t : threads) t.join();
+    wave_done.store(true, std::memory_order_release);
+    poller.join();
 
     for (std::uint64_t v = 0; v < wave_total; ++v) {
       const std::uint32_t count = seen[v].load(std::memory_order_relaxed);

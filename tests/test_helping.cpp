@@ -5,6 +5,8 @@
 // note protocol. On real schedules this window is nanoseconds wide, so
 // timing alone cannot exercise it — this is the wait-freedom scenario
 // made reproducible.
+#include <climits>
+
 #include "queue_test_common.hpp"
 #include "wcq/wcq.hpp"
 
@@ -67,36 +69,58 @@ void test_helper_completes_stalled_ops(const char* name) {
   std::printf("  ok helping           %s\n", name);
 }
 
-// Regression for the help-round self-skip bug: when the round-robin
-// cursor lands on the helper's own record, the round must advance to a
-// real peer instead of being forfeited. Deterministic setup: the
-// helper owns slot 0, so its first help check (cursor 0) hits itself;
-// before the fix that returned without helping and — with exactly one
-// other thread — every other round was wasted the same way.
+// The help cadence, pinned: a handle checks one peer every help_delay
+// own operations, the first check on its help_delay-th. The helper's
+// own pops see an empty queue (the stalled push is not installed until
+// someone drives it), so the request stays pending exactly until the
+// helper's first check; help_delay(UINT_MAX) never checks.
+//
+// Also the regression for the help-round self-skip bug: when the
+// round-robin cursor lands on the helper's own record, the round must
+// advance to a real peer instead of being forfeited. The helper owns
+// slot 0, so its first check (cursor 0) hits itself; before the fix
+// that returned without helping and — with exactly one other thread —
+// every other round was wasted the same way.
 template <bool Portable>
-void test_help_round_not_wasted_on_self(const char* name) {
+void test_help_round_not_wasted_on_self(const char* name,
+                                        unsigned help_delay) {
   using Access = wcq::WcqTestAccess<Portable>;
   using Queue = wcq::WcqQueueT<Portable>;
-  Queue q(wcq::options{}.order(4).max_threads(4).help_delay(1));
+  Queue q(wcq::options{}.order(4).max_threads(4).help_delay(help_delay));
   auto helper = q.get_handle();   // slot 0: cursor 0 lands on itself
   auto stalled = q.get_handle();  // slot 1: the peer needing help
 
   WCQ_CHECK(Access::publish_stalled_push(q, stalled, 321),
             "%s: fresh queue had no free index", name);
+  const bool never = help_delay == UINT_MAX;
+  const unsigned own_ops = never ? 1000 : help_delay;
   std::uint64_t v = 0;
-  // One single own-operation must spend its help round on the peer.
-  // The help lands before the pop itself, so the pop may already
-  // consume the helped value.
-  const bool got321 = q.try_pop(&v, helper) && v == 321;
-  WCQ_CHECK(Access::done_ok(q, stalled),
-            "%s: help round landing on self was forfeited", name);
-  WCQ_CHECK(Access::finish_push(q, stalled), "%s: self-skip help failed",
+  bool got321 = false;
+  for (unsigned op = 1; op <= own_ops; ++op) {
+    WCQ_CHECK(!Access::done_ok(q, stalled),
+              "%s help_delay %u: peer helped before own op %u", name,
+              help_delay, op);
+    // The help lands before the pop itself, so the pop that helps may
+    // already consume the helped value; no earlier pop may.
+    got321 = q.try_pop(&v, helper);
+    WCQ_CHECK(!got321 || (!never && op == own_ops && v == 321),
+              "%s help_delay %u: own op %u popped %llu", name, help_delay,
+              op, (unsigned long long)v);
+  }
+  WCQ_CHECK(Access::done_ok(q, stalled) == !never,
+            "%s help_delay %u: after %u own ops the request is %s", name,
+            help_delay, own_ops, never ? "done" : "still pending");
+  WCQ_CHECK(Access::helps(helper) == (never ? 0u : 1u),
+            "%s help_delay %u: helps counter is %llu", name, help_delay,
+            (unsigned long long)Access::helps(helper));
+  WCQ_CHECK(Access::finish_push(q, stalled), "%s: stalled push failed",
             name);
   if (!got321) {
     WCQ_CHECK(q.try_pop(&v, helper) && v == 321,
-              "%s: self-skip helped value lost", name);
+              "%s help_delay %u: helped value lost", name, help_delay);
   }
-  std::printf("  ok helping_self_skip %s\n", name);
+  std::printf("  ok helping_cadence   %s (help_delay %u)\n", name,
+              help_delay);
 }
 
 }  // namespace
@@ -104,7 +128,9 @@ void test_help_round_not_wasted_on_self(const char* name) {
 int main() {
   test_helper_completes_stalled_ops<false>("wcq");
   test_helper_completes_stalled_ops<true>("wcq-portable");
-  test_help_round_not_wasted_on_self<false>("wcq");
-  test_help_round_not_wasted_on_self<true>("wcq-portable");
+  for (const unsigned help_delay : {1u, 3u, UINT_MAX}) {
+    test_help_round_not_wasted_on_self<false>("wcq", help_delay);
+    test_help_round_not_wasted_on_self<true>("wcq-portable", help_delay);
+  }
   return 0;
 }
