@@ -2,44 +2,23 @@
 // help request each HELP_DELAY operations (§3.1 "to amortize the cost
 // of help_threads"). Smaller values react to stuck threads faster but
 // tax the fast path; this sweep quantifies the trade.
-#include <cstdio>
-
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
   using namespace wcq;
   using namespace wcq::bench;
-  const unsigned threads = default_threads().back();
-  const std::uint64_t ops = default_ops();
-  const unsigned runs = default_runs();
+  const unsigned threads = harness::sweep_thread_counts().back();
+  harness::Table table("Ablation A2: wCQ pairwise vs HELP_DELAY",
+                       "help_delay");
 
-  harness::SeriesTable tput("Ablation A2: wCQ throughput vs HELP_DELAY",
-                            "help_delay", "Mops/sec");
-  harness::SeriesTable helps("Ablation A2: helps given per 1k ops",
-                             "help_delay", "helps/1k");
-
-  for (unsigned delay : {1u, 4u, 16u, 64u, 256u}) {
-    const wcq::options cfg =
-        wcq::options{}.max_threads(threads + 2).help_delay(delay);
-    std::unique_ptr<harness::WcqAdapter> adapter;
-    const std::uint64_t per_thread = ops / threads;
-    auto workload = pairwise_workload<harness::WcqAdapter>();
-    auto setup = [&] { adapter = std::make_unique<harness::WcqAdapter>(cfg); };
-    auto body = [&](unsigned worker) {
-      auto handle = adapter->get_handle();
-      Xoshiro256 rng(0xdefu + worker);
-      workload(*adapter, handle, rng, per_thread);
-    };
-    const auto res = harness::repeat_measure(runs, threads,
-                                             per_thread * threads, setup,
-                                             body);
-    const double help_rate = helps_per_1k_ops(*adapter, per_thread * threads);
-    tput.set("pairwise", delay, res.mean_mops);
-    helps.set("pairwise", delay, help_rate);
-    std::fprintf(stderr, "  help_delay=%u: %.2f Mops, %.3f helps/1k\n", delay,
-                 res.mean_mops, help_rate);
+  for (const unsigned delay : {1u, 4u, 16u, 64u, 256u}) {
+    const auto p = measure<harness::WcqAdapter, harness::Untimed>(
+        threads, options{}.help_delay(delay), Pairwise{});
+    record(table, "pairwise", delay, p.result);
+    table.set("pairwise", delay, "helps_per_1k",
+              1000.0 * static_cast<double>(p.queue->stats().helps) /
+                  static_cast<double>(p.ops));
   }
-  emit(tput, argc, argv);
-  emit(helps, argc, argv);
+  emit(table, argc, argv);
   return 0;
 }

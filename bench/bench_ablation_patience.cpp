@@ -3,51 +3,32 @@
 // results in taking the slow path relatively infrequently"; this bench
 // quantifies that choice: throughput and slow-path rate across
 // patience values, under the pairwise and mixed workloads.
-#include <cstdio>
-
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
   using namespace wcq;
   using namespace wcq::bench;
-  const unsigned threads = default_threads().back();
-  const std::uint64_t ops = default_ops();
-  const unsigned runs = default_runs();
+  const unsigned threads = harness::sweep_thread_counts().back();
+  harness::Table table("Ablation A1: wCQ throughput and slow paths vs "
+                       "MAX_PATIENCE",
+                       "patience");
 
-  harness::SeriesTable tput("Ablation A1: wCQ throughput vs MAX_PATIENCE",
-                            "patience", "Mops/sec");
-  harness::SeriesTable slows("Ablation A1: slow paths per 1k ops",
-                             "patience", "slow/1k");
-
-  for (unsigned patience : {1u, 4u, 16u, 64u, 256u}) {
-    for (const bool pairwise : {true, false}) {
-      const wcq::options cfg = wcq::options{}
-                                   .max_threads(threads + 2)
-                                   // keep the paper's 1:4 ratio
-                                   .patience(patience, patience * 4);
-      std::unique_ptr<harness::WcqAdapter> adapter;
-      const std::uint64_t per_thread = ops / threads;
-      auto wl_pair = pairwise_workload<harness::WcqAdapter>();
-      auto wl_mix = mixed_workload<harness::WcqAdapter>();
-      auto setup = [&] { adapter = std::make_unique<harness::WcqAdapter>(cfg); };
-      auto body = [&](unsigned worker) {
-        auto handle = adapter->get_handle();
-        Xoshiro256 rng(0xabcu + worker);
-        (pairwise ? wl_pair : wl_mix)(*adapter, handle, rng, per_thread);
-      };
-      const auto res = harness::repeat_measure(runs, threads,
-                                               per_thread * threads, setup,
-                                               body);
-      const double slow_rate =
-          slow_per_1k_ops(*adapter, per_thread * threads);
-      const char* series = pairwise ? "pairwise" : "mixed";
-      tput.set(series, patience, res.mean_mops);
-      slows.set(series, patience, slow_rate);
-      std::fprintf(stderr, "  patience=%u %s: %.2f Mops, %.3f slow/1k\n",
-                   patience, series, res.mean_mops, slow_rate);
+  const auto patience_sweep = [&](const char* series, const auto& workload) {
+    for (const unsigned patience : {1u, 4u, 16u, 64u, 256u}) {
+      const auto p = measure<harness::WcqAdapter, harness::Untimed>(
+          threads,
+          options{}.patience(patience, patience * 4),  // the paper's 1:4
+          workload);
+      const auto st = p.queue->stats();
+      record(table, series, patience, p.result);
+      table.set(series, patience, "slow_per_1k",
+                1000.0 *
+                    static_cast<double>(st.slow_enqueues + st.slow_dequeues) /
+                    static_cast<double>(p.ops));
     }
-  }
-  emit(tput, argc, argv);
-  emit(slows, argc, argv);
+  };
+  patience_sweep("pairwise", Pairwise{});
+  patience_sweep("mixed", Mixed{});
+  emit(table, argc, argv);
   return 0;
 }

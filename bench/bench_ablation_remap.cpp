@@ -2,55 +2,22 @@
 // adjacent ring slots on different cache lines. With it disabled,
 // consecutive Head/Tail positions contend for the same line and
 // throughput should drop under concurrency, for both wCQ and SCQ.
-#include <cstdio>
-
 #include "bench_common.hpp"
-
-namespace wcq::bench {
-namespace {
-
-template <wcq::concepts::Queue Q>
-void remap_series(harness::SeriesTable& table,
-                  const std::vector<unsigned>& sweep, std::uint64_t ops,
-                  unsigned runs, bool remap) {
-  auto workload = pairwise_workload<Q>();
-  const std::string series =
-      std::string(Q::kName) + (remap ? "+remap" : "-remap");
-  for (unsigned threads : sweep) {
-    const wcq::options cfg =
-        wcq::options{}.max_threads(threads + 2).remap(remap);
-    std::unique_ptr<Q> adapter;
-    const std::uint64_t per_thread = ops / threads;
-    auto setup = [&] { adapter = std::make_unique<Q>(cfg); };
-    auto body = [&](unsigned worker) {
-      auto handle = adapter->get_handle();
-      Xoshiro256 rng(0x777u + worker);
-      workload(*adapter, handle, rng, per_thread);
-    };
-    const auto res = harness::repeat_measure(runs, threads,
-                                             per_thread * threads, setup,
-                                             body);
-    table.set(series, threads, res.mean_mops);
-    std::fprintf(stderr, "  %s @%u: %.2f Mops\n", series.c_str(), threads,
-                 res.mean_mops);
-  }
-}
-
-}  // namespace
-}  // namespace wcq::bench
 
 int main(int argc, char** argv) {
   using namespace wcq;
   using namespace wcq::bench;
-  harness::SeriesTable table("Ablation A3: Cache_Remap on/off (pairwise)",
-                             "threads", "Mops/sec");
-  const auto sweep = default_threads();
-  const std::uint64_t ops = default_ops();
-  const unsigned runs = default_runs();
-  remap_series<harness::WcqAdapter>(table, sweep, ops, runs, true);
-  remap_series<harness::WcqAdapter>(table, sweep, ops, runs, false);
-  remap_series<harness::ScqAdapter>(table, sweep, ops, runs, true);
-  remap_series<harness::ScqAdapter>(table, sweep, ops, runs, false);
+  harness::Table table("Ablation A3: Cache_Remap on/off (pairwise)",
+                       "threads");
+  harness::for_each_queue(
+      harness::QueueList<harness::WcqAdapter, harness::ScqAdapter>{},
+      [&]<typename Q>() {
+        for (const bool remap : {true, false}) {
+          sweep<Q, harness::Untimed>(
+              table, std::string(Q::kName) + (remap ? "+remap" : "-remap"),
+              options{}.remap(remap), Pairwise{});
+        }
+      });
   emit(table, argc, argv);
   return 0;
 }

@@ -1,50 +1,24 @@
 // Ablation A4 — ring size (§6 uses 2^16-slot rings for wCQ/SCQ, and
 // notes LCRQ-family rings need >= 2^12 cells "for better performance").
 // Sweep the bounded-ring capacity order under the pairwise workload.
-#include <cstdio>
-
 #include "bench_common.hpp"
-
-namespace wcq::bench {
-namespace {
-
-template <wcq::concepts::Queue Q>
-void order_series(harness::SeriesTable& table, unsigned threads,
-                  std::uint64_t ops, unsigned runs) {
-  auto workload = pairwise_workload<Q>();
-  for (unsigned order : {8u, 10u, 12u, 15u, 17u}) {
-    const wcq::options cfg =
-        wcq::options{}.max_threads(threads + 2).order(order);
-    std::unique_ptr<Q> adapter;
-    const std::uint64_t per_thread = ops / threads;
-    auto setup = [&] { adapter = std::make_unique<Q>(cfg); };
-    auto body = [&](unsigned worker) {
-      auto handle = adapter->get_handle();
-      Xoshiro256 rng(0x31415u + worker);
-      workload(*adapter, handle, rng, per_thread);
-    };
-    const auto res = harness::repeat_measure(runs, threads,
-                                             per_thread * threads, setup,
-                                             body);
-    table.set(Q::kName, order, res.mean_mops);
-    std::fprintf(stderr, "  %s order=%u: %.2f Mops\n", Q::kName, order,
-                 res.mean_mops);
-  }
-}
-
-}  // namespace
-}  // namespace wcq::bench
 
 int main(int argc, char** argv) {
   using namespace wcq;
   using namespace wcq::bench;
-  harness::SeriesTable table("Ablation A4: ring capacity order (pairwise)",
-                             "capacity_order", "Mops/sec");
-  const unsigned threads = default_threads().back();
-  order_series<harness::WcqAdapter>(table, threads, default_ops(),
-                                    default_runs());
-  order_series<harness::ScqAdapter>(table, threads, default_ops(),
-                                    default_runs());
+  const unsigned threads = harness::sweep_thread_counts().back();
+  harness::Table table("Ablation A4: ring capacity order (pairwise)",
+                       "capacity_order");
+  harness::for_each_queue(
+      harness::QueueList<harness::WcqAdapter, harness::ScqAdapter>{},
+      [&]<typename Q>() {
+        for (const unsigned order : {8u, 10u, 12u, 15u, 17u}) {
+          record(table, Q::kName, order,
+                 measure<Q, harness::Untimed>(
+                     threads, options{}.order(order), Pairwise{})
+                     .result);
+        }
+      });
   emit(table, argc, argv);
   return 0;
 }

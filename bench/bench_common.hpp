@@ -1,8 +1,13 @@
-// Shared benchmark scaffolding: run one workload across the paper's
-// queue lineup and thread sweep, print a figure-shaped table (+ CSV
-// with --csv). Everything here is constrained on wcq::concepts::Queue,
-// so a workload compiles against any lineup entry (or any future
-// backend) without per-queue glue.
+// Shared benchmark scaffolding: one closed-loop runner (measure), the
+// workloads of Figures 10-12 written once each, the thread sweep over a
+// lineup, the one open-loop series, and the one table printer. Every
+// figure, ablation and sweep in bench/ goes through these.
+//
+// Whether a figure samples per-op latency is decided by the sampler
+// type it passes, never by a flag: harness::OpSampler for the figures
+// that report percentiles (11b, 11c, the sharded closed loop),
+// harness::Untimed for the throughput-only ones, whose loops then
+// compile as if no sampler existed (see latency.hpp).
 //
 // Defaults are sized for small machines; the paper's exact methodology
 // (10,000,000 ops x 10 runs, threads up to 144) is reproduced by
@@ -11,14 +16,13 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
-#include <functional>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/mem_stats.hpp"
 #include "common/rng.hpp"
 #include "common/spin.hpp"
 #include "harness/driver.hpp"
@@ -26,306 +30,231 @@
 #include "harness/queue_adapters.hpp"
 #include "harness/reporting.hpp"
 #include "wcq/concepts.hpp"
+#include "wcq/options.hpp"
 
 namespace wcq::bench {
 
+// ---- knobs (thread sweep: harness::sweep_thread_counts) ----
+
 inline std::uint64_t default_ops() {
-  if (const char* v = std::getenv("WCQ_BENCH_OPS"); v && *v) {
-    return std::strtoull(v, nullptr, 10);
-  }
-  return 1'000'000;  // paper: 10'000'000
+  return harness::env_count("WCQ_BENCH_OPS", 1'000'000,  // paper: 10'000'000
+                            std::uint64_t{1} << 62);
 }
 
 inline unsigned default_runs() {
-  if (const char* v = std::getenv("WCQ_BENCH_RUNS"); v && *v) {
-    return static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-  }
-  return 3;  // paper: 10
+  return static_cast<unsigned>(
+      harness::env_count("WCQ_BENCH_RUNS", 3, 1u << 16));  // paper: 10
 }
 
-inline std::vector<unsigned> default_threads() {
-  if (std::getenv("WCQ_BENCH_THREADS")) {
-    return harness::sweep_thread_counts();
-  }
-  return {1, 2, 4, 8};  // paper: 1,2,4,8,18,36,72,144
-}
-
-// Latency sampling period: 1 of every N ops is timed (N rounded to a
-// power of two). 64 keeps the two clock reads' perturbation of a
-// ~40 ns queue op in the low single-digit percent.
+// Latency sampling period: 1 of every N ops is timed (N rounded up to a
+// power of two, so at most 2^31). 64 keeps the two clock reads'
+// perturbation of a ~40 ns queue op in the low single-digit percent.
 inline unsigned default_sample_period() {
-  if (const char* v = std::getenv("WCQ_BENCH_SAMPLE"); v && *v) {
-    return static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-  }
-  return 64;
+  return static_cast<unsigned>(
+      harness::env_count("WCQ_BENCH_SAMPLE", 64, 1u << 31));
 }
 
 // Open-loop offered rate, total ops/sec across all workers.
 inline double default_rate_hz() {
-  if (const char* v = std::getenv("WCQ_BENCH_RATE"); v && *v) {
-    return std::strtod(v, nullptr);
-  }
-  return 1e6;
+  return static_cast<double>(harness::env_count(
+      "WCQ_BENCH_RATE", 1'000'000, std::uint64_t{1} << 32));
 }
 
 // Open-loop arrival process: Poisson (default) or fixed-interval.
 inline bool default_poisson() {
-  if (const char* v = std::getenv("WCQ_BENCH_ARRIVAL"); v && *v) {
-    return std::strcmp(v, "fixed") != 0;
+  const std::string_view v = harness::env_text("WCQ_BENCH_ARRIVAL");
+  if (v.empty() || v == "poisson") return true;
+  if (v != "fixed") {
+    harness::refuse_env("WCQ_BENCH_ARRIVAL", v, "poisson or fixed");
   }
-  return true;
+  return false;
 }
 
-// Per-thread benchmark body: given (queue, handle, rng, ops) perform
-// `ops` queue operations.
-template <concepts::Queue Q>
-using Workload = std::function<void(Q&, typename Q::handle&, Xoshiro256&,
-                                    std::uint64_t)>;
-
-// Latency-recording flavor: the workload additionally gets an
-// OpSampler and times the ops it elects through harness::maybe_timed.
-template <concepts::Queue Q>
-using TimedWorkload =
-    std::function<void(Q&, typename Q::handle&, Xoshiro256&, std::uint64_t,
-                       harness::OpSampler&)>;
-
-// Measure one queue type over the thread sweep; adds one series.
-template <concepts::Queue Q>
-void run_series(harness::SeriesTable& table, const Workload<Q>& workload,
-                const std::vector<unsigned>& threads_sweep,
-                std::uint64_t total_ops, unsigned runs,
-                const options& base_opts = options{}) {
-  for (unsigned threads : threads_sweep) {
-    options opts = base_opts;
-    opts.max_threads(threads + 2);
-    std::unique_ptr<Q> q;
-    const std::uint64_t ops_per_thread = total_ops / threads;
-    auto setup = [&] { q = std::make_unique<Q>(opts); };
-    auto body = [&](unsigned worker) {
-      auto handle = q->get_handle();
-      Xoshiro256 rng(0x1234u + worker * 7919u);
-      workload(*q, handle, rng, ops_per_thread);
-    };
-    const auto res = harness::repeat_measure(runs, threads,
-                                             ops_per_thread * threads,
-                                             setup, body);
-    table.set(Q::kName, threads, res.mean_mops);
-    std::cerr << "  " << Q::kName << " @" << threads << ": "
-              << res.mean_mops << " Mops/s (cv " << res.cv << ")\n";
-  }
-}
-
-// Latency-first variant of run_series: same sweep, but each worker
-// samples per-op service latency into a private histogram and the
-// table row carries throughput + percentiles.
-template <concepts::Queue Q>
-void run_series_latency(harness::MetricsTable& table,
-                        const TimedWorkload<Q>& workload,
-                        const std::vector<unsigned>& threads_sweep,
-                        std::uint64_t total_ops, unsigned runs,
-                        const options& base_opts = options{}) {
-  const unsigned sample_period = default_sample_period();
-  for (unsigned threads : threads_sweep) {
-    options opts = base_opts;
-    opts.max_threads(threads + 2);
-    std::unique_ptr<Q> q;
-    const std::uint64_t ops_per_thread = total_ops / threads;
-    auto setup = [&] { q = std::make_unique<Q>(opts); };
-    auto body = [&](unsigned worker, harness::LatencyHistogram& hist) {
-      auto handle = q->get_handle();
-      Xoshiro256 rng(0x1234u + worker * 7919u);
-      harness::OpSampler sampler(hist, sample_period);
-      workload(*q, handle, rng, ops_per_thread, sampler);
-    };
-    const auto res = harness::repeat_measure_latency(
-        runs, threads, ops_per_thread * threads, setup, body);
-    table.set(Q::kName, threads,
-              harness::OpMetrics{res.mean_mops, res.latency.p50(),
-                                 res.latency.p99(), res.latency.p999(),
-                                 res.latency.max()});
-    std::cerr << "  " << Q::kName << " @" << threads << ": " << res.mean_mops
-              << " Mops/s (cv " << res.cv << ", p50 " << res.latency.p50()
-              << "ns p99 " << res.latency.p99() << "ns p99.9 "
-              << res.latency.p999() << "ns)\n";
-  }
-}
-
-// The paper's full lineup, in its legend order.
-template <typename MakeWorkload>
-void run_all_queues(harness::SeriesTable& table, MakeWorkload make,
-                    const std::vector<unsigned>& threads,
-                    std::uint64_t total_ops, unsigned runs) {
-  run_series<harness::FaaAdapter>(table, make.template operator()<harness::FaaAdapter>(),
-                                  threads, total_ops, runs);
-  run_series<harness::WcqAdapter>(table, make.template operator()<harness::WcqAdapter>(),
-                                  threads, total_ops, runs);
-  run_series<harness::NcqAdapter>(table, make.template operator()<harness::NcqAdapter>(),
-                                  threads, total_ops, runs);
-  run_series<harness::CcqAdapter>(table, make.template operator()<harness::CcqAdapter>(),
-                                  threads, total_ops, runs);
-  run_series<harness::ScqAdapter>(table, make.template operator()<harness::ScqAdapter>(),
-                                  threads, total_ops, runs);
-  run_series<harness::MsqAdapter>(table, make.template operator()<harness::MsqAdapter>(),
-                                  threads, total_ops, runs);
-  run_series<harness::LcrqAdapter>(table, make.template operator()<harness::LcrqAdapter>(),
-                                   threads, total_ops, runs);
-  run_series<harness::LscqAdapter>(table, make.template operator()<harness::LscqAdapter>(),
-                                   threads, total_ops, runs);
-}
-
-// Latency-first lineup sweep (same legend order).
-template <typename MakeWorkload>
-void run_all_queues_latency(harness::MetricsTable& table, MakeWorkload make,
-                            const std::vector<unsigned>& threads,
-                            std::uint64_t total_ops, unsigned runs) {
-  run_series_latency<harness::FaaAdapter>(
-      table, make.template operator()<harness::FaaAdapter>(), threads,
-      total_ops, runs);
-  run_series_latency<harness::WcqAdapter>(
-      table, make.template operator()<harness::WcqAdapter>(), threads,
-      total_ops, runs);
-  run_series_latency<harness::NcqAdapter>(
-      table, make.template operator()<harness::NcqAdapter>(), threads,
-      total_ops, runs);
-  run_series_latency<harness::CcqAdapter>(
-      table, make.template operator()<harness::CcqAdapter>(), threads,
-      total_ops, runs);
-  run_series_latency<harness::ScqAdapter>(
-      table, make.template operator()<harness::ScqAdapter>(), threads,
-      total_ops, runs);
-  run_series_latency<harness::MsqAdapter>(
-      table, make.template operator()<harness::MsqAdapter>(), threads,
-      total_ops, runs);
-  run_series_latency<harness::LcrqAdapter>(
-      table, make.template operator()<harness::LcrqAdapter>(), threads,
-      total_ops, runs);
-  run_series_latency<harness::LscqAdapter>(
-      table, make.template operator()<harness::LscqAdapter>(), threads,
-      total_ops, runs);
-}
-
-// ---- the three workloads of Figures 11/12 ----
+// ---- the workloads of Figures 10-12 ----
+//
+// Each runs `ops` operations on one worker's handle and passes every op
+// through maybe_timed, so one source serves the sampled and the
+// untimed figures.
 
 // (a) Dequeue in a tight loop on an always-empty queue.
-template <concepts::Queue Q>
-Workload<Q> empty_dequeue_workload() {
-  return [](Q& q, typename Q::handle& h, Xoshiro256&, std::uint64_t ops) {
+struct EmptyDequeue {
+  template <concepts::Queue Q, typename Sampler>
+  void operator()(Q& q, typename Q::handle& h, Xoshiro256&,
+                  std::uint64_t ops, Sampler& s) const {
     for (std::uint64_t i = 0; i < ops; ++i) {
-      (void)q.try_pop(h);
+      harness::maybe_timed(s, [&] { (void)q.try_pop(h); });
     }
-  };
-}
+  }
+};
 
-// (b) Pairwise: Enqueue immediately followed by Dequeue.
-template <concepts::Queue Q>
-Workload<Q> pairwise_workload() {
-  return [](Q& q, typename Q::handle& h, Xoshiro256&, std::uint64_t ops) {
+// (b) Pairwise: Enqueue immediately followed by Dequeue. Push and pop
+// are timed as separate operations, so the histogram is over single-op
+// service time, not the pair.
+struct Pairwise {
+  template <concepts::Queue Q, typename Sampler>
+  void operator()(Q& q, typename Q::handle& h, Xoshiro256&,
+                  std::uint64_t ops, Sampler& s) const {
     for (std::uint64_t i = 0; i < ops / 2; ++i) {
-      while (!q.try_push(i & 0xffff, h)) {
-      }
-      (void)q.try_pop(h);
-    }
-  };
-}
-
-// (b') Pairwise with per-op latency sampling: push and pop are timed
-// as separate operations, so the histogram is over single-op service
-// time, not the pair.
-template <concepts::Queue Q>
-TimedWorkload<Q> pairwise_timed_workload() {
-  return [](Q& q, typename Q::handle& h, Xoshiro256&, std::uint64_t ops,
-            harness::OpSampler& sampler) {
-    for (std::uint64_t i = 0; i < ops / 2; ++i) {
-      harness::maybe_timed(sampler, [&] {
+      harness::maybe_timed(s, [&] {
         while (!q.try_push(i & 0xffff, h)) {
         }
       });
-      harness::maybe_timed(sampler, [&] { (void)q.try_pop(h); });
+      harness::maybe_timed(s, [&] { (void)q.try_pop(h); });
     }
-  };
-}
+  }
+};
 
-// (c) 50%/50% random mix.
-template <concepts::Queue Q>
-Workload<Q> mixed_workload() {
-  return [](Q& q, typename Q::handle& h, Xoshiro256& rng,
-            std::uint64_t ops) {
+// (c) 50%/50% random mix. Figure 10's memory test adds a random spin of
+// up to `max_delay` pauses after every op, which the paper found
+// amplifies memory-efficiency artifacts.
+struct Mixed {
+  unsigned max_delay = 0;
+
+  template <concepts::Queue Q, typename Sampler>
+  void operator()(Q& q, typename Q::handle& h, Xoshiro256& rng,
+                  std::uint64_t ops, Sampler& s) const {
     for (std::uint64_t i = 0; i < ops; ++i) {
       if (rng.chance_pct(50)) {
-        while (!q.try_push(i & 0xffff, h)) {
-          if (!q.try_pop(h)) break;  // bounded queue full: make room
-        }
-      } else {
-        (void)q.try_pop(h);
-      }
-    }
-  };
-}
-
-// (c') 50%/50% random mix with per-op latency sampling.
-template <concepts::Queue Q>
-TimedWorkload<Q> mixed_timed_workload() {
-  return [](Q& q, typename Q::handle& h, Xoshiro256& rng, std::uint64_t ops,
-            harness::OpSampler& sampler) {
-    for (std::uint64_t i = 0; i < ops; ++i) {
-      if (rng.chance_pct(50)) {
-        harness::maybe_timed(sampler, [&] {
+        harness::maybe_timed(s, [&] {
           while (!q.try_push(i & 0xffff, h)) {
             if (!q.try_pop(h)) break;  // bounded queue full: make room
           }
         });
       } else {
-        harness::maybe_timed(sampler, [&] { (void)q.try_pop(h); });
+        harness::maybe_timed(s, [&] { (void)q.try_pop(h); });
       }
+      spin_delay(rng.next_below(max_delay));
     }
-  };
-}
+  }
+};
 
-// Memory test workload (Figure 10): random mix with tiny random delays
-// between operations, which the paper found amplifies memory artifacts.
+// ---- the one closed-loop runner ----
+
 template <concepts::Queue Q>
-Workload<Q> memory_test_workload() {
-  return [](Q& q, typename Q::handle& h, Xoshiro256& rng,
-            std::uint64_t ops) {
-    for (std::uint64_t i = 0; i < ops; ++i) {
-      if (rng.chance_pct(50)) {
-        while (!q.try_push(i & 0xffff, h)) {
-          if (!q.try_pop(h)) break;
-        }
-      } else {
-        (void)q.try_pop(h);
-      }
-      spin_delay(rng.next_below(32));
-    }
+struct Point {
+  harness::MeasureResult result;
+  std::unique_ptr<Q> queue;  // the last run's instance, for stats()
+  std::uint64_t ops = 0;     // ops one run performed
+};
+
+// One worker's loop, as a function of its own aligned to 64 bytes. A
+// ~1 ns loop (SCQ's empty dequeue) runs up to 2x slower when its hot
+// blocks straddle 32-byte fetch windows, so its layout must not move
+// with unrelated harness code (see also CMakeLists.txt).
+template <typename Workload, typename Q, typename Sampler>
+[[gnu::noinline, gnu::aligned(64)]] void run_loop(const Workload& workload,
+                                                  Q& q, typename Q::handle& h,
+                                                  Xoshiro256& rng,
+                                                  std::uint64_t ops,
+                                                  Sampler& s) {
+  workload(q, h, rng, ops, s);
+}
+
+// `threads` workers each run `workload` for total_ops / threads ops,
+// default_runs() times, every run on a fresh Q built from `opts`. The
+// counting allocator and the peak-RSS mark are reset before each
+// instance is built, so mem::stats() and mem::peak_rss_bytes() read
+// after the call describe the returned queue's run alone.
+template <concepts::Queue Q, typename Sampler, typename Workload>
+Point<Q> measure(unsigned threads, options opts, const Workload& workload,
+                 std::uint64_t total_ops = default_ops()) {
+  opts.max_threads(threads + 2);
+  const std::uint64_t per_thread = total_ops / threads;
+  const unsigned period = default_sample_period();
+  Point<Q> p;
+  p.ops = per_thread * threads;
+  auto setup = [&] {
+    p.queue.reset();  // destroy the previous instance first
+    mem::reset();
+    mem::reset_peak_rss();
+    p.queue = std::make_unique<Q>(opts);
   };
+  auto body = [&](unsigned worker, harness::LatencyHistogram& hist) {
+    auto handle = p.queue->get_handle();
+    Xoshiro256 rng(0x1234u + worker * 7919u);
+    Sampler sampler(hist, period);
+    run_loop(workload, *p.queue, handle, rng, per_thread, sampler);
+  };
+  p.result =
+      harness::repeat_measure(default_runs(), threads, p.ops, setup, body);
+  return p;
 }
 
-// Slow-path observability for the ablation drivers, constrained on the
-// ObservableQueue refinement (no reaching into backend internals).
-template <concepts::ObservableQueue Q>
-double slow_per_1k_ops(const Q& q, std::uint64_t total_ops) {
-  const auto st = q.stats();
-  return 1000.0 *
-         static_cast<double>(st.slow_enqueues + st.slow_dequeues) /
-         static_cast<double>(total_ops);
+// Puts one closed-loop point in the table (throughput, plus percentiles
+// when it was sampled) and logs it.
+inline void record(harness::Table& table, const std::string& series,
+                   std::uint64_t x, const harness::MeasureResult& r) {
+  table.set(series, x, "mops", r.mean_mops);
+  table.set_percentiles(series, x, r.latency);
+  std::cerr << "  " << series << " @" << x << ": " << r.mean_mops
+            << " Mops/s (cv " << r.cv << ")\n";
 }
 
-template <concepts::ObservableQueue Q>
-double helps_per_1k_ops(const Q& q, std::uint64_t total_ops) {
-  return 1000.0 * static_cast<double>(q.stats().helps) /
-         static_cast<double>(total_ops);
-}
-
-inline void emit(const harness::SeriesTable& table, int argc, char** argv) {
-  table.print(std::cout);
-  if (harness::want_csv(argc, argv)) {
-    std::cout << "\n";
-    table.print_csv(std::cout);
+// One series over the thread sweep.
+template <concepts::Queue Q, typename Sampler, typename Workload>
+void sweep(harness::Table& table, const std::string& series,
+           const options& opts, const Workload& workload) {
+  for (const unsigned threads : harness::sweep_thread_counts()) {
+    record(table, series, threads,
+           measure<Q, Sampler>(threads, opts, workload).result);
   }
 }
 
-inline void emit_metrics(const harness::MetricsTable& table, int argc,
-                         char** argv) {
+// Every queue of a lineup over the thread sweep, one series each.
+template <typename Sampler, typename Lineup, typename Workload>
+void sweep_lineup(harness::Table& table, Lineup lineup,
+                  const Workload& workload) {
+  harness::for_each_queue(lineup, [&]<typename Q>() {
+    sweep<Q, Sampler>(table, Q::kName, options{}, workload);
+  });
+}
+
+// ---- the one open-loop series ----
+
+// One series over the thread sweep at the WCQ_BENCH_RATE offered rate,
+// `total_arrivals` per point. One arrival is one enqueue + one dequeue;
+// its response time counts from the scheduled arrival, so pacer backlog
+// is charged like a latency SLO would charge it.
+template <concepts::Queue Q>
+void open_loop_sweep(harness::Table& table, const std::string& series,
+                     const options& base, std::uint64_t total_arrivals) {
+  const double rate = default_rate_hz();
+  const bool poisson = default_poisson();
+  for (const unsigned threads : harness::sweep_thread_counts()) {
+    options opts = base;
+    opts.max_threads(threads + 2);
+    std::unique_ptr<Q> q;
+    std::vector<std::unique_ptr<typename Q::handle>> handles;
+    auto setup = [&] {
+      handles.clear();
+      q = std::make_unique<Q>(opts);
+      handles.resize(threads);
+    };
+    auto op = [&](unsigned worker) {
+      // Handles are registered lazily on the worker's first arrival
+      // (get_handle must run on the owning thread, not in setup).
+      auto& h = handles[worker];
+      if (!h) h = std::make_unique<typename Q::handle>(q->get_handle());
+      while (!q->try_push(worker, *h)) {
+        if (!q->try_pop(*h)) break;  // bounded queue full: make room
+      }
+      (void)q->try_pop(*h);
+    };
+    const auto r = harness::open_loop_measure(
+        default_runs(), threads, total_arrivals / threads, rate / threads,
+        poisson, setup, op);
+    table.set(series, threads, "mops", r.achieved_mops);
+    table.set_percentiles(series, threads, r.response);
+    std::cerr << "  " << series << " @" << threads << ": offered "
+              << r.offered_mops << " Mops/s, achieved " << r.achieved_mops
+              << " (start delay " << r.mean_start_delay_ns
+              << "ns, response p50 " << r.response.p50() << "ns p99 "
+              << r.response.p99() << "ns)\n";
+  }
+}
+
+// Prints the table, then its CSV (--csv) and JSON (--json).
+inline void emit(const harness::Table& table, int argc, char** argv) {
   table.print(std::cout);
   if (harness::want_csv(argc, argv)) {
     std::cout << "\n";

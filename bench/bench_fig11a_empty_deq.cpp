@@ -6,11 +6,9 @@
 
 int main(int argc, char** argv) {
   using namespace wcq;
-  harness::SeriesTable table("Figure 11a: empty Dequeue throughput",
-                             "threads", "Mops/sec");
-  auto make = []<typename A>() { return bench::empty_dequeue_workload<A>(); };
-  bench::run_all_queues(table, make, bench::default_threads(),
-                        bench::default_ops(), bench::default_runs());
+  harness::Table table("Figure 11a: empty Dequeue throughput", "threads");
+  bench::sweep_lineup<harness::Untimed>(table, harness::PaperQueues{},
+                                        bench::EmptyDequeue{});
   bench::emit(table, argc, argv);
   return 0;
 }

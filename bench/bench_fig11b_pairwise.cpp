@@ -8,11 +8,9 @@
 
 int main(int argc, char** argv) {
   using namespace wcq;
-  harness::MetricsTable table("Figure 11b: pairwise Enqueue-Dequeue",
-                              "threads");
-  auto make = []<typename A>() { return bench::pairwise_timed_workload<A>(); };
-  bench::run_all_queues_latency(table, make, bench::default_threads(),
-                                bench::default_ops(), bench::default_runs());
-  bench::emit_metrics(table, argc, argv);
+  harness::Table table("Figure 11b: pairwise Enqueue-Dequeue", "threads");
+  bench::sweep_lineup<harness::OpSampler>(table, harness::PaperQueues{},
+                                          bench::Pairwise{});
+  bench::emit(table, argc, argv);
   return 0;
 }

@@ -11,90 +11,32 @@
 // is charged to the op exactly like a latency SLO would charge it.
 //
 // Knobs (see docs/BENCHMARKING.md):
-//   WCQ_BENCH_RATE     total offered ops/sec across workers (def 1e6)
+//   WCQ_BENCH_RATE     total offered ops/sec across workers, an integer
+//                      (default 1000000)
 //   WCQ_BENCH_ARRIVAL  poisson (default) | fixed
 //   WCQ_BENCH_OPS      total arrivals per data point
 //   WCQ_BENCH_THREADS / WCQ_BENCH_RUNS as everywhere else
 #include "bench_common.hpp"
 
-namespace wcq::bench {
-namespace {
-
-template <wcq::concepts::Queue Q>
-void openloop_series(harness::MetricsTable& table,
-                     const std::vector<unsigned>& sweep,
-                     std::uint64_t total_arrivals, unsigned runs,
-                     double total_rate_hz, bool poisson) {
-  for (unsigned threads : sweep) {
-    const wcq::options opts = wcq::options{}.max_threads(threads + 2);
-    std::unique_ptr<Q> q;
-    std::vector<std::unique_ptr<typename Q::handle>> handles;
-    const std::uint64_t per_thread = total_arrivals / threads;
-    const double rate_per_thread = total_rate_hz / threads;
-    auto setup = [&] {
-      handles.clear();
-      q = std::make_unique<Q>(opts);
-      handles.resize(threads);
-    };
-    auto op = [&](unsigned worker) {
-      // Handles are registered lazily on the worker's first arrival
-      // (get_handle must run on the owning thread, not in setup).
-      auto& h = handles[worker];
-      if (!h) h = std::make_unique<typename Q::handle>(q->get_handle());
-      while (!q->try_push(worker, *h)) {
-        if (!q->try_pop(*h)) break;  // bounded queue full: make room
-      }
-      (void)q->try_pop(*h);
-    };
-    const auto res = harness::open_loop_measure(
-        runs, threads, per_thread, rate_per_thread, poisson, setup, op);
-    table.set(Q::kName, threads,
-              harness::OpMetrics{res.achieved_mops, res.response.p50(),
-                                 res.response.p99(), res.response.p999(),
-                                 res.response.max()});
-    std::cerr << "  " << Q::kName << " @" << threads << ": offered "
-              << res.offered_mops << " Mops/s, achieved "
-              << res.achieved_mops << " (start delay "
-              << res.mean_start_delay_ns << "ns, response p50 "
-              << res.response.p50() << "ns p99 " << res.response.p99()
-              << "ns p99.9 " << res.response.p999() << "ns)\n";
-  }
-}
-
-}  // namespace
-}  // namespace wcq::bench
-
 int main(int argc, char** argv) {
   using namespace wcq;
   using namespace wcq::bench;
-  const double rate = default_rate_hz();
-  const bool poisson = default_poisson();
-  const auto sweep = default_threads();
   const std::uint64_t arrivals = default_ops();
-  const unsigned runs = default_runs();
+  harness::Table table(std::string("Open-loop response time (") +
+                           (default_poisson() ? "poisson" : "fixed") +
+                           " arrivals)",
+                       "threads");
+  std::cerr << "open-loop: " << default_rate_hz()
+            << " ops/s offered total, " << arrivals << " arrivals/point\n";
 
-  harness::MetricsTable table(
-      std::string("Open-loop response time (") +
-          (poisson ? "poisson" : "fixed") + " arrivals)",
-      "threads");
-  std::cerr << "open-loop: " << rate << " ops/s offered total, " << arrivals
-            << " arrivals/point\n";
-
-  openloop_series<harness::FaaAdapter>(table, sweep, arrivals, runs, rate,
-                                       poisson);
-  openloop_series<harness::WcqAdapter>(table, sweep, arrivals, runs, rate,
-                                       poisson);
-  openloop_series<harness::ScqAdapter>(table, sweep, arrivals, runs, rate,
-                                       poisson);
-  openloop_series<harness::MsqAdapter>(table, sweep, arrivals, runs, rate,
-                                       poisson);
-  openloop_series<harness::LcrqAdapter>(table, sweep, arrivals, runs, rate,
-                                        poisson);
-  // The PR 9 scaling layer rides the same sweep: sharding should keep
+  harness::for_each_queue(harness::PaperQueues{}, [&]<typename Q>() {
+    open_loop_sweep<Q>(table, Q::kName, options{}, arrivals);
+  });
+  // The sharding layer rides the same sweep: sharding should keep
   // response times flat as the offered load spreads over shards.
-  openloop_series<harness::ShardedWcqAdapter>(table, sweep, arrivals, runs,
-                                              rate, poisson);
+  using ShardedWcq = harness::ShardedWcqAdapter;
+  open_loop_sweep<ShardedWcq>(table, ShardedWcq::kName, options{}, arrivals);
 
-  emit_metrics(table, argc, argv);
+  emit(table, argc, argv);
   return 0;
 }

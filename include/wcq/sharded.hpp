@@ -324,10 +324,9 @@ class sharded {
 
  private:
   // The shard count with 0 = auto resolved — a power of two derived
-  // from the machine, one shard per ~4 cpus, capped at 8 (the
-  // topology-aware sweep in the benches picks its own counts; this
-  // default just has to be sane anywhere) — after validating `opt`
-  // with that count.
+  // from the machine, one shard per ~4 cpus, capped at 8 (the shard
+  // sweep in the benches sets its counts explicitly; this default just
+  // has to be sane anywhere) — after validating `opt` with that count.
   static unsigned resolve_shards(const options& opt) {
     unsigned n = opt.shards();
     if (n == 0) {

@@ -23,7 +23,7 @@
 # shard counts x thread counts x pickers, plus the batch API series)
 # and adds a "sharded" fragment to BENCH_summary.json comparing the
 # best sharded series against single-ring wCQ at the widest thread
-# count. WCQ_BENCH_SHARDS / WCQ_BENCH_BATCH tune the sweep.
+# count. WCQ_BENCH_SHARDS tunes the sweep.
 #
 # Either way the env knobs win when set explicitly:
 #   WCQ_BENCH_OPS (default 50000), WCQ_BENCH_RUNS (1),
@@ -98,7 +98,8 @@ fi
 
 # From a latency-instrumented CSV (header carries p50_ns columns),
 # emit a JSON fragment with the wCQ percentile row at the widest
-# thread count; emit nothing for plain throughput CSVs.
+# thread count; emit nothing for plain throughput CSVs. A point with
+# no samples has empty percentile cells and is skipped.
 latency_fragment() {
   awk -F, '
     # The bench files carry the human table first, then the CSV block;
@@ -108,7 +109,8 @@ latency_fragment() {
       for (i = 1; i <= NF; ++i) col[$i] = i
       next
     }
-    ("p50_ns" in col) && $1 == "wCQ" && ($2 + 0) >= best_x {
+    ("p50_ns" in col) && $1 == "wCQ" && $(col["p50_ns"]) != "" &&
+    ($2 + 0) >= best_x {
       best_x = $2 + 0
       seen = 1
       mops = $(col["mops"]); p50 = $(col["p50_ns"])

@@ -2,11 +2,11 @@
 // spin barrier, time the run wall-clock, repeat, and report mean
 // Mops/s with the coefficient of variation across runs — plus, when
 // the body records into its per-thread histogram, merged per-op
-// latency percentiles.
+// latency percentiles. Also the one parser of the WCQ_BENCH_* knobs.
 //
 // Two load models:
-//  - repeat_measure / repeat_measure_latency: closed loop. Each worker
-//    issues its next op the moment the previous one returns, so the
+//  - repeat_measure: closed loop. Each worker issues its next op the
+//    moment the previous one returns, so the
 //    system always runs at saturation and the figure is throughput.
 //    Closed-loop latency suffers coordinated omission: a slow op also
 //    delays the *issue* of every op behind it, hiding queueing delay.
@@ -18,11 +18,15 @@
 #pragma once
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -45,26 +49,71 @@ struct MeasureResult {
   LatencyHistogram latency;
 };
 
-// Thread sweep from WCQ_BENCH_THREADS ("1,2,4,8"), or a small default.
-inline std::vector<unsigned> sweep_thread_counts() {
-  std::vector<unsigned> out;
-  if (const char* env = std::getenv("WCQ_BENCH_THREADS"); env && *env) {
-    unsigned cur = 0;
-    bool have = false;
-    for (const char* p = env;; ++p) {
-      if (*p >= '0' && *p <= '9') {
-        cur = cur * 10 + static_cast<unsigned>(*p - '0');
-        have = true;
-      } else {
-        if (have && cur > 0) out.push_back(cur);
-        cur = 0;
-        have = false;
-        if (*p == '\0') break;
-      }
+// A WCQ_BENCH_* value: comma-separated decimal integers, each in
+// [1, max]. nullopt when any entry is empty, holds anything but digits,
+// is 0, or exceeds max.
+inline std::optional<std::vector<std::uint64_t>> parse_counts(
+    std::string_view text, std::uint64_t max) {
+  std::vector<std::uint64_t> out;
+  for (;;) {
+    const std::size_t comma = text.find(',');
+    const std::string_view item = text.substr(0, comma);
+    std::uint64_t v = 0;
+    const auto [end, ec] =
+        std::from_chars(item.data(), item.data() + item.size(), v);
+    if (item.empty() || ec != std::errc{} || end != item.data() + item.size() ||
+        v == 0 || v > max) {
+      return std::nullopt;
     }
+    out.push_back(v);
+    if (comma == std::string_view::npos) return out;
+    text.remove_prefix(comma + 1);
   }
-  if (out.empty()) out = {1, 2, 4, 8};
-  return out;
+}
+
+// The text of knob `var`, empty when unset.
+inline std::string_view env_text(const char* var) {
+  const char* v = std::getenv(var);
+  return v != nullptr ? v : "";
+}
+
+[[noreturn]] inline void refuse_env(const char* var, std::string_view value,
+                                    const char* expected) {
+  std::fprintf(stderr, "%s=%.*s: expected %s\n", var,
+               static_cast<int>(value.size()), value.data(), expected);
+  std::exit(2);
+}
+
+// The one reader of numeric WCQ_BENCH_* knobs: `fallback` when `var` is
+// unset or empty, else its parse_counts list (one value unless `list`).
+// A malformed value exits 2 naming the variable, so a typo never runs a
+// silently different sweep.
+inline std::vector<std::uint64_t> env_counts(
+    const char* var, std::vector<std::uint64_t> fallback, std::uint64_t max,
+    bool list = true) {
+  const std::string_view text = env_text(var);
+  if (text.empty()) return fallback;
+  auto parsed = parse_counts(text, max);
+  if (!parsed || (!list && parsed->size() != 1)) {
+    const std::string expected =
+        (list ? "comma-separated integers in [1, " : "an integer in [1, ") +
+        std::to_string(max) + "]";
+    refuse_env(var, text, expected.c_str());
+  }
+  return *parsed;
+}
+
+inline std::uint64_t env_count(const char* var, std::uint64_t fallback,
+                               std::uint64_t max) {
+  return env_counts(var, {fallback}, max, /*list=*/false)[0];
+}
+
+// Thread sweep from WCQ_BENCH_THREADS ("1,2,4,8"), default 1,2,4,8
+// (paper: 1,2,4,8,18,36,72,144). The cap keeps max_threads(threads + 2)
+// far inside unsigned.
+inline std::vector<unsigned> sweep_thread_counts() {
+  const auto v = env_counts("WCQ_BENCH_THREADS", {1, 2, 4, 8}, 1u << 16);
+  return {v.begin(), v.end()};
 }
 
 inline void pin_to_cpu(unsigned worker) {
@@ -86,9 +135,9 @@ inline void pin_to_cpu(unsigned worker) {
 // figure. Each worker gets a private LatencyHistogram (no sharing on
 // the record path); all of them are merged into the result.
 template <typename Setup, typename Body>
-MeasureResult repeat_measure_latency(unsigned runs, unsigned threads,
-                                     std::uint64_t total_ops, Setup&& setup,
-                                     Body&& body) {
+MeasureResult repeat_measure(unsigned runs, unsigned threads,
+                             std::uint64_t total_ops, Setup&& setup,
+                             Body&& body) {
   if (runs == 0) runs = 1;
   if (threads == 0) threads = 1;
   MeasureResult res;
@@ -136,16 +185,6 @@ MeasureResult repeat_measure_latency(unsigned runs, unsigned threads,
     res.cv = std::sqrt(var) / res.mean_mops;
   }
   return res;
-}
-
-// Latency-blind flavor kept for the throughput-only benches.
-template <typename Setup, typename Body>
-MeasureResult repeat_measure(unsigned runs, unsigned threads,
-                             std::uint64_t total_ops, Setup&& setup,
-                             Body&& body) {
-  return repeat_measure_latency(
-      runs, threads, total_ops, setup,
-      [&](unsigned w, LatencyHistogram&) { body(w); });
 }
 
 // ---- open-loop (arrival-rate controlled) load ----------------------

@@ -86,6 +86,25 @@ using ShardedWcqAdapter = ShardedLineup<WcqQueue, kShardedWcqName>;
 using ShardedLcrqAdapter = ShardedLineup<LcrqQueue, kShardedLcrqName>;
 using ShardedFaaAdapter = ShardedLineup<FaaQueue, kShardedFaaName>;
 
+// A lineup as a type list; for_each_queue calls fn.operator()<Q>() for
+// each entry, in order.
+template <typename... Qs>
+struct QueueList {};
+
+template <typename... Qs, typename Fn>
+void for_each_queue(QueueList<Qs...>, Fn&& fn) {
+  (fn.template operator()<Qs>(), ...);
+}
+
+// The paper's Fig. 10/11 lineup, in its legend order.
+using PaperQueues = QueueList<FaaAdapter, WcqAdapter, NcqAdapter, CcqAdapter,
+                              ScqAdapter, MsqAdapter, LcrqAdapter, LscqAdapter>;
+
+// Fig. 12 (POWER): the portable wCQ build; LCRQ is absent, exactly as in
+// the paper (it requires true CAS2 and cannot run on POWER).
+using Fig12Queues = QueueList<FaaAdapter, WcqPortableAdapter, CcqAdapter,
+                              ScqAdapter, MsqAdapter>;
+
 // Every lineup entry satisfies the concept the whole harness programs
 // against; a backend that drifts breaks the build here, not in a
 // template stack twelve frames deep.

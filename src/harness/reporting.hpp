@@ -1,57 +1,77 @@
-// Result tables the bench binaries print.
+// The result table every bench binary prints: (series, x) -> named
+// columns, e.g. mops plus p50_ns/p99_ns/p999_ns/max_ns for a sampled
+// figure, or mops plus alloc_peak_mb for the memory figure. A column
+// exists only if some point set it; a point that did not set it shows
+// "-" in the human table, an empty CSV cell, and no JSON field.
 //
-//  - SeriesTable: one scalar per (series, x) — the figure-shaped
-//    throughput tables (rows = x values, columns = series), plus
-//    long-format CSV for the plotting scripts.
-//  - MetricsTable: one OpMetrics bundle per (series, x) — throughput
-//    alongside per-op latency percentiles (p50/p99/p99.9/max ns), with
-//    CSV and JSON emission so scripts/run_benches.sh can lift the
-//    percentile fields into BENCH_summary.json without a parser.
+// One human printer (aligned rows, one per point), one long-format CSV
+// printer (header `series,<x_label>,<columns...>`) that
+// scripts/run_benches.sh lifts fields from by header name, and one JSON
+// printer for machine consumers.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <iomanip>
 #include <map>
 #include <ostream>
-#include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "harness/latency.hpp"
+
 namespace wcq::harness {
 
-class SeriesTable {
+class Table {
  public:
-  SeriesTable(std::string title, std::string x_label, std::string y_label)
-      : title_(std::move(title)),
-        x_label_(std::move(x_label)),
-        y_label_(std::move(y_label)) {}
+  Table(std::string title, std::string x_label)
+      : title_(std::move(title)), x_label_(std::move(x_label)) {}
 
-  void set(const std::string& series, std::uint64_t x, double value) {
-    if (data_.find(series) == data_.end()) order_.push_back(series);
-    data_[series][x] = value;
-    xs_.insert(x);
+  void set(const std::string& series, std::uint64_t x,
+           const std::string& column, double value) {
+    std::ostringstream text;
+    text << std::fixed << std::setprecision(3) << value;
+    put(series, x, column, text.str());
   }
 
-  const std::string& title() const { return title_; }
+  void set(const std::string& series, std::uint64_t x,
+           const std::string& column, std::uint64_t value) {
+    put(series, x, column, std::to_string(value));
+  }
+
+  // The point's latency percentiles in ns; none when `h` holds no
+  // samples (an untimed point, or a sample period longer than the ops
+  // each thread ran), so absence never reads as a 0 ns latency.
+  void set_percentiles(const std::string& series, std::uint64_t x,
+                       const LatencyHistogram& h) {
+    if (h.count() == 0) return;
+    set(series, x, "p50_ns", h.p50());
+    set(series, x, "p99_ns", h.p99());
+    set(series, x, "p999_ns", h.p999());
+    set(series, x, "max_ns", h.max());
+  }
 
   void print(std::ostream& os) const {
-    os << "== " << title_ << " (" << y_label_ << ") ==\n";
-    os << std::setw(12) << x_label_;
-    for (const auto& name : order_) os << std::setw(12) << name;
-    os << "\n";
-    for (const std::uint64_t x : xs_) {
-      os << std::setw(12) << x;
-      for (const auto& name : order_) {
-        const auto& series = data_.at(name);
-        const auto it = series.find(x);
-        if (it == series.end()) {
-          os << std::setw(12) << "-";
-        } else {
-          os << std::setw(12) << std::fixed << std::setprecision(3)
-             << it->second;
-        }
+    std::vector<std::vector<std::string>> lines{header()};
+    for_each_point([&](const std::string& series, std::uint64_t x,
+                       const Row& row) {
+      lines.push_back(cells(series, x, row, "-"));
+    });
+    std::vector<std::size_t> width(lines[0].size(), 0);
+    for (const auto& line : lines) {
+      for (std::size_t i = 0; i < line.size(); ++i) {
+        width[i] = std::max(width[i], line[i].size());
+      }
+    }
+    os << "== " << title_ << " ==\n";
+    for (const auto& line : lines) {
+      os << std::left << std::setw(static_cast<int>(width[0])) << line[0]
+         << std::right;
+      for (std::size_t i = 1; i < line.size(); ++i) {
+        os << "  " << std::setw(static_cast<int>(width[i])) << line[i];
       }
       os << "\n";
     }
@@ -59,97 +79,81 @@ class SeriesTable {
 
   void print_csv(std::ostream& os) const {
     os << "# " << title_ << "\n";
-    os << "series," << x_label_ << "," << y_label_ << "\n";
-    for (const auto& name : order_) {
-      for (const auto& [x, value] : data_.at(name)) {
-        os << name << "," << x << "," << value << "\n";
-      }
-    }
-  }
-
- private:
-  std::string title_;
-  std::string x_label_;
-  std::string y_label_;
-  std::vector<std::string> order_;
-  std::map<std::string, std::map<std::uint64_t, double>> data_;
-  std::set<std::uint64_t> xs_;
-};
-
-// One measured point of a latency-first bench: throughput plus the
-// per-op latency distribution's headline percentiles in nanoseconds.
-struct OpMetrics {
-  double mops = 0.0;
-  std::uint64_t p50_ns = 0;
-  std::uint64_t p99_ns = 0;
-  std::uint64_t p999_ns = 0;
-  std::uint64_t max_ns = 0;
-};
-
-// (series, x) -> OpMetrics. Printed as one wide row per point (the
-// human table), as long-format CSV with one column per metric, or as a
-// JSON object for machine consumers.
-class MetricsTable {
- public:
-  MetricsTable(std::string title, std::string x_label)
-      : title_(std::move(title)), x_label_(std::move(x_label)) {}
-
-  void set(const std::string& series, std::uint64_t x, const OpMetrics& m) {
-    if (data_.find(series) == data_.end()) order_.push_back(series);
-    data_[series][x] = m;
-  }
-
-  const std::string& title() const { return title_; }
-
-  void print(std::ostream& os) const {
-    os << "== " << title_ << " ==\n";
-    os << std::setw(12) << "series" << std::setw(10) << x_label_
-       << std::setw(12) << "Mops/sec" << std::setw(12) << "p50_ns"
-       << std::setw(12) << "p99_ns" << std::setw(12) << "p99.9_ns"
-       << std::setw(12) << "max_ns" << "\n";
-    for (const auto& name : order_) {
-      for (const auto& [x, m] : data_.at(name)) {
-        os << std::setw(12) << name << std::setw(10) << x << std::setw(12)
-           << std::fixed << std::setprecision(3) << m.mops << std::setw(12)
-           << m.p50_ns << std::setw(12) << m.p99_ns << std::setw(12)
-           << m.p999_ns << std::setw(12) << m.max_ns << "\n";
-      }
-    }
-  }
-
-  void print_csv(std::ostream& os) const {
-    os << "# " << title_ << "\n";
-    os << "series," << x_label_ << ",mops,p50_ns,p99_ns,p999_ns,max_ns\n";
-    for (const auto& name : order_) {
-      for (const auto& [x, m] : data_.at(name)) {
-        os << name << "," << x << "," << m.mops << "," << m.p50_ns << ","
-           << m.p99_ns << "," << m.p999_ns << "," << m.max_ns << "\n";
-      }
-    }
+    write_csv_line(os, header());
+    for_each_point([&](const std::string& series, std::uint64_t x,
+                       const Row& row) {
+      write_csv_line(os, cells(series, x, row, ""));
+    });
   }
 
   void print_json(std::ostream& os) const {
     os << "{\"title\": \"" << title_ << "\", \"x_label\": \"" << x_label_
        << "\", \"points\": [";
-    bool first = true;
-    for (const auto& name : order_) {
-      for (const auto& [x, m] : data_.at(name)) {
-        if (!first) os << ", ";
-        first = false;
-        os << "{\"series\": \"" << name << "\", \"x\": " << x
-           << ", \"mops\": " << m.mops << ", \"p50_ns\": " << m.p50_ns
-           << ", \"p99_ns\": " << m.p99_ns << ", \"p999_ns\": " << m.p999_ns
-           << ", \"max_ns\": " << m.max_ns << "}";
+    const char* sep = "";
+    for_each_point([&](const std::string& series, std::uint64_t x,
+                       const Row& row) {
+      os << sep << "{\"series\": \"" << series << "\", \"x\": " << x;
+      for (const auto& column : columns_) {
+        if (const auto it = row.find(column); it != row.end()) {
+          os << ", \"" << column << "\": " << it->second;
+        }
       }
-    }
+      os << "}";
+      sep = ", ";
+    });
     os << "]}\n";
   }
 
  private:
+  using Row = std::map<std::string, std::string>;  // column -> value text
+
+  void put(const std::string& series, std::uint64_t x,
+           const std::string& column, std::string text) {
+    if (points_.find(series) == points_.end()) series_.push_back(series);
+    if (std::find(columns_.begin(), columns_.end(), column) ==
+        columns_.end()) {
+      columns_.push_back(column);
+    }
+    points_[series][x][column] = std::move(text);
+  }
+
+  // Series in first-set order, x ascending within a series.
+  template <typename Fn>
+  void for_each_point(Fn&& fn) const {
+    for (const auto& series : series_) {
+      for (const auto& [x, row] : points_.at(series)) fn(series, x, row);
+    }
+  }
+
+  std::vector<std::string> header() const {
+    std::vector<std::string> out{"series", x_label_};
+    out.insert(out.end(), columns_.begin(), columns_.end());
+    return out;
+  }
+
+  std::vector<std::string> cells(const std::string& series, std::uint64_t x,
+                                 const Row& row, const char* missing) const {
+    std::vector<std::string> out{series, std::to_string(x)};
+    for (const auto& column : columns_) {
+      const auto it = row.find(column);
+      out.push_back(it != row.end() ? it->second : missing);
+    }
+    return out;
+  }
+
+  static void write_csv_line(std::ostream& os,
+                             const std::vector<std::string>& line) {
+    for (std::size_t i = 0; i < line.size(); ++i) {
+      os << (i ? "," : "") << line[i];
+    }
+    os << "\n";
+  }
+
   std::string title_;
   std::string x_label_;
-  std::vector<std::string> order_;
-  std::map<std::string, std::map<std::uint64_t, OpMetrics>> data_;
+  std::vector<std::string> series_;
+  std::vector<std::string> columns_;
+  std::map<std::string, std::map<std::uint64_t, Row>> points_;
 };
 
 inline bool has_flag(int argc, char** argv, const char* flag) {

@@ -1,12 +1,15 @@
-// Unit checks for the measurement harness itself: SeriesTable output,
-// CSV emission, RNG distribution sanity, the counting allocator, and
+// Unit checks for the measurement harness itself: the result table's
+// three printers, RNG distribution sanity, the counting allocator,
 // repeat_measure actually running setup/body the advertised number of
-// times.
+// times, and the WCQ_BENCH_* value parser.
+#include <optional>
 #include <sstream>
+#include <vector>
 
 #include "common/mem_stats.hpp"
 #include "common/rng.hpp"
 #include "harness/driver.hpp"
+#include "harness/latency.hpp"
 #include "harness/reporting.hpp"
 #include "queue_test_common.hpp"
 
@@ -14,26 +17,51 @@ namespace {
 
 using namespace wcq;
 
-void test_series_table() {
-  harness::SeriesTable t("demo", "threads", "Mops");
-  t.set("A", 1, 1.5);
-  t.set("A", 2, 2.5);
-  t.set("B", 2, 3.25);
+// A sampled row carries percentiles; an unsampled one (untimed, or a
+// sample period longer than its ops) shows them as absent, never 0.
+void test_table() {
+  harness::LatencyHistogram sampled;
+  for (std::uint64_t v = 1; v <= 100; ++v) sampled.record(v);
+  harness::Table t("demo", "threads");
+  t.set("A", 1, "mops", 1.5);
+  t.set_percentiles("A", 1, sampled);
+  t.set("B", 2, "mops", 3.25);
+  t.set_percentiles("B", 2, harness::LatencyHistogram{});
+
   std::ostringstream table;
   t.print(table);
   const std::string s = table.str();
-  WCQ_CHECK(s.find("demo") != std::string::npos, "title missing");
-  WCQ_CHECK(s.find("A") != std::string::npos, "series A missing");
+  WCQ_CHECK(s.find("== demo ==") != std::string::npos, "title missing: %s",
+            s.c_str());
+  WCQ_CHECK(s.find("p50_ns") != std::string::npos, "column missing: %s",
+            s.c_str());
+  const std::string row_b = s.substr(s.find("\nB "));
+  WCQ_CHECK(row_b.find("3.250") != std::string::npos &&
+                row_b.find(" -") != std::string::npos &&
+                row_b.find(" 0") == std::string::npos,
+            "unsampled row must show '-': %s", row_b.c_str());
+
   std::ostringstream csv;
   t.print_csv(csv);
   const std::string c = csv.str();
-  WCQ_CHECK(c.find("series,threads,Mops") != std::string::npos,
+  WCQ_CHECK(c.find("series,threads,mops,p50_ns,p99_ns,p999_ns,max_ns\n") !=
+                std::string::npos,
             "csv header missing: %s", c.c_str());
-  WCQ_CHECK(c.find("A,1,1.5") != std::string::npos, "csv row missing: %s",
-            c.c_str());
-  WCQ_CHECK(c.find("B,2,3.25") != std::string::npos, "csv row missing: %s",
-            c.c_str());
-  std::printf("  ok series_table\n");
+  WCQ_CHECK(c.find("A,1,1.500,50,99,100,100\n") != std::string::npos,
+            "csv sampled row: %s", c.c_str());
+  WCQ_CHECK(c.find("B,2,3.250,,,,\n") != std::string::npos,
+            "csv unsampled row: %s", c.c_str());
+
+  std::ostringstream json;
+  t.print_json(json);
+  WCQ_CHECK(json.str() ==
+                "{\"title\": \"demo\", \"x_label\": \"threads\", "
+                "\"points\": [{\"series\": \"A\", \"x\": 1, \"mops\": "
+                "1.500, \"p50_ns\": 50, \"p99_ns\": 99, \"p999_ns\": 100, "
+                "\"max_ns\": 100}, {\"series\": \"B\", \"x\": 2, "
+                "\"mops\": 3.250}]}\n",
+            "json: %s", json.str().c_str());
+  std::printf("  ok table\n");
 }
 
 void test_want_csv() {
@@ -84,7 +112,7 @@ void test_repeat_measure() {
   std::atomic<unsigned> bodies{0};
   const auto res = harness::repeat_measure(
       3, 2, 1000, [&] { setups.fetch_add(1); },
-      [&](unsigned worker) {
+      [&](unsigned worker, harness::LatencyHistogram&) {
         WCQ_CHECK(worker < 2, "worker id out of range");
         bodies.fetch_add(1);
       });
@@ -94,14 +122,44 @@ void test_repeat_measure() {
   std::printf("  ok repeat_measure\n");
 }
 
+// WCQ_BENCH_* values: a complete list of in-range positive integers is
+// accepted; anything else is refused (the knob reader then exits 2).
 void test_sweep_parse() {
+  using V = std::vector<std::uint64_t>;
+  const struct {
+    const char* text;
+    std::uint64_t max;
+    std::optional<V> want;
+  } cases[] = {
+      {"1,2,8", 1u << 16, V{1, 2, 8}},
+      {"20000", std::uint64_t{1} << 62, V{20000}},
+      {"2147483648", 1u << 31, V{1u << 31}},
+      {"3000000000", 1u << 31, std::nullopt},  // SAMPLE past 2^31
+      {"18446744073709551616", ~std::uint64_t{0}, std::nullopt},  // 2^64
+      {"1e6", std::uint64_t{1} << 62, std::nullopt},
+      {"abc", std::uint64_t{1} << 62, std::nullopt},
+      {"1,x,4", 1u << 16, std::nullopt},
+      {"1,2, 8", 1u << 16, std::nullopt},
+      {"0", 1u << 16, std::nullopt},
+      {"1,,2", 1u << 16, std::nullopt},
+      {"1,2,", 1u << 16, std::nullopt},
+      {"-1", 1u << 16, std::nullopt},
+      {"+1", 1u << 16, std::nullopt},
+  };
+  for (const auto& c : cases) {
+    const auto got = harness::parse_counts(c.text, c.max);
+    WCQ_CHECK(got == c.want, "parse_counts(\"%s\") %s", c.text,
+              got ? "accepted" : "refused");
+  }
 #if defined(__linux__)
-  setenv("WCQ_BENCH_THREADS", "1,2, 8", 1);
+  setenv("WCQ_BENCH_THREADS", "1,2,8", 1);
   const auto sweep = harness::sweep_thread_counts();
-  WCQ_CHECK(sweep.size() == 3 && sweep[0] == 1 && sweep[1] == 2 &&
-                sweep[2] == 8,
-            "parsed %zu entries", sweep.size());
+  WCQ_CHECK(sweep == (std::vector<unsigned>{1, 2, 8}), "parsed %zu entries",
+            sweep.size());
   unsetenv("WCQ_BENCH_THREADS");
+  WCQ_CHECK(harness::sweep_thread_counts() ==
+                (std::vector<unsigned>{1, 2, 4, 8}),
+            "unset WCQ_BENCH_THREADS must give the default sweep");
 #endif
   std::printf("  ok sweep_parse\n");
 }
@@ -109,7 +167,7 @@ void test_sweep_parse() {
 }  // namespace
 
 int main() {
-  test_series_table();
+  test_table();
   test_want_csv();
   test_rng();
   test_mem_counter();

@@ -123,7 +123,7 @@ void test_sampler() {
 
 void test_driver_latency() {
   std::atomic<unsigned> setups{0};
-  const auto res = harness::repeat_measure_latency(
+  const auto res = harness::repeat_measure(
       2, 2, 1000, [&] { setups.fetch_add(1); },
       [&](unsigned worker, LatencyHistogram& hist) {
         WCQ_CHECK(worker < 2, "worker id out of range");
