@@ -6,10 +6,10 @@
 //
 // Series named like "wCQ shard=4/rr" are the sharded layer over that
 // backend; "wCQ" and "FAA" are the unsharded baselines. The "+batch"
-// series drive the batch API (try_push_n/try_pop_n) with
-// options{}.batch_limit() values per call — over FAA that is the native
-// single-FAA ticket burst, the config expected to reach >= 2x
-// single-ring wCQ pairwise at max threads.
+// series drive the batch API (try_push_n/try_pop_n) with kBatchChunk
+// (64) values per call — over FAA that is the native single-FAA ticket
+// burst, the config expected to reach >= 2x single-ring wCQ pairwise
+// at max threads.
 //
 // Knob on top of the usual WCQ_BENCH_OPS/RUNS/THREADS/RATE/ARRIVAL:
 //   WCQ_BENCH_SHARDS  comma list of shard counts (default "1,2,4")
@@ -24,7 +24,7 @@ namespace {
 // the unit of work a batch user pays for); throughput is still
 // reported per value, so batch and single-op series share an axis.
 struct BatchPairwise {
-  static constexpr unsigned kBatch = options{}.batch_limit();
+  static constexpr unsigned kBatch = kBatchChunk;
 
   template <concepts::Queue Q, typename Sampler>
   void operator()(Q& q, typename Q::handle& h, Xoshiro256&,

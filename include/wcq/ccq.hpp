@@ -21,15 +21,14 @@
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
 
 #include "wcq/detail.hpp"
-#include "wcq/handle.hpp"
 #include "wcq/mem.hpp"
 #include "wcq/options.hpp"
 #include "wcq/ring_entry.hpp"
 #include "wcq/ring_math.hpp"
 #include "wcq/ring_policy.hpp"
+#include "wcq/scq.hpp"
 
 namespace wcq {
 
@@ -167,63 +166,12 @@ class CcqRing {
   alignas(detail::kNoFalseSharing) ring::SplitEntry* entries_ = nullptr;
 };
 
-// CCQ as a bounded MPMC queue of 64-bit values: the two-ring
-// construction (indexes-only rings + data array), as for SCQ.
-class CcqQueue {
+// CCQ as a bounded MPMC queue of 64-bit values: scq.hpp's two-ring
+// construction over CAS2 rings. Positions and cycles follow SCQ's
+// Geometry, so the order ceiling is the same.
+class CcqQueue : public TwoRingQueue<CcqRing> {
  public:
-  using Handle = TrivialHandle;
-
-  // Reads order (capacity = 2^order values) and remap. Positions and
-  // cycles follow SCQ's Geometry, so the ceiling is the same.
-  explicit CcqQueue(const options& opt)
-      : n_(std::uint64_t{1} << opt.validate("ccq", ring::kMaxOrder).order()),
-        aq_(opt.order(), opt.remap()),
-        fq_(opt.order(), opt.remap()) {
-    data_ = static_cast<std::atomic<std::uint64_t>*>(
-        mem::alloc(n_ * sizeof(std::atomic<std::uint64_t>)));
-    for (std::uint64_t i = 0; i < n_; ++i) {
-      data_[i].store(0, std::memory_order_relaxed);
-      aq_.enqueue_idx(i, CcqRing::kUnbounded);
-    }
-  }
-
-  ~CcqQueue() { mem::free(data_, n_ * sizeof(std::atomic<std::uint64_t>)); }
-
-  CcqQueue(const CcqQueue&) = delete;
-  CcqQueue& operator=(const CcqQueue&) = delete;
-
-  std::uint64_t capacity() const { return n_; }
-
-  Handle get_handle() { return Handle{}; }
-  std::optional<Handle> try_get_handle() { return Handle{}; }
-
-  // False iff the queue is full.
-  bool try_push(std::uint64_t v, Handle&) {
-    std::uint64_t idx = 0;
-    if (aq_.dequeue_idx(&idx, CcqRing::kUnbounded) == CcqRing::kEmpty) {
-      return false;  // no free slots: full
-    }
-    data_[idx].store(v, std::memory_order_relaxed);
-    fq_.enqueue_idx(idx, CcqRing::kUnbounded);
-    return true;
-  }
-
-  // False iff the queue is empty.
-  bool try_pop(std::uint64_t* v, Handle&) {
-    std::uint64_t idx = 0;
-    if (fq_.dequeue_idx(&idx, CcqRing::kUnbounded) == CcqRing::kEmpty) {
-      return false;
-    }
-    *v = data_[idx].load(std::memory_order_relaxed);
-    aq_.enqueue_idx(idx, CcqRing::kUnbounded);
-    return true;
-  }
-
- private:
-  const std::uint64_t n_;
-  CcqRing aq_;  // free slots (starts full)
-  CcqRing fq_;  // filled slots (starts empty)
-  std::atomic<std::uint64_t>* data_ = nullptr;
+  explicit CcqQueue(const options& opt) : TwoRingQueue(opt, "ccq") {}
 };
 
 }  // namespace wcq

@@ -3,7 +3,7 @@
 ///
 /// Two layers, two concepts:
 ///  - concepts::Backend is the raw 64-bit-slot surface every queue
-///    implementation (wCQ, SCQ, FAA, MSQ, LCRQ, ...) exposes;
+///    implementation (wCQ, SCQ, NCQ, CCQ, LSCQ, FAA, MSQ, LCRQ) exposes;
 ///    `wcq::queue<T, B>` requires it of its B parameter.
 ///  - concepts::Queue is the typed facade surface (try_push(T),
 ///    try_pop() returning `optional<T>`, RAII handles); the harness
@@ -22,13 +22,13 @@ namespace wcq::concepts {
 
 /// Raw backend: options-constructible, per-thread Handle (possibly
 /// empty), bool try_push/try_pop over 64-bit slots. try_get_handle
-/// reports exhaustion as nullopt instead of failing.
+/// reports exhaustion as nullopt; only the facades (concepts::Queue)
+/// also offer a throwing flavor.
 template <typename B>
 concept Backend =
     std::constructible_from<B, const wcq::options&> &&
     requires(B& b, typename B::Handle& h, std::uint64_t v, std::uint64_t* out) {
       typename B::Handle;
-      { b.get_handle() } -> std::same_as<typename B::Handle>;
       { b.try_get_handle() } -> std::same_as<std::optional<typename B::Handle>>;
       { b.try_push(v, h) } -> std::same_as<bool>;
       { b.try_pop(out, h) } -> std::same_as<bool>;

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <new>
 #include <optional>
-#include <stdexcept>
 
 #include "wcq/detail.hpp"
 #include "wcq/handle.hpp"
@@ -65,15 +64,6 @@ class FaaQueue {
     const unsigned slot = slots_.acquire();
     if (slot == SlotRegistry::kNone) return std::nullopt;
     return Handle(this, slot);
-  }
-
-  Handle get_handle() {
-    auto h = try_get_handle();
-    if (!h) {
-      throw std::runtime_error(
-          "faa: all max_threads handle slots are simultaneously live");
-    }
-    return std::move(*h);
   }
 
   // Succeeds for every storable value (unbounded). The top two slot

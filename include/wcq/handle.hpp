@@ -24,10 +24,11 @@
 
 namespace wcq {
 
-/// Empty per-thread state for backends that need none (SCQ, whose
-/// rings are static and whose ops carry no thread identity). Exists
-/// so every backend has the same {get_handle, try_push, try_pop}
-/// shape and the typed facade never special-cases.
+/// Empty per-thread state for backends that need none (SCQ, NCQ and
+/// CCQ — scq.hpp's TwoRingQueue — whose rings are static and whose
+/// ops carry no thread identity). Exists so every backend has the
+/// same {try_get_handle, try_push, try_pop} shape and the typed
+/// facade never special-cases.
 struct TrivialHandle {};
 
 /// RAII handle over any SlotRegistry-backed backend: carries the
@@ -36,8 +37,9 @@ struct TrivialHandle {};
 /// Destruction calls Q::release_slot(slot), which quiesces the slot's
 /// SMR state and returns it to the registry, so — exactly like wCQ's
 /// ThreadRec handles — max_threads bounds *concurrent* participants.
-/// A handle must not outlive its queue. MSQ, FAA, and LCRQ all use
-/// this one template instead of hand-rolling three identical handles.
+/// A handle must not outlive its queue. MSQ, FAA, LSCQ and LCRQ (the
+/// last two through ring_list.hpp's RingList) all use this one
+/// template instead of hand-rolling identical handles.
 template <typename Q>
 class RegistryHandle {
  public:

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <new>
 #include <optional>
-#include <stdexcept>
 
 #include "wcq/detail.hpp"
 #include "wcq/handle.hpp"
@@ -53,15 +52,6 @@ class MsqQueue {
     const unsigned slot = slots_.acquire();
     if (slot == SlotRegistry::kNone) return std::nullopt;
     return Handle(this, slot);
-  }
-
-  Handle get_handle() {
-    auto h = try_get_handle();
-    if (!h) {
-      throw std::runtime_error(
-          "msq: all max_threads handle slots are simultaneously live");
-    }
-    return std::move(*h);
   }
 
   // Always succeeds (unbounded).

@@ -127,19 +127,10 @@ class options {
   }
   constexpr shard_policy_t shard_policy() const { return shard_policy_; }
 
-  /// Largest batch one try_push_n/try_pop_n call amortizes over a
-  /// single shard selection, >= 1; longer spans are processed in
-  /// chunks of this size (re-picking between chunks).
-  constexpr options& batch_limit(unsigned v) {
-    batch_limit_ = v;
-    return *this;
-  }
-  constexpr unsigned batch_limit() const { return batch_limit_; }
-
   /// The one refusal rule: throws std::invalid_argument, prefixed by
   /// `who` and naming the knob, when
-  ///  - enqueue_patience, dequeue_patience, help_delay, max_threads or
-  ///    batch_limit is 0;
+  ///  - enqueue_patience, dequeue_patience, help_delay or max_threads
+  ///    is 0;
   ///  - shards is not 0 (auto) or a power of two up to kMaxShards, or
   ///    order does not exceed log2(shards);
   ///  - order or max_threads exceeds the calling backend's ceiling
@@ -163,7 +154,6 @@ class options {
     if (shards_ > 1 && order_ <= detail::log2_pow2(shards_)) {
       refuse(who, "order must exceed log2(shards)");
     }
-    if (batch_limit_ == 0) refuse(who, "batch_limit must be >= 1");
     return *this;
   }
 
@@ -189,7 +179,6 @@ class options {
   bool remap_ = true;
   unsigned shards_ = 0;  // 0 = auto
   shard_policy_t shard_policy_ = shard_policy_t::round_robin;
-  unsigned batch_limit_ = 64;
 };
 
 }  // namespace wcq

@@ -12,10 +12,10 @@
 /// accounting still sees it.
 ///
 /// Handles are RAII: get_handle() registers the calling thread with
-/// the backend (a real ThreadRec slot for wCQ, nothing for
-/// SCQ/FAA/MSQ) and destruction recycles the registration, so
-/// max_threads bounds concurrent participants rather than lifetime
-/// thread count.
+/// the backend (a ThreadRec slot for wCQ, an SMR slot for
+/// LSCQ/LCRQ/FAA/MSQ, nothing for SCQ/NCQ/CCQ) and destruction
+/// recycles the registration, so max_threads bounds concurrent
+/// participants rather than lifetime thread count.
 ///
 /// Caveat: a backend may reserve slot bit patterns for its own
 /// protocol (FaaQueue reserves the top two as EMPTY/TAKEN sentinels,
@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 
@@ -41,6 +42,11 @@
 #include "wcq/wcq.hpp"
 
 namespace wcq {
+
+/// Slots one batch call (try_push_n/try_pop_n of wcq::queue and
+/// wcq::sharded) hands the backend at a time, from a stack array
+/// (512 B); sharded picks one shard per chunk.
+inline constexpr std::size_t kBatchChunk = 64;
 
 /// True when T can live directly inside a 64-bit data slot.
 template <typename T>
@@ -121,9 +127,6 @@ class queue {
   using backend_type = Backend;
   using codec = slot_codec<T>;
 
-  /// Slot scratch per batch round-trip (stack-allocated, 2 KiB).
-  static constexpr std::size_t kBatchChunk = 256;
-
   /// RAII thread registration; move-only. One per participating
   /// thread, and it must not outlive the queue it came from (its
   /// destructor returns the registration to the queue).
@@ -167,7 +170,14 @@ class queue {
 
   /// Throwing flavor for call sites where exhaustion is a logic
   /// error.
-  handle get_handle() { return handle(backend_.get_handle()); }
+  handle get_handle() {
+    auto h = try_get_handle();
+    if (!h) {
+      throw std::runtime_error(
+          "queue: all max_threads handle slots are simultaneously live");
+    }
+    return std::move(*h);
+  }
 
   /// False iff the queue is full (bounded backends only).
   bool try_push(T v, handle& h) {
@@ -267,15 +277,12 @@ class queue {
   }
 
   /// Backends that reclaim through the shared SMR layer (MSQ, FAA,
-  /// LCRQ) expose the domain's retire/scan counters.
+  /// LCRQ, LSCQ) expose the domain's retire/scan counters.
   auto smr_stats() const
     requires requires(const Backend& b) { b.smr_stats(); }
   {
     return backend_.smr_stats();
   }
-
-  Backend& backend() { return backend_; }
-  const Backend& backend() const { return backend_; }
 
  private:
   Backend backend_;

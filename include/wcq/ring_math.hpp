@@ -48,8 +48,6 @@ class Geometry {
   constexpr unsigned order() const { return order_; }
   constexpr std::uint64_t capacity() const { return n_; }
   constexpr std::uint64_t ring_size() const { return ring_size_; }
-  constexpr unsigned idx_bits() const { return idx_bits_; }
-  constexpr std::uint64_t idx_mask() const { return idx_mask_; }
 
   /// The "empty" index sentinel: all index bits set.
   constexpr std::uint64_t bot() const { return idx_mask_; }
@@ -105,8 +103,6 @@ class Remap {
   static constexpr Remap identity(const Geometry& g) {
     return Remap(g, 0, false);
   }
-
-  constexpr bool enabled() const { return on_; }
 
   constexpr std::uint64_t map(std::uint64_t pos) const {
     const std::uint64_t masked = pos & (ring_size_ - 1);

@@ -3,12 +3,10 @@
 //
 // SCQ's contribution (DISC 2019, §2) is ScqThreshold: dequeuers spend
 // a shared budget of 3n−1 failed positions; once it is gone, "empty"
-// is definitive in O(1) and nobody scans a dead ring. NCQ predates the
-// idea: its only exit is comparing Head against Tail, which a storm of
-// CAS-retrying peers can starve — the livelock the paper's strawman
-// exists to demonstrate. NoThreshold encodes that absence so NcqRing
-// composes the same layer stack with the policy slot deliberately
-// empty.
+// is definitive in O(1) and nobody scans a dead ring. NCQ (ncq.hpp)
+// predates the idea and has no threshold: its only exit is comparing
+// Head against Tail, which a storm of CAS-retrying peers can starve —
+// the livelock the paper's strawman exists to demonstrate.
 #pragma once
 
 #include <atomic>
@@ -47,16 +45,6 @@ class ScqThreshold {
   const std::int64_t init_;
   // Starts spent: a fresh ring is empty until the first enqueue arms it.
   std::atomic<std::int64_t> v_{-1};
-};
-
-/// NCQ's policy slot: no budget, no definitive empty. Dequeuers fall
-/// back to the Head-vs-Tail comparison, which is exactly the
-/// livelock-prone detection the SCQ paper's strawman demonstrates.
-struct NoThreshold {
-  constexpr explicit NoThreshold(const Geometry&) {}
-  static constexpr bool spent() { return false; }
-  static constexpr void arm() {}
-  static constexpr bool spend() { return false; }
 };
 
 }  // namespace wcq::ring

@@ -4,7 +4,7 @@
 //   ring_math.hpp     Geometry (cycle/index packing) + Remap
 //                     (Cache_Remap / identity position permutation)
 //   ring_entry.hpp    entry codecs (plain word vs {word, note} pair)
-//   ring_policy.hpp   empty detection (ScqThreshold vs NoThreshold)
+//   ring_policy.hpp   empty detection (ScqThreshold)
 //   ring_noted.hpp    the wCQ helping/note layer — out-of-line
 //                     definitions of the members declared here under
 //                     requires(Noted); only wcq.hpp includes it
@@ -19,8 +19,8 @@
 //
 //   ScqRingT<false>        ("ScqRing")  64-bit entries, lock-free —
 //       plain SCQ, and the building block of ScqQueue's aq/fq pair.
-//   ScqRingT<true>         ("WcqRing")  128-bit {word, note} entries
-//       mutated by CAS2 — the wCQ ring (SPAA 2022, Figures 4-7). The
+//   ScqRingT<true>         128-bit {word, note} entries mutated by
+//       CAS2 — the wCQ ring (SPAA 2022, Figures 4-7). The
 //       second word parks *notes*: revocable claims and committed
 //       results of the cooperative slow path, so that any number of
 //       helpers can advance one stalled operation and the commit still
@@ -268,12 +268,6 @@ class ScqRingT {
     tail_.fetch_or(kClosedBit, std::memory_order_seq_cst);
   }
 
-  bool closed() const
-    requires(Finalizable)
-  {
-    return (tail_.load(std::memory_order_seq_cst) & kClosedBit) != 0;
-  }
-
   // Post-close sweep. Burns head tickets past every position a
   // pre-close enqueue ticket could still install at, bypassing the
   // threshold (which may be spent while such installs are in flight).
@@ -435,7 +429,6 @@ class ScqRingT {
 };
 
 using ScqRing = ScqRingT<false>;
-using WcqRing = ScqRingT<true>;
 // LSCQ's segment value ring: plain SCQ plus close()/drain_idx().
 using FinalScqRing = ScqRingT<false, true>;
 

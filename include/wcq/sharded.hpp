@@ -36,7 +36,7 @@
 /// `try_push_n`/`try_pop_n` amortize one shard selection (and, on
 /// backends with a native burst — FaaQueue claims a run of tickets
 /// with a single FAA — one ticket acquisition) over up to
-/// `options::batch_limit` values per chunk. Values are encoded
+/// `wcq::kBatchChunk` (64) values per chunk. Values are encoded
 /// through `slot_codec<T>`, so boxed payloads batch exactly like
 /// inline ones.
 ///
@@ -46,9 +46,8 @@
 /// split as `order - log2(shards)` per shard, so one options value
 /// sizes sharded and unsharded queues identically. The constructor
 /// refuses bad knobs through `options::validate` (a shard count that
-/// is not a power of two, a split leaving a shard under two slots, a
-/// zero `batch_limit`, ...) with `std::invalid_argument` — refuse,
-/// never silently clamp.
+/// is not a power of two, a split leaving a shard under two slots,
+/// ...) with `std::invalid_argument` — refuse, never silently clamp.
 #pragma once
 
 #include <algorithm>
@@ -88,8 +87,7 @@ class sharded {
   explicit sharded(const options& opt = options{})
       : nshards_(resolve_shards(opt)),
         mask_(nshards_ - 1),
-        step_(opt.shard_policy() == shard_policy::round_robin ? 1 : 0),
-        batch_limit_(opt.batch_limit()) {
+        step_(opt.shard_policy() == shard_policy::round_robin ? 1 : 0) {
     // Each shard is one plain queue holding its slice of 2^order.
     options per_shard = opt;
     per_shard.order(opt.order() - detail::log2_pow2(nshards_)).shards(1);
@@ -135,7 +133,6 @@ class sharded {
     handle(handle&& o) noexcept
         : q_(std::exchange(o.q_, nullptr)),
           subs_(o.subs_),
-          scratch_(o.scratch_),
           push_cur_(o.push_cur_),
           pop_cur_(o.pop_cur_) {}
 
@@ -144,7 +141,6 @@ class sharded {
         release();
         q_ = std::exchange(o.q_, nullptr);
         subs_ = o.subs_;
-        scratch_ = o.scratch_;
         push_cur_ = o.push_cur_;
         pop_cur_ = o.pop_cur_;
       }
@@ -160,22 +156,19 @@ class sharded {
     friend class sharded;
     using BackendHandle = typename Backend::Handle;
 
-    handle(sharded* q, BackendHandle* subs, std::uint64_t* scratch,
-           unsigned id)
-        : q_(q), subs_(subs), scratch_(scratch), push_cur_(id), pop_cur_(id) {}
+    handle(sharded* q, BackendHandle* subs, unsigned id)
+        : q_(q), subs_(subs), push_cur_(id), pop_cur_(id) {}
 
     void release() {
       if (q_ != nullptr) {
         for (unsigned s = q_->nshards_; s-- > 0;) subs_[s].~BackendHandle();
         mem::free(subs_, q_->nshards_ * sizeof(BackendHandle));
-        mem::free(scratch_, q_->batch_limit_ * sizeof(std::uint64_t));
         q_ = nullptr;
       }
     }
 
     sharded* q_ = nullptr;
     BackendHandle* subs_ = nullptr;
-    std::uint64_t* scratch_ = nullptr;  // batch_limit slots
     // round_robin cursor / sticky home, one per direction, starting at
     // the handle's id. Masked at use; push and pop start aligned for
     // single-handle FIFO.
@@ -198,9 +191,7 @@ class sharded {
       mem::free(subs, nshards_ * sizeof(BH));
       return std::nullopt;
     }
-    auto* scratch = static_cast<std::uint64_t*>(
-        mem::alloc(batch_limit_ * sizeof(std::uint64_t)));
-    return handle(this, subs, scratch,
+    return handle(this, subs,
                   next_handle_.fetch_add(1, std::memory_order_relaxed));
   }
 
@@ -232,20 +223,20 @@ class sharded {
   }
 
   /// Batch enqueue: vs[0..n) in order, one shard selection per
-  /// batch_limit-sized chunk (plus the backend's native ticket burst
+  /// kBatchChunk-sized chunk (plus the backend's native ticket burst
   /// where it has one). Returns the accepted count; stops early when
   /// no shard will take the next value (all full, or a reserved
   /// sentinel pattern — the refused value stays with the caller).
   std::size_t try_push_n(const T* vs, std::size_t n, handle& h) {
+    std::uint64_t slots[kBatchChunk];
     std::size_t pushed = 0;
     while (pushed < n) {
-      const std::size_t chunk =
-          std::min<std::size_t>(batch_limit_, n - pushed);
+      const std::size_t chunk = std::min(n - pushed, kBatchChunk);
       for (std::size_t i = 0; i < chunk; ++i) {
-        h.scratch_[i] = codec::encode(vs[pushed + i]);
+        slots[i] = codec::encode(vs[pushed + i]);
       }
-      const std::size_t ok = push_slots(h.scratch_, chunk, h);
-      for (std::size_t i = ok; i < chunk; ++i) codec::drop(h.scratch_[i]);
+      const std::size_t ok = push_slots(slots, chunk, h);
+      for (std::size_t i = ok; i < chunk; ++i) codec::drop(slots[i]);
       pushed += ok;
       if (ok < chunk) break;
     }
@@ -256,12 +247,13 @@ class sharded {
   /// (zero iff every shard is empty). Values from one shard arrive in
   /// that shard's FIFO order; chunks may interleave shards.
   std::size_t try_pop_n(T* out, std::size_t n, handle& h) {
+    std::uint64_t slots[kBatchChunk];
     std::size_t got = 0;
     while (got < n) {
-      const std::size_t chunk = std::min<std::size_t>(batch_limit_, n - got);
-      const std::size_t ok = pop_slots(h.scratch_, chunk, h);
+      const std::size_t chunk = std::min(n - got, kBatchChunk);
+      const std::size_t ok = pop_slots(slots, chunk, h);
       for (std::size_t i = 0; i < ok; ++i) {
-        out[got + i] = codec::decode(h.scratch_[i]);
+        out[got + i] = codec::decode(slots[i]);
       }
       got += ok;
       if (ok < chunk) break;
@@ -295,14 +287,7 @@ class sharded {
     }
   {
     auto total = shards_[0].stats();
-    for (unsigned s = 1; s < nshards_; ++s) {
-      const auto st = shards_[s].stats();
-      total.fast_enqueues += st.fast_enqueues;
-      total.slow_enqueues += st.slow_enqueues;
-      total.fast_dequeues += st.fast_dequeues;
-      total.slow_dequeues += st.slow_dequeues;
-      total.helps += st.helps;
-    }
+    for (unsigned s = 1; s < nshards_; ++s) total += shards_[s].stats();
     return total;
   }
 
@@ -312,13 +297,7 @@ class sharded {
     requires requires(const Backend& b) { b.smr_stats(); }
   {
     auto total = shards_[0].smr_stats();
-    for (unsigned s = 1; s < nshards_; ++s) {
-      const auto st = shards_[s].smr_stats();
-      total.retired_nodes += st.retired_nodes;
-      total.reclaimed_nodes += st.reclaimed_nodes;
-      total.retire_calls += st.retire_calls;
-      total.scans += st.scans;
-    }
+    for (unsigned s = 1; s < nshards_; ++s) total += shards_[s].smr_stats();
     return total;
   }
 
@@ -442,7 +421,6 @@ class sharded {
   const unsigned mask_;
   // Cursor advance after a success: 1 for round_robin, 0 for sticky.
   const unsigned step_;
-  const unsigned batch_limit_;
   Backend* shards_ = nullptr;
   std::atomic<unsigned> next_handle_{0};
 };

@@ -55,6 +55,14 @@ struct Stats {
   std::uint64_t reclaimed_nodes = 0;  ///< freed by scans (not the dtor)
   std::uint64_t retire_calls = 0;     ///< total retire() invocations
   std::uint64_t scans = 0;            ///< reclamation scans run
+
+  Stats& operator+=(const Stats& o) {
+    retired_nodes += o.retired_nodes;
+    reclaimed_nodes += o.reclaimed_nodes;
+    retire_calls += o.retire_calls;
+    scans += o.scans;
+    return *this;
+  }
 };
 
 /// One reclamation domain per queue: hazard-pointer strips + epoch

@@ -26,7 +26,6 @@
 #include <cassert>
 #include <cstdint>
 #include <optional>
-#include <stdexcept>
 #include <utility>
 
 #include "wcq/detail.hpp"
@@ -51,6 +50,15 @@ struct WcqStats {
   // Peer requests driven. A handle checks one peer every help_delay
   // own operations, the first check on its help_delay-th operation.
   std::uint64_t helps = 0;
+
+  WcqStats& operator+=(const WcqStats& o) {
+    fast_enqueues += o.fast_enqueues;
+    slow_enqueues += o.slow_enqueues;
+    fast_dequeues += o.fast_dequeues;
+    slow_dequeues += o.slow_dequeues;
+    helps += o.helps;
+    return *this;
+  }
 };
 
 // Portable=true models the Section 4 build for LL/SC machines: every
@@ -129,16 +137,6 @@ class WcqQueueT {
     const unsigned slot = slots_.acquire();
     if (slot == SlotRegistry::kNone) return std::nullopt;
     return Handle(this, &recs_[slot]);
-  }
-
-  // Throwing flavor for call sites where exhaustion is a logic error.
-  Handle get_handle() {
-    auto h = try_get_handle();
-    if (!h) {
-      throw std::runtime_error(
-          "wcq: all max_threads handle slots are simultaneously live");
-    }
-    return std::move(*h);
   }
 
   // False iff the queue is full.

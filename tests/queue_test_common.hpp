@@ -10,6 +10,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "harness/queue_adapters.hpp"
@@ -28,6 +29,16 @@ namespace wcq::test {
       std::exit(1);                                                     \
     }                                                                   \
   } while (0)
+
+// A raw backend's handle. Backends report exhausted handle slots as
+// nullopt (only the wcq::queue and wcq::sharded facades throw); here
+// exhaustion fails the test.
+template <concepts::Backend B>
+typename B::Handle backend_handle(B& b) {
+  auto h = b.try_get_handle();
+  WCQ_CHECK(h.has_value(), "backend handle slots exhausted");
+  return std::move(*h);
+}
 
 inline std::uint64_t env_ops(std::uint64_t dflt) {
   if (const char* v = std::getenv("WCQ_TEST_OPS"); v && *v) {

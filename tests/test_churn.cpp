@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -237,33 +238,36 @@ void test_lscq_segment_retirement() {
 // a reportable error — nullopt from try_get_handle, an exception from
 // get_handle — never an abort; and releasing one handle must make a
 // slot available again.
-void test_exhaustion_is_an_error() {
-  queue<std::uint64_t> q(options{}.max_threads(2).order(4));
+template <concepts::Queue Q>
+void test_exhaustion_is_an_error(const char* name) {
+  Q q(options{}.max_threads(2).order(4));
 
   auto h1 = q.try_get_handle();
   auto h2 = q.try_get_handle();
   WCQ_CHECK(h1.has_value() && h2.has_value(),
-            "first max_threads handles must be granted");
+            "%s: first max_threads handles must be granted", name);
 
   WCQ_CHECK(!q.try_get_handle().has_value(),
-            "try_get_handle must report exhaustion as nullopt");
+            "%s: try_get_handle must report exhaustion as nullopt", name);
   bool threw = false;
   try {
     (void)q.get_handle();
   } catch (const std::runtime_error&) {
     threw = true;
   }
-  WCQ_CHECK(threw, "get_handle must throw on exhaustion, not abort");
+  WCQ_CHECK(threw, "%s: get_handle must throw on exhaustion, not abort",
+            name);
 
   // The live handles still work at the exhaustion boundary.
-  WCQ_CHECK(q.try_push(7, *h1), "push through live handle refused");
+  WCQ_CHECK(q.try_push(7, *h1), "%s: push through live handle refused",
+            name);
   const auto v = q.try_pop(*h2);
-  WCQ_CHECK(v && *v == 7, "pop through live handle failed");
+  WCQ_CHECK(v && *v == 7, "%s: pop through live handle failed", name);
 
   h1.reset();  // RAII release frees the slot...
   auto h3 = q.try_get_handle();
-  WCQ_CHECK(h3.has_value(), "released slot must be reusable");
-  std::printf("  ok churn_exhaustion\n");
+  WCQ_CHECK(h3.has_value(), "%s: released slot must be reusable", name);
+  std::printf("  ok churn_exhaustion  %s\n", name);
 }
 
 // Serial churn far past max_threads: every iteration registers and
@@ -285,21 +289,33 @@ void test_serial_handle_recycling() {
 
 // Handles are movable RAII: moving must transfer the registration, and
 // the moved-from handle's destruction must not double-release.
-void test_handle_move_semantics() {
-  queue<std::uint64_t> q(options{}.max_threads(2).order(4));
+template <concepts::Queue Q>
+void test_handle_move_semantics(const char* name) {
+  Q q(options{}.max_threads(2).order(4));
   auto h1 = q.get_handle();
   auto h2 = std::move(h1);
-  WCQ_CHECK(q.try_push(11, h2), "push through moved-to handle refused");
+  WCQ_CHECK(q.try_push(11, h2), "%s: push through moved-to handle refused",
+            name);
   const auto v = q.try_pop(h2);
-  WCQ_CHECK(v && *v == 11, "pop through moved-to handle failed");
+  WCQ_CHECK(v && *v == 11, "%s: pop through moved-to handle failed", name);
   {
     auto h3 = q.get_handle();  // second (and last) slot
-    WCQ_CHECK(!q.try_get_handle().has_value(), "expected exhaustion");
+    WCQ_CHECK(!q.try_get_handle().has_value(), "%s: expected exhaustion",
+              name);
     h2 = std::move(h3);  // move-assign releases h2's old slot
     auto h4 = q.try_get_handle();
-    WCQ_CHECK(h4.has_value(), "move-assign must release the old slot");
+    WCQ_CHECK(h4.has_value(), "%s: move-assign must release the old slot",
+              name);
   }
-  std::printf("  ok churn_move\n");
+  std::printf("  ok churn_move        %s\n", name);
+}
+
+// Both slot-limit checks, for a lineup entry whose handle slots can run
+// out (SCQ, NCQ and CCQ hand out empty handles without limit).
+template <concepts::Queue Q>
+void test_slot_limits(const char* name) {
+  test_exhaustion_is_an_error<Q>(name);
+  test_handle_move_semantics<Q>(name);
 }
 
 }  // namespace
@@ -324,8 +340,14 @@ int main() {
   // recycle a full row of sub-handle slots, not just one.
   test_churn_waves<ShardedWcqAdapter>("sharded-wcq");
   test_churn_waves<ShardedLcrqAdapter>("sharded-lcrq");
-  test_exhaustion_is_an_error();
+  test_slot_limits<WcqAdapter>("wcq");
+  test_slot_limits<WcqPortableAdapter>("wcq-portable");
+  test_slot_limits<LscqAdapter>("lscq");
+  test_slot_limits<LcrqAdapter>("lcrq");
+  test_slot_limits<FaaAdapter>("faa");
+  test_slot_limits<MsqAdapter>("msq");
+  test_slot_limits<ShardedWcqAdapter>("sharded-wcq");
+  test_slot_limits<ShardedLcrqAdapter>("sharded-lcrq");
   test_serial_handle_recycling();
-  test_handle_move_semantics();
   return 0;
 }

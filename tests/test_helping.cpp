@@ -18,8 +18,8 @@ void test_helper_completes_stalled_ops(const char* name) {
   using Queue = wcq::WcqQueueT<Portable>;
   // help_delay=1: helper checks a peer on every own op
   Queue q(wcq::options{}.order(4).max_threads(4).help_delay(1));
-  auto stalled = q.get_handle();
-  auto helper = q.get_handle();
+  auto stalled = wcq::test::backend_handle(q);
+  auto helper = wcq::test::backend_handle(q);
 
   // --- stalled enqueue(777): the owner already holds its free index
   // and published the fq-enqueue request; the helper's own (empty)
@@ -87,8 +87,10 @@ void test_help_round_not_wasted_on_self(const char* name,
   using Access = wcq::WcqTestAccess<Portable>;
   using Queue = wcq::WcqQueueT<Portable>;
   Queue q(wcq::options{}.order(4).max_threads(4).help_delay(help_delay));
-  auto helper = q.get_handle();   // slot 0: cursor 0 lands on itself
-  auto stalled = q.get_handle();  // slot 1: the peer needing help
+  // Slot 0 is the helper (its cursor 0 lands on itself); slot 1 is the
+  // peer needing help.
+  auto helper = wcq::test::backend_handle(q);
+  auto stalled = wcq::test::backend_handle(q);
 
   WCQ_CHECK(Access::publish_stalled_push(q, stalled, 321),
             "%s: fresh queue had no free index", name);

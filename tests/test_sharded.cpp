@@ -37,7 +37,7 @@ std::vector<std::vector<std::uint64_t>> drain_shards(
     sharded<std::uint64_t>& q) {
   std::vector<std::vector<std::uint64_t>> held(q.shard_count());
   for (unsigned s = 0; s < q.shard_count(); ++s) {
-    auto bh = q.shard(s).get_handle();
+    auto bh = test::backend_handle(q.shard(s));
     std::uint64_t v = 0;
     while (q.shard(s).try_pop(&v, bh)) held[s].push_back(v);
   }
@@ -204,17 +204,17 @@ void test_round_robin_fifo() {
   std::printf("  ok sharded_rr_fifo   per handle; shards(1) global\n");
 }
 
-// Batch edges: zero-size spans, spans above batch_limit (chunking),
+// Batch edges: zero-size spans, spans above kBatchChunk (chunking),
 // partial acceptance at capacity, and partial pops at drain.
 void test_batch_edges() {
-  sharded<std::uint64_t> q(options{}.order(8).shards(4).batch_limit(16));
+  sharded<std::uint64_t> q(options{}.order(8).shards(4));
   auto h = q.get_handle();
 
   std::uint64_t none = 0;
   WCQ_CHECK(q.try_push_n(&none, 0, h) == 0, "zero-size push_n");
   WCQ_CHECK(q.try_pop_n(&none, 0, h) == 0, "zero-size pop_n");
 
-  // 200 values through batch_limit=16 chunks.
+  // 200 values through kBatchChunk=64 chunks.
   std::vector<std::uint64_t> in(200), out(200);
   for (std::uint64_t i = 0; i < 200; ++i) in[i] = i;
   WCQ_CHECK(q.try_push_n(in.data(), 200, h) == 200, "chunked push_n");
@@ -247,7 +247,7 @@ void test_batch_edges() {
 // through slot_codec's heap box, refused boxes are dropped (ASan
 // leak-checks this binary), and teardown drains live boxes.
 void test_batch_boxed() {
-  sharded<std::string> q(options{}.order(8).shards(2).batch_limit(8));
+  sharded<std::string> q(options{}.order(8).shards(2));
   auto h = q.get_handle();
   std::vector<std::string> in, out(64);
   for (int i = 0; i < 64; ++i) in.push_back("value-" + std::to_string(i));
@@ -278,7 +278,7 @@ void test_batch_boxed() {
 // inline value colliding with them must be refused — mid-batch — with
 // everything before it accepted and nothing after it lost.
 void test_batch_sentinel_refusal() {
-  sharded<std::uint64_t, FaaQueue> q(options{}.shards(2).batch_limit(8));
+  sharded<std::uint64_t, FaaQueue> q(options{}.shards(2));
   auto h = q.get_handle();
   std::uint64_t vs[5] = {1, 2, ~std::uint64_t{0}, 4, 5};
   WCQ_CHECK(q.try_push_n(vs, 5, h) == 2,
@@ -308,11 +308,6 @@ void test_validation_throws() {
   WCQ_CHECK(
       throws([] { sharded<std::uint64_t> q(options{}.shards(8).order(3)); }),
       "order <= log2(shards) must throw");
-  WCQ_CHECK(
-      throws([] {
-        sharded<std::uint64_t> q(options{}.shards(2).batch_limit(0));
-      }),
-      "batch_limit 0 must throw");
   // The boundary cases that must NOT throw.
   sharded<std::uint64_t> ok1(options{}.shards(1).order(1));
   sharded<std::uint64_t> ok2(options{}.shards(4).order(3));

@@ -34,7 +34,7 @@ options slow_opts(unsigned order, unsigned max_threads) {
 template <bool Portable>
 void test_slow_fifo(const char* name) {
   WcqQueueT<Portable> q(slow_opts(12, 2));  // capacity 4096 > n
-  auto h = q.get_handle();
+  auto h = test::backend_handle(q);
   const std::uint64_t n = 3000;
   for (std::uint64_t i = 0; i < n; ++i) {
     WCQ_CHECK(q.try_push(i, h), "%s: slow push %llu refused", name,
@@ -56,7 +56,7 @@ template <bool Portable>
 void test_slow_empty_full(const char* name) {
   const std::uint64_t cap = 32;
   WcqQueueT<Portable> q(slow_opts(5, 2));
-  auto h = q.get_handle();
+  auto h = test::backend_handle(q);
   std::uint64_t v = 0;
   for (int i = 0; i < 50; ++i) {
     WCQ_CHECK(!q.try_pop(&v, h), "%s: fresh queue not empty", name);
@@ -98,7 +98,7 @@ void test_slow_mpmc(const char* name, unsigned producers,
   threads.reserve(producers + consumers);
   for (unsigned p = 0; p < producers; ++p) {
     threads.emplace_back([&, p] {
-      auto h = q.get_handle();
+      auto h = test::backend_handle(q);
       for (std::uint64_t i = 0; i < per_producer; ++i) {
         const std::uint64_t v = p * per_producer + i;
         while (!q.try_push(v, h)) std::this_thread::yield();
@@ -107,7 +107,7 @@ void test_slow_mpmc(const char* name, unsigned producers,
   }
   for (unsigned c = 0; c < consumers; ++c) {
     threads.emplace_back([&] {
-      auto h = q.get_handle();
+      auto h = test::backend_handle(q);
       std::vector<std::uint64_t> last(producers, 0);
       std::vector<bool> any(producers, false);
       while (consumed.load(std::memory_order_acquire) < total) {
@@ -175,11 +175,13 @@ void test_no_premature_empty(const char* name) {
   constexpr unsigned kPops = 11;
   constexpr unsigned kValues = kPops + 1;
   WcqQueueT<Portable> q(slow_opts(4, kPops + 1));  // capacity 16
-  auto seed = q.get_handle();
+  auto seed = test::backend_handle(q);
 
   std::vector<typename WcqQueueT<Portable>::Handle> stalled;
   stalled.reserve(kPops);
-  for (unsigned i = 0; i < kPops; ++i) stalled.push_back(q.get_handle());
+  for (unsigned i = 0; i < kPops; ++i) {
+    stalled.push_back(test::backend_handle(q));
+  }
 
   for (unsigned i = 0; i < kValues; ++i) {
     WCQ_CHECK(q.try_push(100 + i, seed), "%s: fill push %u refused", name, i);
@@ -219,8 +221,8 @@ void test_two_helpers_one_request(const char* name) {
   using Access = WcqTestAccess<Portable>;
   constexpr int kRounds = 200;
   WcqQueueT<Portable> q(slow_opts(6, 2));
-  auto owner = q.get_handle();
-  auto seed = q.get_handle();
+  auto owner = test::backend_handle(q);
+  auto seed = test::backend_handle(q);
   for (int round = 0; round < kRounds; ++round) {
     const std::uint64_t want = 1000 + round;
     WCQ_CHECK(q.try_push(want, seed), "%s: seed push refused", name);

@@ -166,16 +166,18 @@ void test_non_default_backend() {
 // The one refusal rule: every lineup backend, and sharded, refuses
 // each out-of-range knob with std::invalid_argument — whether or not
 // it reads that knob — and never clamps. `max_order` is the backend's
-// order ceiling (options::kNoLimit: it reads no order).
+// order ceiling (options::kNoLimit: it reads no order). A plain
+// backend's message starts with "<who>: ", the name its constructor
+// hands options::validate; `who` is null for sharded, whose order
+// refusal comes from its shard backend.
 template <typename Q>
-void test_refusals(const char* name, unsigned max_order) {
+void test_refusals(const char* name, unsigned max_order, const char* who) {
   std::vector<std::pair<const char*, options>> rows = {
       {"enqueue_patience 0", options{}.enqueue_patience(0)},
       {"dequeue_patience 0", options{}.dequeue_patience(0)},
       {"help_delay 0", options{}.help_delay(0)},
       {"max_threads 0", options{}.max_threads(0)},
       {"shards 3", options{}.shards(3)},
-      {"batch_limit 0", options{}.batch_limit(0)},
   };
   if (max_order != options::kNoLimit) {
     // One shard, so sharded's per-shard order is the whole order.
@@ -184,12 +186,20 @@ void test_refusals(const char* name, unsigned max_order) {
   }
   for (const auto& [knob, opt] : rows) {
     bool refused = false;
+    std::string msg;
     try {
       Q q(opt);
-    } catch (const std::invalid_argument&) {
+    } catch (const std::invalid_argument& e) {
       refused = true;
+      msg = e.what();
     }
     WCQ_CHECK(refused, "%s accepted %s", name, knob);
+    if (who != nullptr) {
+      const std::string prefix = std::string(who) + ": ";
+      WCQ_CHECK(msg.rfind(prefix, 0) == 0,
+                "%s refused %s as \"%s\", not under \"%s\"", name, knob,
+                msg.c_str(), prefix.c_str());
+    }
   }
   // Helping off (the bench suite's wcq_nohelp rung) is in range.
   Q ok(options{}.order(6).shards(1).help_delay(UINT_MAX));
@@ -205,16 +215,17 @@ int main() {
   test_boxed_teardown_drains();
   test_faa_reserved_values_refused();
   test_non_default_backend();
-  test_refusals<harness::WcqAdapter>("wcq", detail::kMaxNoteOrder);
+  test_refusals<harness::WcqAdapter>("wcq", detail::kMaxNoteOrder, "wcq");
   test_refusals<harness::WcqPortableAdapter>("wcq-portable",
-                                             detail::kMaxNoteOrder);
-  test_refusals<harness::ScqAdapter>("scq", ring::kMaxOrder);
-  test_refusals<harness::NcqAdapter>("ncq", ring::kMaxOrder);
-  test_refusals<harness::CcqAdapter>("ccq", ring::kMaxOrder);
-  test_refusals<harness::LscqAdapter>("lscq", LscqQueue::kMaxOrder);
-  test_refusals<harness::LcrqAdapter>("lcrq", LcrqQueue::kMaxOrder);
-  test_refusals<harness::FaaAdapter>("faa", options::kNoLimit);
-  test_refusals<harness::MsqAdapter>("msq", options::kNoLimit);
-  test_refusals<sharded<std::uint64_t>>("sharded", detail::kMaxNoteOrder);
+                                             detail::kMaxNoteOrder, "wcq");
+  test_refusals<harness::ScqAdapter>("scq", ring::kMaxOrder, "scq");
+  test_refusals<harness::NcqAdapter>("ncq", ring::kMaxOrder, "ncq");
+  test_refusals<harness::CcqAdapter>("ccq", ring::kMaxOrder, "ccq");
+  test_refusals<harness::LscqAdapter>("lscq", LscqQueue::kMaxOrder, "lscq");
+  test_refusals<harness::LcrqAdapter>("lcrq", LcrqQueue::kMaxOrder, "lcrq");
+  test_refusals<harness::FaaAdapter>("faa", options::kNoLimit, "faa");
+  test_refusals<harness::MsqAdapter>("msq", options::kNoLimit, "msq");
+  test_refusals<sharded<std::uint64_t>>("sharded", detail::kMaxNoteOrder,
+                                        nullptr);
   return 0;
 }
