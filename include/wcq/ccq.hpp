@@ -42,7 +42,11 @@ class CcqRing {
 
   static constexpr std::uint64_t kUnbounded = ~std::uint64_t{0};
 
-  CcqRing(unsigned order, bool remap)
+  // `full` starts the ring holding indices 0..capacity-1 in order,
+  // written as the state `capacity` enqueue_idx calls into the empty
+  // ring leave: index i at position ring_size + i (entry map(i), cycle
+  // 1, safe), Tail capacity past Head, threshold armed.
+  CcqRing(unsigned order, bool remap, bool full)
       : geo_(order),
         remap_(remap ? ring::Remap::cache(geo_, kLineBits)
                      : ring::Remap::identity(geo_)),
@@ -50,11 +54,16 @@ class CcqRing {
     entries_ = static_cast<ring::SplitEntry*>(
         mem::alloc(geo_.ring_size() * sizeof(ring::SplitEntry)));
     for (std::uint64_t j = 0; j < geo_.ring_size(); ++j) {
-      entries_[j].meta.store(pack_meta(0, true), std::memory_order_relaxed);
-      entries_[j].idx.store(kBotIdx, std::memory_order_relaxed);
+      const std::uint64_t i = remap_.unmap(j);
+      const bool held = full && i < geo_.capacity();
+      entries_[j].meta.store(pack_meta(held ? 1 : 0, true),
+                             std::memory_order_relaxed);
+      entries_[j].idx.store(held ? i : kBotIdx, std::memory_order_relaxed);
     }
     head_.store(geo_.ring_size(), std::memory_order_relaxed);
-    tail_.store(geo_.ring_size(), std::memory_order_relaxed);
+    tail_.store(geo_.ring_size() + (full ? geo_.capacity() : 0),
+                std::memory_order_relaxed);
+    if (full) threshold_.arm();
   }
 
   ~CcqRing() {
@@ -66,7 +75,8 @@ class CcqRing {
 
   std::uint64_t capacity() const { return geo_.capacity(); }
 
-  Result enqueue_idx(std::uint64_t eidx, std::uint64_t max_iters) {
+  [[gnu::always_inline]] Result enqueue_idx(std::uint64_t eidx,
+                                            std::uint64_t max_iters) {
     for (std::uint64_t iter = 0; iter < max_iters; ++iter) {
       const std::uint64_t t = tail_.fetch_add(1, std::memory_order_seq_cst);
       const std::uint64_t tcycle = geo_.cycle_of_pos(t);
@@ -92,7 +102,8 @@ class CcqRing {
     return kContended;
   }
 
-  Result dequeue_idx(std::uint64_t* out, std::uint64_t max_iters) {
+  [[gnu::always_inline]] Result dequeue_idx(std::uint64_t* out,
+                                            std::uint64_t max_iters) {
     if (threshold_.spent()) return kEmpty;
     for (std::uint64_t iter = 0; iter < max_iters; ++iter) {
       const std::uint64_t h = head_.fetch_add(1, std::memory_order_seq_cst);

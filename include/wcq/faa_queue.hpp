@@ -73,14 +73,14 @@ class FaaQueue {
   // while leaving the cell empty. Typed callers that need the full
   // 64-bit value space over this backend must use a boxed
   // slot_codec (pointers never collide with the sentinels).
-  bool try_push(std::uint64_t v, Handle& h) {
+  [[gnu::noinline]] bool try_push(std::uint64_t v, Handle& h) {
     if (v >= kTakenCell) return false;
     smr::Domain::Pin pin(smr_, h.slot());
     return push_impl(v);
   }
 
   // False iff the queue is empty.
-  bool try_pop(std::uint64_t* v, Handle& h) {
+  [[gnu::noinline]] bool try_pop(std::uint64_t* v, Handle& h) {
     smr::Domain::Pin pin(smr_, h.slot());
     return pop_impl(v, h.slot());
   }

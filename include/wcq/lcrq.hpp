@@ -59,7 +59,7 @@ class Crq {
   static constexpr bool refuses(std::uint64_t v) { return v == kEmptyVal; }
 
   // Enqueue into one ring. False iff the ring is (or became) closed.
-  bool push(std::uint64_t v) {
+  [[gnu::always_inline]] bool push(std::uint64_t v) {
     unsigned tries = 0;
     for (;;) {
       const std::uint64_t traw = tail.fetch_add(1, std::memory_order_seq_cst);
@@ -92,7 +92,7 @@ class Crq {
 
   // Dequeue from one ring. False iff the ring is observed empty
   // (head caught up with tail; tail repaired via fix_state).
-  bool pop(std::uint64_t* out) {
+  [[gnu::always_inline]] bool pop(std::uint64_t* out) {
     for (;;) {
       const std::uint64_t h = head.fetch_add(1, std::memory_order_seq_cst);
       Cell* cell = &cells()[h & (ring_size_ - 1)];

@@ -51,7 +51,6 @@ class ScqSegment {
     std::atomic<std::uint64_t>* data = s->data();
     for (std::uint64_t i = 0; i < n; ++i) {
       new (&data[i]) std::atomic<std::uint64_t>(0);
-      s->aq_.enqueue_idx(i, ScqRing::kUnbounded);
     }
     return s;
   }
@@ -66,7 +65,7 @@ class ScqSegment {
 
   // False iff the segment can take no more values: free-index ring
   // exhausted (full) or value ring closed.
-  bool push(std::uint64_t v) {
+  [[gnu::always_inline]] bool push(std::uint64_t v) {
     std::uint64_t idx = 0;
     if (aq_.dequeue_idx(&idx, ScqRing::kUnbounded) == ScqRing::kEmpty) {
       return false;  // no free slots: full
@@ -80,7 +79,7 @@ class ScqSegment {
     return true;
   }
 
-  bool pop(std::uint64_t* v) {
+  [[gnu::always_inline]] bool pop(std::uint64_t* v) {
     std::uint64_t idx = 0;
     if (fq_.dequeue_idx(&idx, FinalScqRing::kUnbounded) ==
         FinalScqRing::kEmpty) {
@@ -105,7 +104,7 @@ class ScqSegment {
 
  private:
   ScqSegment(unsigned order, bool remap)
-      : aq_(order, remap), fq_(order, remap) {}
+      : aq_(order, remap, /*full=*/true), fq_(order, remap, /*full=*/false) {}
 
   static std::size_t bytes(std::uint64_t n) {
     return sizeof(ScqSegment) + n * sizeof(std::atomic<std::uint64_t>);

@@ -20,21 +20,37 @@ struct Stats {
 };
 
 namespace detail {
-// Every counted alloc and free touches these, so they get a line of
-// their own: left to the linker, four separate globals may straddle
-// two cache lines, and every allocation from every thread then
-// contends on both.
+// live and peak are one global history, so peak_bytes is exact: they
+// share a line of their own (left to the linker, separate globals may
+// straddle two lines, and every allocation from every thread then
+// contends on both).
 struct alignas(wcq::detail::kNoFalseSharing) Counters {
   std::atomic<std::uint64_t> live{0};
   std::atomic<std::uint64_t> peak{0};
-  std::atomic<std::uint64_t> allocs{0};
-  std::atomic<std::uint64_t> total{0};
 };
 inline Counters counters;
 
+// allocs and total are only ever summed, so each thread bumps a stripe
+// of its own instead of the shared line. Threads past kStripes share
+// stripes round-robin; fetch_add keeps the sums exact either way.
+struct alignas(wcq::detail::kNoFalseSharing) Stripe {
+  std::atomic<std::uint64_t> allocs{0};
+  std::atomic<std::uint64_t> total{0};
+};
+inline constexpr unsigned kStripes = 16;
+inline Stripe stripes[kStripes];
+
+inline Stripe& my_stripe() {
+  static std::atomic<unsigned> next{0};
+  thread_local Stripe& s =
+      stripes[next.fetch_add(1, std::memory_order_relaxed) % kStripes];
+  return s;
+}
+
 inline void on_alloc(std::size_t bytes) {
-  counters.allocs.fetch_add(1, std::memory_order_relaxed);
-  counters.total.fetch_add(bytes, std::memory_order_relaxed);
+  Stripe& s = my_stripe();
+  s.allocs.fetch_add(1, std::memory_order_relaxed);
+  s.total.fetch_add(bytes, std::memory_order_relaxed);
   const std::uint64_t now =
       counters.live.fetch_add(bytes, std::memory_order_relaxed) + bytes;
   std::uint64_t p = counters.peak.load(std::memory_order_relaxed);
@@ -62,17 +78,22 @@ inline void free(void* p, std::size_t bytes,
 inline void reset() {
   detail::counters.live.store(0, std::memory_order_relaxed);
   detail::counters.peak.store(0, std::memory_order_relaxed);
-  detail::counters.allocs.store(0, std::memory_order_relaxed);
-  detail::counters.total.store(0, std::memory_order_relaxed);
+  for (detail::Stripe& s : detail::stripes) {
+    s.allocs.store(0, std::memory_order_relaxed);
+    s.total.store(0, std::memory_order_relaxed);
+  }
 }
 
+// Racing live allocations, total_allocs and total_bytes may lag them;
+// once the allocating threads are joined they are exact.
 inline Stats stats() {
-  const detail::Counters& c = detail::counters;
   Stats s;
-  s.live_bytes = c.live.load(std::memory_order_relaxed);
-  s.peak_bytes = c.peak.load(std::memory_order_relaxed);
-  s.total_allocs = c.allocs.load(std::memory_order_relaxed);
-  s.total_bytes = c.total.load(std::memory_order_relaxed);
+  s.live_bytes = detail::counters.live.load(std::memory_order_relaxed);
+  s.peak_bytes = detail::counters.peak.load(std::memory_order_relaxed);
+  for (const detail::Stripe& st : detail::stripes) {
+    s.total_allocs += st.allocs.load(std::memory_order_relaxed);
+    s.total_bytes += st.total.load(std::memory_order_relaxed);
+  }
   return s;
 }
 

@@ -55,10 +55,14 @@ class MsqQueue {
   }
 
   // Always succeeds (unbounded).
-  bool try_push(std::uint64_t v, Handle& h) { return push_impl(v, h.slot()); }
+  [[gnu::noinline]] bool try_push(std::uint64_t v, Handle& h) {
+    return push_impl(v, h.slot());
+  }
 
   // False iff the queue is empty.
-  bool try_pop(std::uint64_t* v, Handle& h) { return pop_impl(v, h.slot()); }
+  [[gnu::noinline]] bool try_pop(std::uint64_t* v, Handle& h) {
+    return pop_impl(v, h.slot());
+  }
 
   smr::Stats smr_stats() const { return smr_.stats(); }
 

@@ -43,18 +43,26 @@ class NcqRing {
 
   static constexpr std::uint64_t kUnbounded = ~std::uint64_t{0};
 
-  NcqRing(unsigned order, bool remap)
+  // `full` starts the ring holding indices 0..capacity-1 in order,
+  // written as the state `capacity` enqueue_idx calls into the empty
+  // ring leave: index i at position ring_size + i (entry map(i), cycle
+  // 1), Tail capacity past Head.
+  NcqRing(unsigned order, bool remap, bool full)
       : geo_(order),
         remap_(remap ? ring::Remap::cache(geo_, kLineBits)
                      : ring::Remap::identity(geo_)) {
     entries_ = static_cast<ring::PlainEntry*>(
         mem::alloc(geo_.ring_size() * sizeof(ring::PlainEntry)));
     for (std::uint64_t j = 0; j < geo_.ring_size(); ++j) {
-      entries_[j].word.store(geo_.pack(0, true, geo_.bot()),
+      const std::uint64_t i = remap_.unmap(j);
+      entries_[j].word.store(full && i < geo_.capacity()
+                                 ? geo_.pack(1, true, i)
+                                 : geo_.pack(0, true, geo_.bot()),
                              std::memory_order_relaxed);
     }
     head_.store(geo_.ring_size(), std::memory_order_relaxed);
-    tail_.store(geo_.ring_size(), std::memory_order_relaxed);
+    tail_.store(geo_.ring_size() + (full ? geo_.capacity() : 0),
+                std::memory_order_relaxed);
   }
 
   ~NcqRing() {
@@ -69,7 +77,8 @@ class NcqRing {
   // Install an index at Tail. No ticket is reserved up front: everyone
   // races a CAS on the entry at the *current* Tail position, and Tail
   // moves only after the install is visible.
-  Result enqueue_idx(std::uint64_t eidx, std::uint64_t max_iters) {
+  [[gnu::always_inline]] Result enqueue_idx(std::uint64_t eidx,
+                                            std::uint64_t max_iters) {
     for (std::uint64_t iter = 0; iter < max_iters; ++iter) {
       std::uint64_t t = tail_.load(std::memory_order_seq_cst);
       const std::uint64_t tcycle = geo_.cycle_of_pos(t);
@@ -100,7 +109,8 @@ class NcqRing {
   // consumption. kEmpty is the naive Tail <= Head observation — there
   // is no definitive-empty budget to spend, which is precisely NCQ's
   // livelock exposure.
-  Result dequeue_idx(std::uint64_t* out, std::uint64_t max_iters) {
+  [[gnu::always_inline]] Result dequeue_idx(std::uint64_t* out,
+                                            std::uint64_t max_iters) {
     for (std::uint64_t iter = 0; iter < max_iters; ++iter) {
       std::uint64_t h = head_.load(std::memory_order_seq_cst);
       const std::uint64_t hcycle = geo_.cycle_of_pos(h);

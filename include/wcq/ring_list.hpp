@@ -81,7 +81,7 @@ class RingList {
   // Succeeds for every value the node stores (unbounded: a full or
   // closed node is succeeded by a fresh one); a refused value is
   // reported (false) rather than silently lost.
-  bool try_push(std::uint64_t v, Handle& h) {
+  [[gnu::noinline]] bool try_push(std::uint64_t v, Handle& h) {
     if (Node::refuses(v)) return false;
     const unsigned slot = h.slot();
     for (;;) {
@@ -114,7 +114,7 @@ class RingList {
   }
 
   // False iff the queue is empty.
-  bool try_pop(std::uint64_t* v, Handle& h) {
+  [[gnu::noinline]] bool try_pop(std::uint64_t* v, Handle& h) {
     const unsigned slot = h.slot();
     for (;;) {
       Node* n = smr_.protect(slot, 0, head_);

@@ -23,10 +23,10 @@
 
 namespace wcq {
 
-// Ring is any index ring with the kernel's shape: an (order, remap)
-// constructor, enqueue_idx/dequeue_idx taking an iteration budget, and
-// kEmpty/kUnbounded. Positions and cycles follow Geometry, so every
-// such ring shares ring::kMaxOrder as its ceiling.
+// Ring is any index ring with the kernel's shape: an (order, remap,
+// full) constructor, enqueue_idx/dequeue_idx taking an iteration
+// budget, and kEmpty/kUnbounded. Positions and cycles follow Geometry,
+// so every such ring shares ring::kMaxOrder as its ceiling.
 template <typename Ring>
 class TwoRingQueue {
  public:
@@ -47,7 +47,7 @@ class TwoRingQueue {
   std::optional<Handle> try_get_handle() { return Handle{}; }
 
   // False iff the queue is full.
-  bool try_push(std::uint64_t v, Handle&) {
+  [[gnu::noinline]] bool try_push(std::uint64_t v, Handle&) {
     std::uint64_t idx = 0;
     if (aq_.dequeue_idx(&idx, Ring::kUnbounded) == Ring::kEmpty) {
       return false;  // no free slots: full
@@ -58,7 +58,7 @@ class TwoRingQueue {
   }
 
   // False iff the queue is empty.
-  bool try_pop(std::uint64_t* v, Handle&) {
+  [[gnu::noinline]] bool try_pop(std::uint64_t* v, Handle&) {
     std::uint64_t idx = 0;
     if (fq_.dequeue_idx(&idx, Ring::kUnbounded) == Ring::kEmpty) {
       return false;
@@ -73,13 +73,12 @@ class TwoRingQueue {
   // refusals.
   TwoRingQueue(const options& opt, const char* who)
       : n_(std::uint64_t{1} << opt.validate(who, ring::kMaxOrder).order()),
-        aq_(opt.order(), opt.remap()),
-        fq_(opt.order(), opt.remap()) {
+        aq_(opt.order(), opt.remap(), /*full=*/true),
+        fq_(opt.order(), opt.remap(), /*full=*/false) {
     data_ = static_cast<std::atomic<std::uint64_t>*>(
         mem::alloc(n_ * sizeof(std::atomic<std::uint64_t>)));
     for (std::uint64_t i = 0; i < n_; ++i) {
       data_[i].store(0, std::memory_order_relaxed);
-      aq_.enqueue_idx(i, Ring::kUnbounded);
     }
   }
 

@@ -99,13 +99,14 @@ class ScqRingT {
   static constexpr std::uint64_t kUnbounded = ~std::uint64_t{0};
 
   // Capacity is 2^order indices; the ring itself has 2^(order+1)
-  // entries. `remap` toggles Cache_Remap. `reqs` is the queue's
-  // RingRequest array, which notes reference by slot; required iff
-  // Noted. `is_fq` is the ring's identity bit in request ctl words
-  // (0 = free-index ring aq, 1 = value ring fq), so helpers never step
-  // a request against the wrong ring.
-  ScqRingT(unsigned order, bool remap, RingRequest* reqs = nullptr,
-           bool is_fq = false)
+  // entries. `remap` toggles Cache_Remap. `full` starts the ring
+  // holding indices 0..capacity-1 in order instead of empty. `reqs` is
+  // the queue's RingRequest array, which notes reference by slot;
+  // required iff Noted. `is_fq` is the ring's identity bit in request
+  // ctl words (0 = free-index ring aq, 1 = value ring fq), so helpers
+  // never step a request against the wrong ring.
+  ScqRingT(unsigned order, bool remap, bool full,
+           RingRequest* reqs = nullptr, bool is_fq = false)
       : geo_(order),
         remap_(remap ? ring::Remap::cache(geo_, kLineBits)
                      : ring::Remap::identity(geo_)),
@@ -114,17 +115,25 @@ class ScqRingT {
         threshold_(geo_) {
     entries_ = static_cast<Entry*>(
         mem::alloc(geo_.ring_size() * sizeof(Entry)));
+    // Start positions at ring_size so live cycles begin at 1 and are
+    // always distinguishable from the zero-initialised entries. A full
+    // ring is written as the state `capacity` enqueue_idx calls into
+    // the empty ring leave: index i at position ring_size + i (entry
+    // map(i), cycle 1, safe), Tail capacity past Head, threshold armed.
     for (std::uint64_t j = 0; j < geo_.ring_size(); ++j) {
-      entries_[j].word.store(geo_.pack(0, true, geo_.bot()),
+      const std::uint64_t i = remap_.unmap(j);
+      entries_[j].word.store(full && i < geo_.capacity()
+                                 ? geo_.pack(1, true, i)
+                                 : geo_.pack(0, true, geo_.bot()),
                              std::memory_order_relaxed);
       if constexpr (Noted) {
         entries_[j].note.store(0, std::memory_order_relaxed);
       }
     }
-    // Start positions at ring_size so live cycles begin at 1 and are
-    // always distinguishable from the zero-initialised entries.
     head_.store(geo_.ring_size(), std::memory_order_relaxed);
-    tail_.store(geo_.ring_size(), std::memory_order_relaxed);
+    tail_.store(geo_.ring_size() + (full ? geo_.capacity() : 0),
+                std::memory_order_relaxed);
+    if (full) threshold_.arm();
   }
 
   ~ScqRingT() { mem::free(entries_, geo_.ring_size() * sizeof(Entry)); }
@@ -143,7 +152,8 @@ class ScqRingT {
   // indices are live the ring always has room, so the only non-kOk
   // outcome is kContended when `max_iters` attempts are spent (or
   // kClosed once a finalizable ring is closed).
-  Result enqueue_idx(std::uint64_t eidx, std::uint64_t max_iters) {
+  [[gnu::always_inline]] Result enqueue_idx(std::uint64_t eidx,
+                                            std::uint64_t max_iters) {
     for (std::uint64_t iter = 0; iter < max_iters; ++iter) {
       if constexpr (Finalizable) {
         // Cheap pre-check; the FAA below is the authoritative one.
@@ -184,7 +194,8 @@ class ScqRingT {
 
   // Dequeue an index. kEmpty is definitive (threshold exhausted or
   // tail caught up); kContended means patience ran out first.
-  Result dequeue_idx(std::uint64_t* out, std::uint64_t max_iters) {
+  [[gnu::always_inline]] Result dequeue_idx(std::uint64_t* out,
+                                            std::uint64_t max_iters) {
     if (threshold_.spent()) {
       return kEmpty;  // the paper's fast empty exit (Figure 11a)
     }

@@ -88,8 +88,8 @@ class WcqQueueT {
         n_(std::uint64_t{1} << opt.order()),
         reqs_(static_cast<RingRequest*>(
             mem::alloc(max_threads_ * sizeof(RingRequest)))),
-        aq_(opt.order(), opt.remap(), reqs_, /*is_fq=*/false),
-        fq_(opt.order(), opt.remap(), reqs_, /*is_fq=*/true),
+        aq_(opt.order(), opt.remap(), /*full=*/true, reqs_, /*is_fq=*/false),
+        fq_(opt.order(), opt.remap(), /*full=*/false, reqs_, /*is_fq=*/true),
         slots_(max_threads_) {
     for (unsigned i = 0; i < max_threads_; ++i) {
       new (&reqs_[i]) RingRequest();
@@ -98,7 +98,6 @@ class WcqQueueT {
         mem::alloc(n_ * sizeof(std::atomic<std::uint64_t>)));
     for (std::uint64_t i = 0; i < n_; ++i) {
       data_[i].store(0, std::memory_order_relaxed);
-      aq_.enqueue_idx(i, Ring::kUnbounded);
     }
     recs_ = static_cast<ThreadRec*>(
         mem::alloc(max_threads_ * sizeof(ThreadRec)));
@@ -140,7 +139,7 @@ class WcqQueueT {
   }
 
   // False iff the queue is full.
-  bool try_push(std::uint64_t v, Handle& h) {
+  [[gnu::noinline]] bool try_push(std::uint64_t v, Handle& h) {
     ThreadRec* rec = h.rec_;
     maybe_help(rec);
 #if !defined(WCQ_ALL_SLOW)
@@ -169,7 +168,7 @@ class WcqQueueT {
   }
 
   // False iff the queue is empty.
-  bool try_pop(std::uint64_t* v, Handle& h) {
+  [[gnu::noinline]] bool try_pop(std::uint64_t* v, Handle& h) {
     ThreadRec* rec = h.rec_;
     maybe_help(rec);
 #if !defined(WCQ_ALL_SLOW)

@@ -5,9 +5,8 @@
 // "-" in the human table, an empty CSV cell, and no JSON field.
 //
 // One human printer (aligned rows, one per point), one long-format CSV
-// printer (header `series,<x_label>,<columns...>`) that
-// scripts/run_benches.sh lifts fields from by header name, and one JSON
-// printer for machine consumers.
+// printer (header `series,<x_label>,<columns...>`) for lifting fields
+// by header name, and one JSON printer for machine consumers.
 #pragma once
 
 #include <algorithm>

@@ -1,0 +1,34 @@
+# Guards the code shape of every queue operation: ring operations are
+# [[gnu::always_inline]] and backend entry points [[gnu::noinline]], so
+# a figure binary must hold no out-of-line copy of a ring operation.
+# Any symbol matching the pattern below is a call the source says
+# cannot exist, and the figures would again price the inliner.
+#
+#   cmake -DNM=<nm> -DBINARIES=<bin>,<bin>,... -P codegen_pinned.cmake
+cmake_minimum_required(VERSION 3.16)
+
+set(_pattern "(enqueue|dequeue)_idx\\(|wcq::(Crq|ScqSegment)::(push|pop)\\(")
+
+string(REPLACE "," ";" _binaries "${BINARIES}")
+set(_found 0)
+foreach(bin IN LISTS _binaries)
+  execute_process(COMMAND ${NM} -C ${bin}
+                  OUTPUT_VARIABLE _symbols
+                  RESULT_VARIABLE _rc)
+  if(NOT _rc EQUAL 0)
+    message(FATAL_ERROR "${NM} -C ${bin} failed (${_rc})")
+  endif()
+  string(REPLACE "\n" ";" _lines "${_symbols}")
+  list(FILTER _lines INCLUDE REGEX "${_pattern}")
+  foreach(hit IN LISTS _lines)
+    message("${bin}: ${hit}")
+    math(EXPR _found "${_found} + 1")
+  endforeach()
+endforeach()
+
+list(LENGTH _binaries _count)
+if(_found GREATER 0)
+  message(FATAL_ERROR "${_found} out-of-line ring operation(s) in "
+                      "${_count} binaries")
+endif()
+message("no out-of-line ring operation in ${_count} binaries")

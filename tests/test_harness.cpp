@@ -1,9 +1,12 @@
 // Unit checks for the measurement harness itself: the result table's
-// three printers, RNG distribution sanity, the counting allocator,
-// repeat_measure actually running setup/body the advertised number of
-// times, and the WCQ_BENCH_* value parser.
+// three printers, RNG distribution sanity, the counting allocator
+// (serially and from concurrent threads), repeat_measure actually
+// running setup/body the advertised number of times, and the
+// WCQ_BENCH_* value parser.
+#include <algorithm>
 #include <optional>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "common/mem_stats.hpp"
@@ -107,6 +110,64 @@ void test_mem_counter() {
   std::printf("  ok mem_counter\n");
 }
 
+// Threads allocating at once: the per-thread alloc/byte tallies must
+// sum exactly after the join, live bytes must return to their
+// baseline, and the one global peak must cover the most any single
+// thread held live.
+void test_mem_counter_concurrent() {
+  constexpr unsigned kThreads = 4;
+  constexpr unsigned kPairs = 100000;
+  constexpr unsigned kHeld = 8;  // blocks a thread holds at once
+  const mem::Stats before = mem::stats();
+  std::vector<std::uint64_t> bytes(kThreads, 0);
+  std::vector<std::uint64_t> own_peak(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Xoshiro256 rng(100 + t);
+      void* ptr[kHeld] = {};
+      std::size_t size[kHeld] = {};
+      std::uint64_t live = 0;
+      for (unsigned i = 0; i < kPairs; ++i) {
+        const unsigned k = i % kHeld;
+        mem::free(ptr[k], size[k]);  // nullptr (a no-op) on the first lap
+        live -= size[k];
+        size[k] = 1 + rng.next_below(4096);
+        ptr[k] = mem::alloc(size[k]);
+        live += size[k];
+        bytes[t] += size[k];
+        own_peak[t] = std::max(own_peak[t], live);
+      }
+      for (unsigned k = 0; k < kHeld; ++k) mem::free(ptr[k], size[k]);
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  const mem::Stats after = mem::stats();
+  std::uint64_t all_bytes = 0;
+  std::uint64_t max_own = 0;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    all_bytes += bytes[t];
+    max_own = std::max(max_own, own_peak[t]);
+  }
+  WCQ_CHECK(after.total_allocs - before.total_allocs ==
+                std::uint64_t{kThreads} * kPairs,
+            "total_allocs grew by %llu",
+            (unsigned long long)(after.total_allocs - before.total_allocs));
+  WCQ_CHECK(after.total_bytes - before.total_bytes == all_bytes,
+            "total_bytes grew by %llu, want %llu",
+            (unsigned long long)(after.total_bytes - before.total_bytes),
+            (unsigned long long)all_bytes);
+  WCQ_CHECK(after.live_bytes == before.live_bytes, "live %llu, baseline %llu",
+            (unsigned long long)after.live_bytes,
+            (unsigned long long)before.live_bytes);
+  WCQ_CHECK(after.peak_bytes >= before.live_bytes + max_own,
+            "peak %llu below one thread's high water %llu",
+            (unsigned long long)after.peak_bytes,
+            (unsigned long long)(before.live_bytes + max_own));
+  std::printf("  ok mem_counter_concurrent\n");
+}
+
 void test_repeat_measure() {
   std::atomic<unsigned> setups{0};
   std::atomic<unsigned> bodies{0};
@@ -171,6 +232,7 @@ int main() {
   test_want_csv();
   test_rng();
   test_mem_counter();
+  test_mem_counter_concurrent();
   test_repeat_measure();
   test_sweep_parse();
   return 0;

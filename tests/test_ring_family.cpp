@@ -18,15 +18,22 @@
 //     mix over one queue; accounting must be exact (every accepted
 //     push popped exactly once, nothing invented) and each popping
 //     thread must see every pusher's values in monotone order.
+//  4. Start-full differential per index ring (SCQ, NCQ, CCQ): a ring
+//     constructed full must be indistinguishable from an empty one
+//     filled by capacity enqueue_idx calls, which is the reference.
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <numeric>
 #include <optional>
 #include <thread>
 #include <vector>
 
 #include "queue_test_common.hpp"
+#include "wcq/ccq.hpp"
+#include "wcq/ncq.hpp"
 #include "wcq/queue.hpp"
+#include "wcq/scq.hpp"
 #include "wcq/wcq.hpp"
 
 namespace {
@@ -236,6 +243,89 @@ void fuzz_concurrent(const char* name, unsigned order) {
               (unsigned long long)value_space);
 }
 
+// ---- 4. a ring started full vs one filled by enqueues ----
+
+template <typename Ring>
+void seed_differential(const char* name, unsigned order, bool remap) {
+  Ring started(order, remap, /*full=*/true);
+  Ring filled(order, remap, /*full=*/false);
+  const std::uint64_t n = filled.capacity();
+  for (std::uint64_t i = 0; i < n; ++i) {
+    WCQ_CHECK(filled.enqueue_idx(i, Ring::kUnbounded) == Ring::kOk,
+              "%s: reference enqueue of %llu failed", name,
+              (unsigned long long)i);
+  }
+  // Head and Tail, where the ring exposes them.
+  auto positions_agree = [&](std::uint64_t op) {
+    if constexpr (requires { started.head(); }) {
+      WCQ_CHECK(started.head() == filled.head() &&
+                    started.tail() == filled.tail(),
+                "%s order %u remap %d op %llu: started head/tail %llu/%llu, "
+                "filled %llu/%llu",
+                name, order, remap, (unsigned long long)op,
+                (unsigned long long)started.head(),
+                (unsigned long long)started.tail(),
+                (unsigned long long)filled.head(),
+                (unsigned long long)filled.tail());
+    }
+  };
+  // One dequeue from each ring; outcome and index must match.
+  auto dequeue_both = [&](std::uint64_t op) {
+    std::uint64_t a = ~std::uint64_t{0};
+    std::uint64_t b = ~std::uint64_t{0};
+    const auto ra = started.dequeue_idx(&a, Ring::kUnbounded);
+    const auto rb = filled.dequeue_idx(&b, Ring::kUnbounded);
+    WCQ_CHECK(ra == rb && (ra != Ring::kOk || a == b),
+              "%s order %u remap %d op %llu: started %d/%llu, filled %d/%llu",
+              name, order, remap, (unsigned long long)op, (int)ra,
+              (unsigned long long)a, (int)rb, (unsigned long long)b);
+    return ra == Ring::kOk ? std::optional<std::uint64_t>(a) : std::nullopt;
+  };
+
+  positions_agree(0);
+  // Full drain: 0..n-1 in order, then empty.
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const auto idx = dequeue_both(i);
+    WCQ_CHECK(idx && *idx == i, "%s order %u remap %d: drain slot %llu",
+              name, order, remap, (unsigned long long)i);
+  }
+  WCQ_CHECK(!dequeue_both(n), "%s order %u remap %d: drained ring not empty",
+            name, order, remap);
+  positions_agree(n);
+
+  // A random tape over the free indices (at most n live, as the
+  // two-ring construction guarantees).
+  std::vector<std::uint64_t> free_idx(n);
+  std::iota(free_idx.begin(), free_idx.end(), 0);
+  Rng rng{0x5eed0000ull + order * 2 + remap};
+  for (std::uint64_t op = 0; op < 4000; ++op) {
+    if (!free_idx.empty() && rng.next() % 2 == 0) {
+      const std::size_t k = rng.next() % free_idx.size();
+      const std::uint64_t idx = free_idx[k];
+      free_idx[k] = free_idx.back();
+      free_idx.pop_back();
+      WCQ_CHECK(started.enqueue_idx(idx, Ring::kUnbounded) == Ring::kOk &&
+                    filled.enqueue_idx(idx, Ring::kUnbounded) == Ring::kOk,
+                "%s order %u remap %d op %llu: enqueue failed", name, order,
+                remap, (unsigned long long)op);
+    } else if (const auto idx = dequeue_both(op)) {
+      free_idx.push_back(*idx);
+    }
+    positions_agree(op);
+  }
+}
+
+void test_seed_full() {
+  for (const unsigned order : {1u, 4u, 10u}) {
+    for (const bool remap : {false, true}) {
+      seed_differential<ScqRing>("scq", order, remap);
+      seed_differential<NcqRing>("ncq", order, remap);
+      seed_differential<CcqRing>("ccq", order, remap);
+    }
+  }
+  std::printf("  ok seed_full         (scq, ncq, ccq; orders 1/4/10)\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -264,6 +354,9 @@ int main(int argc, char** argv) {
   }
   if (argc < 2 || test::selected(argc, argv, "family")) {
     test_tape_agreement();
+  }
+  if (argc < 2 || test::selected(argc, argv, "seed")) {
+    test_seed_full();
   }
   return 0;
 }
