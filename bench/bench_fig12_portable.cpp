@@ -1,6 +1,12 @@
 // Figure 12 (a,b,c) — the PowerPC experiments: empty-dequeue, pairwise
 // and 50/50 throughput with the §4 portable wCQ build (no pointer-wide
-// CAS2 on Head/Tail; split entry CAS2). LCRQ is absent, exactly as in
+// CAS2 on Head/Tail; split entry CAS2). As in the paper, the portable
+// build differs from native wCQ only on the slow path where libatomic
+// reports its 16-byte CAS lock-free: both fast paths then mutate
+// entries with the same single-word CAS, and only the slow path's CAS2
+// takes the __atomic route. Where libatomic does not (gcc 12.2's, on
+// x86-64), the portable fast path keeps a CAS2 per entry mutation, and
+// this figure prices that too. LCRQ is absent, exactly as in
 // the paper (it requires true CAS2 and cannot run on POWER).
 //
 // Substitution note (DESIGN.md §3): the POWER machine is stood in for

@@ -65,7 +65,7 @@ struct Pair {
 
 // Aliasing contract: the 16-byte CAS paths operate on storage that is
 // concurrently accessed as two separate std::atomic<uint64_t> members
-// (NotedEntry in scq_ring.hpp) through a reinterpret_cast to Pair.
+// (NotedEntry in ring_entry.hpp) through a reinterpret_cast to Pair.
 // Mixing access widths on the same atomic object is outside the C++
 // memory model, but it is the only way to pair cmpxchg16b with plain
 // 64-bit loads/CASes and is well-defined at the ISA level on every
@@ -73,6 +73,23 @@ struct Pair {
 // asserts pin the layout assumptions the cast relies on: an atomic
 // u64 is exactly its value representation and lock-free, so Pair and
 // {atomic<u64>, atomic<u64>} are layout-interchangeable.
+//
+// Mixed-width CAS: the wCQ ring's fast path CASes the word half with 8
+// bytes while slow-path helpers CAS2 the whole pair (the noted bit,
+// ring::NotedEntry). The two are atomic with respect to each other
+// where CAS2 is one hardware instruction: `lock cmpxchg16b` below, and
+// libatomic's cx16 path, where cas2_portable's call lands on it. Both
+// lock the entry's line, as the 8-byte `lock cmpxchg` does, so neither
+// can land inside the other. It would not hold over a lock-based
+// 16-byte fallback, such as a libatomic without cx16 or the
+// spin-locked emulation in gcc 12's TSan runtime: the 8-byte CAS takes
+// no lock, can land between the fallback's read and its write, and is
+// then overwritten. kCas2Hardware marks the builds whose cas2 is the
+// inline instruction. Which path libatomic takes is its own choice (an
+// ifunc on the running CPU, or how it was built), so the portable ring
+// relies on it only where __atomic_is_lock_free says so. Wherever the
+// contract is not known to hold, every word mutation of the wCQ ring
+// stays a CAS2 (ScqRingT::narrow_word_cas).
 static_assert(std::atomic<std::uint64_t>::is_always_lock_free,
               "wcq requires lock-free 64-bit atomics");
 static_assert(sizeof(std::atomic<std::uint64_t>) == sizeof(std::uint64_t),
@@ -97,6 +114,12 @@ static_assert(sizeof(Pair) == 2 * sizeof(std::uint64_t) &&
 #else
 #define WCQ_CAS2_NATIVE 0
 #endif
+
+// cas2 inlines cmpxchg16b, one hardware instruction, so the
+// mixed-width contract above holds for it. On other builds (TSan,
+// non-x86) no wCQ ring relies on the contract; on these, the portable
+// ring still asks libatomic about cas2_portable.
+inline constexpr bool kCas2Hardware = WCQ_CAS2_NATIVE != 0;
 
 // Portable CAS2: __atomic builtins on a 16-byte object. With -mcx16
 // (set by the build for x86-64) this stays lock-free; under TSan it is

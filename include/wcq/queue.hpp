@@ -84,7 +84,10 @@ struct slot_codec<T, true> {
 
 /// Boxed storage: the slot carries a pointer to a heap copy. Goes
 /// through mem::alloc so boxed traffic shows up in the Figure 10
-/// memory accounting like every other queue allocation.
+/// memory accounting like every other queue allocation. The `_n`
+/// forms box or unbox a batch chunk (at most kBatchChunk values) as one
+/// mem request, so a chunk costs one RMW on the shared live line
+/// instead of one per value.
 template <typename T>
 struct slot_codec<T, false> {
   static constexpr bool kBoxed = true;
@@ -108,7 +111,150 @@ struct slot_codec<T, false> {
     p->~T();
     mem::free(p, sizeof(T), alignof(T));
   }
+
+  /// The `_n` forms take one chunk: n <= kBatchChunk, else they throw
+  /// std::length_error before touching anything.
+  ///
+  /// Boxes copies of vs[0..n) into slots[0..n). All-or-nothing: if
+  /// copying a value throws, the boxes made so far are destroyed, the
+  /// chunk's memory is freed and the exception propagates.
+  static void encode_n(const T* vs, std::size_t n, std::uint64_t* slots) {
+    check_chunk(n);
+    void* raw[kBatchChunk];
+    mem::alloc_n(raw, n, sizeof(T), alignof(T));
+    std::size_t made = 0;
+    try {
+      for (; made < n; ++made) {
+        T* p = new (raw[made]) T(vs[made]);
+        slots[made] = reinterpret_cast<std::uint64_t>(p);
+      }
+    } catch (...) {
+      while (made-- > 0) reinterpret_cast<T*>(slots[made])->~T();
+      mem::free_n(raw, n, sizeof(T), alignof(T));
+      throw;
+    }
+  }
+
+  /// Moves the values out of slots[0..n) into out[0..n), then frees
+  /// every box, also when a move throws.
+  static void decode_n(const std::uint64_t* slots, std::size_t n, T* out) {
+    check_chunk(n);
+    try {
+      for (std::size_t i = 0; i < n; ++i) {
+        out[i] = std::move(*reinterpret_cast<T*>(slots[i]));
+      }
+    } catch (...) {
+      drop_n(slots, n);
+      throw;
+    }
+    drop_n(slots, n);
+  }
+
+  /// Destroys and frees the boxes in slots[0..n).
+  static void drop_n(const std::uint64_t* slots, std::size_t n) {
+    check_chunk(n);
+    void* raw[kBatchChunk];
+    for (std::size_t i = 0; i < n; ++i) {
+      T* p = reinterpret_cast<T*>(slots[i]);
+      p->~T();
+      raw[i] = p;
+    }
+    mem::free_n(raw, n, sizeof(T), alignof(T));
+  }
+
+ private:
+  static void check_chunk(std::size_t n) {
+    if (n > kBatchChunk) {
+      throw std::length_error("slot_codec: a batch chunk holds at most "
+                              "kBatchChunk values");
+    }
+  }
 };
+
+namespace detail {
+
+// A codec's chunk forms (at most kBatchChunk values): its encode_n /
+// decode_n / drop_n where it has them, else one per-value call each,
+// so a user specialization without them keeps working. On both paths
+// a throw leaks no box: if encoding value k throws, values 0..k-1 are
+// dropped; if decoding value k throws, values k+1.. are.
+template <typename Codec>
+void drop_chunk(const std::uint64_t* slots, std::size_t n) {
+  if constexpr (requires { Codec::drop_n(slots, n); }) {
+    Codec::drop_n(slots, n);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) Codec::drop(slots[i]);
+  }
+}
+
+template <typename Codec, typename T>
+void encode_chunk(const T* vs, std::size_t n, std::uint64_t* slots) {
+  if constexpr (requires { Codec::encode_n(vs, n, slots); }) {
+    Codec::encode_n(vs, n, slots);
+  } else {
+    std::size_t made = 0;
+    try {
+      for (; made < n; ++made) slots[made] = Codec::encode(vs[made]);
+    } catch (...) {
+      drop_chunk<Codec>(slots, made);
+      throw;
+    }
+  }
+}
+
+template <typename Codec, typename T>
+void decode_chunk(const std::uint64_t* slots, std::size_t n, T* out) {
+  if constexpr (requires { Codec::decode_n(slots, n, out); }) {
+    Codec::decode_n(slots, n, out);
+  } else {
+    std::size_t i = 0;
+    try {
+      for (; i < n; ++i) out[i] = Codec::decode(slots[i]);
+    } catch (...) {
+      drop_chunk<Codec>(slots + i + 1, n - i - 1);
+      throw;
+    }
+  }
+}
+
+// A backend with a native push burst (FaaQueue claims a run of
+// tickets with one FAA).
+template <typename Backend>
+concept PushBurst = requires(Backend& b, const std::uint64_t* slots,
+                             std::size_t n, typename Backend::Handle& h) {
+  { b.try_push_n(slots, n, h) } -> std::same_as<std::size_t>;
+};
+
+// Pushes slots[0..n) into one backend in order, stopping at the first
+// refusal; returns how many it took. One native burst where the
+// backend has one, else one try_push per slot.
+template <typename Backend>
+std::size_t backend_push_n(Backend& b, const std::uint64_t* slots,
+                           std::size_t n, typename Backend::Handle& h) {
+  if constexpr (PushBurst<Backend>) {
+    return b.try_push_n(slots, n, h);
+  } else {
+    std::size_t ok = 0;
+    while (ok < n && b.try_push(slots[ok], h)) ++ok;
+    return ok;
+  }
+}
+
+template <typename Backend>
+std::size_t backend_pop_n(Backend& b, std::uint64_t* slots, std::size_t n,
+                          typename Backend::Handle& h) {
+  if constexpr (requires {
+                  { b.try_pop_n(slots, n, h) } -> std::same_as<std::size_t>;
+                }) {
+    return b.try_pop_n(slots, n, h);
+  } else {
+    std::size_t ok = 0;
+    while (ok < n && b.try_pop(&slots[ok], h)) ++ok;
+    return ok;
+  }
+}
+
+}  // namespace detail
 
 /// The typed MPMC queue facade over any concepts::Backend.
 ///
@@ -196,27 +342,27 @@ class queue {
 
   /// Batch enqueue: pushes vs[0..n) in order, stopping at the first
   /// refusal (queue full, or a backend-reserved sentinel pattern);
-  /// returns how many were accepted. On backends with a native batch
-  /// op (FaaQueue's single-FAA ticket burst) a whole chunk costs one
-  /// ticket acquisition; elsewhere this is a plain loop — same
-  /// semantics, no amortization. Boxed payloads work: each value is
-  /// encoded through slot_codec and a refused value's box is dropped.
+  /// returns how many were accepted. On backends with a native burst
+  /// (FaaQueue's single-FAA ticket run) it works in kBatchChunk chunks:
+  /// a chunk is encoded (boxed values as one mem request), pushed as
+  /// one burst, and the refused tail's boxes are dropped; if copying a
+  /// value throws, that chunk is pushed not at all and the exception
+  /// propagates, earlier chunks staying queued. Elsewhere it is a loop
+  /// of try_push, which boxes nothing past the first refusal; a copy
+  /// that throws leaves the values before it queued.
   std::size_t try_push_n(const T* vs, std::size_t n, handle& h) {
     std::size_t pushed = 0;
-    if constexpr (requires(std::uint64_t* s) {
-                    { backend_.try_push_n(s, n, h.h_) }
-                      -> std::same_as<std::size_t>;
-                  }) {
+    if constexpr (detail::PushBurst<Backend>) {
       std::uint64_t slots[kBatchChunk];
       while (pushed < n) {
         const std::size_t chunk = std::min(n - pushed, kBatchChunk);
-        for (std::size_t i = 0; i < chunk; ++i) {
-          slots[i] = codec::encode(vs[pushed + i]);
-        }
+        detail::encode_chunk<codec>(vs + pushed, chunk, slots);
         const std::size_t ok = backend_.try_push_n(slots, chunk, h.h_);
-        for (std::size_t i = ok; i < chunk; ++i) codec::drop(slots[i]);
         pushed += ok;
-        if (ok < chunk) break;
+        if (ok < chunk) {
+          detail::drop_chunk<codec>(slots + ok, chunk - ok);
+          break;
+        }
       }
     } else {
       for (; pushed < n; ++pushed) {
@@ -231,30 +377,20 @@ class queue {
   }
 
   /// Batch dequeue into out[0..n): returns how many values arrived
-  /// (zero iff the queue is empty), in queue order. Backends with a
-  /// native burst claim the whole run of tickets with one FAA.
+  /// (zero iff the queue is empty), in queue order. Works in
+  /// kBatchChunk chunks: backends with a native burst claim a chunk's
+  /// run of tickets with one FAA, others pop one value at a time, and
+  /// the chunk is decoded (boxed values freed as one mem request).
   std::size_t try_pop_n(T* out, std::size_t n, handle& h) {
+    std::uint64_t slots[kBatchChunk];
     std::size_t got = 0;
-    if constexpr (requires(std::uint64_t* s) {
-                    { backend_.try_pop_n(s, n, h.h_) }
-                      -> std::same_as<std::size_t>;
-                  }) {
-      std::uint64_t slots[kBatchChunk];
-      while (got < n) {
-        const std::size_t chunk = std::min(n - got, kBatchChunk);
-        const std::size_t ok = backend_.try_pop_n(slots, chunk, h.h_);
-        for (std::size_t i = 0; i < ok; ++i) {
-          out[got + i] = codec::decode(slots[i]);
-        }
-        got += ok;
-        if (ok < chunk) break;
-      }
-    } else {
-      for (; got < n; ++got) {
-        std::uint64_t slot = 0;
-        if (!backend_.try_pop(&slot, h.h_)) break;
-        out[got] = codec::decode(slot);
-      }
+    while (got < n) {
+      const std::size_t chunk = std::min(n - got, kBatchChunk);
+      const std::size_t ok =
+          detail::backend_pop_n(backend_, slots, chunk, h.h_);
+      detail::decode_chunk<codec>(slots, ok, out + got);
+      got += ok;
+      if (ok < chunk) break;
     }
     return got;
   }

@@ -4,9 +4,11 @@
 //
 //   PlainEntry   one 64-bit packed word [cycle | safe | index] — SCQ,
 //                NCQ, and the LSCQ segment rings.
-//   NotedEntry   {word, note} mutated together by CAS2 — the wCQ ring.
-//                The note word parks revocable claims / committed
-//                results of the cooperative slow path.
+//   NotedEntry   {word, note} — the wCQ ring. The note word parks
+//                revocable claims / committed results of the
+//                cooperative slow path; bit 63 of the word mirrors
+//                note != 0, so the fast path mutates the word with a
+//                single-word CAS and only notes need CAS2.
 //   SplitEntry   {meta, idx} mutated together by CAS2 — CCQ, where the
 //                index is a full 64-bit word instead of being packed
 //                into the cycle word (meta = [cycle | safe]). This is
@@ -33,9 +35,29 @@ struct PlainEntry {
 };
 
 struct alignas(16) NotedEntry {
+  // The noted bit: set in `word` exactly while `note` is nonzero. Only
+  // a CAS2 that changes the note writes it (parking sets it, clearing
+  // clears it), so an 8-byte word CAS that expects the bit clear
+  // succeeds in exactly the states a CAS2 expecting note == 0 would.
+  //
+  // What it costs: the word keeps [ cycle | safe | index ] below it, so
+  // the cycle field shrinks from a plain ring's 62 - order bits (see
+  // ring::kMaxOrder) to 61 - order, and cycles wrap at position 2^62
+  // instead of 2^63 whatever the order. That is 2^62 Tail or Head FAAs
+  // on one ring: about 146 years at 10^9 FAAs per second. A wrapped
+  // cycle would carry into this bit, so the wrap must stay out of
+  // reach, not merely rare. At detail::kMaxNoteOrder (20) 41 cycle
+  // bits remain, wider than the 21 low cycle bits an enqueue claim
+  // records (detail::kNoteAuxBits), so commit can rebuild its target
+  // cycle.
+  static constexpr std::uint64_t kNotedBit = std::uint64_t{1} << 63;
+
   std::atomic<std::uint64_t> word;
   std::atomic<std::uint64_t> note;
 };
+static_assert(61 - detail::kMaxNoteOrder == 41 &&
+                  61 - detail::kMaxNoteOrder > detail::kNoteAuxBits,
+              "the noted bit's cycle budget is argued for kMaxNoteOrder 20");
 static_assert(sizeof(NotedEntry) == sizeof(detail::Pair),
               "NotedEntry must be layout-interchangeable with Pair");
 static_assert(offsetof(NotedEntry, word) == offsetof(detail::Pair, word) &&

@@ -27,10 +27,18 @@
 namespace wcq::ring {
 
 /// Largest order a packed 64-bit entry can encode: the index (order+1
-/// bits), the safe bit and at least one cycle bit share the word. The
-/// cycle field then has 62-order bits, so for every order up to this
-/// one it wraps only at position 2^63 — the bound the 63-bit position
-/// counters already impose.
+/// bits), the safe bit and at least one cycle bit share the word.
+///
+/// Why the cycle field never wraps in practice: it has 62 - order
+/// bits, and a position's cycle is the position shifted right by
+/// order + 1, so the field holds the cycle of every position below
+/// 2^(62 - order + order + 1) = 2^63 exactly, at every order. 2^63 is
+/// the position counters' own limit: LSCQ's segment rings keep the
+/// closed flag in bit 63 of Tail, and Head and Tail start at 2^(order+1)
+/// and move by one FAA per ticket, so reaching it takes 2^63 FAAs on
+/// one ring — about 292 years at 10^9 per second. The wCQ ring reserves
+/// bit 63 of its word as the noted bit and so wraps at 2^62 instead;
+/// see ring::NotedEntry.
 inline constexpr unsigned kMaxOrder = 61;
 
 /// Cycle/index arithmetic for a ring of 2^(order+1) entries backing a

@@ -5,7 +5,10 @@
 //
 // See the slow-path lifecycle comment at the top of scq_ring.hpp for
 // the Pending -> Phase2 -> DoneOk/DoneEmpty protocol these steps
-// implement (SPAA 2022, Figures 4-7).
+// implement (SPAA 2022, Figures 4-7). Every note change here is a
+// pair_cas, which keeps the word's noted bit equal to note != 0; words
+// are decoded without that bit (word_at, or a mask on a raw load whose
+// value a CAS2 then expects as read).
 #pragma once
 
 #include <atomic>
@@ -61,6 +64,7 @@ void ScqRingT<Noted, Finalizable, Portable>::help_note(std::uint64_t j,
 {
   RingRequest* r = &reqs_[detail::note_slot(n)];
   const std::uint64_t c = r->ctl.load(std::memory_order_acquire);
+  // Raw, noted bit included: every CAS2 below expects the word as read.
   const std::uint64_t w = entries_[j].word.load(std::memory_order_acquire);
   if (!detail::note_matches_ctl(n, c)) {
     // Stale note of a finished request. Phase-A never changed the
@@ -109,6 +113,7 @@ void ScqRingT<Noted, Finalizable, Portable>::commit(
 {
   const std::uint64_t slot = detail::note_slot(n);
   const std::uint64_t seq = detail::note_seq(n);
+  const std::uint64_t wc = geo_.cycle_of_entry(w & ~kNotedBit);
   if (detail::note_deq(n)) {
     // Consume: the index rides into the phase-B note so the result
     // survives even if this helper stalls right after the CAS2. The
@@ -117,19 +122,16 @@ void ScqRingT<Noted, Finalizable, Portable>::commit(
     // ticket maps here must see that its position yielded a value
     // (to the request) and skip the threshold decrement.
     const std::uint64_t x = detail::note_aux(n);
-    const std::uint64_t consumed =
-        geo_.pack(geo_.cycle_of_entry(w), false, geo_.bot());
     if (pair_cas(j, {w, n},
-                 {consumed, detail::pack_note(true, true, slot, seq, x)})) {
-      bump(head_,
-           geo_.pos_of(geo_.cycle_of_entry(w), remap_.unmap(j)) + 1);
+                 {geo_.pack(wc, false, geo_.bot()),
+                  detail::pack_note(true, true, slot, seq, x)})) {
+      bump(head_, geo_.pos_of(wc, remap_.unmap(j)) + 1);
     }
     return;
   }
   // Install: reconstruct the claim's target cycle from its low bits
   // (the claim guaranteed the gap to the frozen word's cycle fits).
   const std::uint64_t low = detail::note_aux(n);
-  const std::uint64_t wc = geo_.cycle_of_entry(w);
   std::uint64_t tcycle = (wc & ~detail::kNoteAuxMask) | low;
   if (tcycle <= wc) tcycle += detail::kNoteAuxMask + 1;
   const std::uint64_t eidx = r->arg.load(std::memory_order_acquire);
@@ -202,7 +204,7 @@ void ScqRingT<Noted, Finalizable, Portable>::step_dequeue(RingRequest* r,
     help_note(j, n);  // ours: drives the commit decision; foreign: unblocks
     return;
   }
-  const std::uint64_t w = entries_[j].word.load(std::memory_order_acquire);
+  std::uint64_t w = word_at(j);
   const std::uint64_t ec = geo_.cycle_of_entry(w);
   if (ec == pcycle && geo_.idx_of_entry(w) != geo_.bot()) {
     // Claim the value: word frozen, index recorded in the note.
@@ -267,7 +269,7 @@ void ScqRingT<Noted, Finalizable, Portable>::step_enqueue(RingRequest* r,
     help_note(j, n);
     return;
   }
-  const std::uint64_t w = entries_[j].word.load(std::memory_order_acquire);
+  std::uint64_t w = word_at(j);
   const std::uint64_t ec = geo_.cycle_of_entry(w);
   if (ec < pcycle && geo_.idx_of_entry(w) == geo_.bot() &&
       (geo_.is_safe(w) || head_.load(std::memory_order_seq_cst) <= p)) {

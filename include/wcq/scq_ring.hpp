@@ -19,16 +19,21 @@
 //
 //   ScqRingT<false>        ("ScqRing")  64-bit entries, lock-free —
 //       plain SCQ, and the building block of ScqQueue's aq/fq pair.
-//   ScqRingT<true>         128-bit {word, note} entries mutated by
-//       CAS2 — the wCQ ring (SPAA 2022, Figures 4-7). The
-//       second word parks *notes*: revocable claims and committed
-//       results of the cooperative slow path, so that any number of
-//       helpers can advance one stalled operation and the commit still
-//       happens exactly once (the CAS2 that flips a claim note to its
-//       phase-B form is the only way the entry word changes while
-//       claimed).
+//   ScqRingT<true>         128-bit {word, note} entries — the wCQ
+//       ring (SPAA 2022, Figures 4-7). The second word parks *notes*:
+//       revocable claims and committed results of the cooperative slow
+//       path, so that any number of helpers can advance one stalled
+//       operation and the commit still happens exactly once (the CAS2
+//       that flips a claim note to its phase-B form is the only way the
+//       entry word changes while claimed). Bit 63 of the word, the
+//       *noted bit*, mirrors note != 0, so the fast path is SCQ's
+//       single-word CAS over 16-byte entries; only the slow path's
+//       note changes are CAS2s.
 //   ScqRingT<true, false, true>  the same ring with every CAS2 on the
-//       portable __atomic path (WcqPortableQueue, the §4 build).
+//       portable __atomic path (WcqPortableQueue, the §4 build): it
+//       differs from ScqRingT<true> only on the slow path where
+//       libatomic reports its 16-byte CAS lock-free; elsewhere its
+//       fast path keeps a CAS2 (see word_cas).
 //   ScqRingT<false, true>  ("FinalScqRing")  plain SCQ plus a closed
 //       bit in Tail: once close() is called no new enqueue ticket is
 //       issued, and drain_idx() sweeps the surviving tickets so an
@@ -37,12 +42,14 @@
 //       branch folds away and the generated code is the plain ring's.
 //
 // Word layout (64 bits):   [ cycle | is_safe (1 bit) | index ]
-// where index occupies order+1 bits and all-ones means "empty" (BOT).
+// where index occupies order+1 bits and all-ones means "empty" (BOT);
+// the noted ring gives the cycle's top bit to the noted bit.
 //
 // Slow-path lifecycle of one request (RingRequest, one per thread):
 //   Pending   helpers scan from req.pos; an eligible entry is *claimed*
-//             with a phase-A note (word unchanged, now frozen: every
-//             word mutation is a CAS2 expecting note == 0).
+//             with a phase-A note (word unchanged but for the noted bit
+//             the same CAS2 sets, now frozen: every word mutation is a
+//             CAS expecting that bit clear).
 //   Phase2    the unique winner of the Pending->Phase2 ctl CAS names
 //             the committing slot j; claims parked anywhere else are
 //             revoked. Any helper then *commits* at j: one CAS2 flips
@@ -69,6 +76,9 @@
 #include "wcq/ring_policy.hpp"
 
 namespace wcq {
+
+template <bool Portable>
+struct WcqTestAccess;  // wcq.hpp: the tests' view of a wCQ ring's entries
 
 // Published state of one in-flight slow-path ring operation. Owned by
 // one thread record, read and CAS-advanced by every helper.
@@ -115,6 +125,9 @@ class ScqRingT {
         threshold_(geo_) {
     entries_ = static_cast<Entry*>(
         mem::alloc(geo_.ring_size() * sizeof(Entry)));
+    if constexpr (Portable) {
+      cas2_lock_free_ = __atomic_is_lock_free(sizeof(detail::Pair), entries_);
+    }
     // Start positions at ring_size so live cycles begin at 1 and are
     // always distinguishable from the zero-initialised entries. A full
     // ring is written as the state `capacity` enqueue_idx calls into
@@ -168,19 +181,13 @@ class ScqRingT {
       const std::uint64_t tcycle = geo_.cycle_of_pos(t);
       const std::uint64_t j = remap_.map(t);
       for (;;) {
-        const std::uint64_t e =
-            entries_[j].word.load(std::memory_order_acquire);
+        std::uint64_t e = word_at(j);
         if (geo_.cycle_of_entry(e) < tcycle &&
             geo_.idx_of_entry(e) == geo_.bot() &&
             (geo_.is_safe(e) ||
              head_.load(std::memory_order_seq_cst) <= t)) {
           if (!word_cas(j, e, geo_.pack(tcycle, true, eidx))) {
-            if constexpr (Noted) {
-              // A parked note freezes the word; resolve it, then retry.
-              const std::uint64_t n =
-                  entries_[j].note.load(std::memory_order_acquire);
-              if (n != 0) help_note(j, n);
-            }
+            resolve_note(j, e);
             continue;  // entry changed under us; re-evaluate
           }
           threshold_.arm();
@@ -206,19 +213,14 @@ class ScqRingT {
       bool advanced = false;
       bool consumed_by_peer = false;
       for (;;) {
-        const std::uint64_t e =
-            entries_[j].word.load(std::memory_order_acquire);
+        std::uint64_t e = word_at(j);
         const std::uint64_t ecycle = geo_.cycle_of_entry(e);
         if (ecycle == hcycle && geo_.idx_of_entry(e) != geo_.bot()) {
           if (!consume(j, e)) {
-            if constexpr (Noted) {
-              // Claimed by a slow-path request sharing this position:
-              // help it through; the value goes to the request and the
-              // re-read will see a consumed entry (our ticket is spent).
-              const std::uint64_t n =
-                  entries_[j].note.load(std::memory_order_acquire);
-              if (n != 0) help_note(j, n);
-            }
+            // Claimed by a slow-path request sharing this position:
+            // help it through; the value goes to the request and the
+            // re-read will see a consumed entry (our ticket is spent).
+            resolve_note(j, e);
             continue;
           }
           *out = geo_.idx_of_entry(e);
@@ -232,11 +234,7 @@ class ScqRingT {
                   ? geo_.pack(hcycle, geo_.is_safe(e), geo_.bot())
                   : geo_.pack(ecycle, false, geo_.idx_of_entry(e));
           if (!word_cas(j, e, fresh)) {
-            if constexpr (Noted) {
-              const std::uint64_t n =
-                  entries_[j].note.load(std::memory_order_acquire);
-              if (n != 0) help_note(j, n);
-            }
+            resolve_note(j, e);
             continue;
           }
         }
@@ -294,8 +292,7 @@ class ScqRingT {
       const std::uint64_t hcycle = geo_.cycle_of_pos(h);
       const std::uint64_t j = remap_.map(h);
       for (;;) {
-        const std::uint64_t e =
-            entries_[j].word.load(std::memory_order_acquire);
+        std::uint64_t e = word_at(j);
         const std::uint64_t ecycle = geo_.cycle_of_entry(e);
         if (ecycle == hcycle && geo_.idx_of_entry(e) != geo_.bot()) {
           if (!consume(j, e)) continue;
@@ -332,6 +329,8 @@ class ScqRingT {
     requires(Noted);
 
  private:
+  friend struct WcqTestAccess<Portable>;
+
   using Entry = std::conditional_t<Noted, ring::NotedEntry, ring::PlainEntry>;
 
   static constexpr unsigned kLineBits =
@@ -350,29 +349,74 @@ class ScqRingT {
     }
   }
 
-  // Word-only CAS. In the noted ring every plain word mutation expects
-  // note == 0, which is what freezes a claimed entry.
-  bool word_cas(std::uint64_t j, std::uint64_t expected,
-                std::uint64_t desired) {
-    if constexpr (Noted) {
-      return pair_cas(j, {expected, 0}, {desired, 0});
-    } else {
-      std::uint64_t e = expected;
-      return entries_[j].word.compare_exchange_strong(
-          e, desired, std::memory_order_acq_rel, std::memory_order_acquire);
-    }
+  // Bit 63 of the noted ring's entry word, set exactly while a note is
+  // parked (see ring::NotedEntry). Plain rings have no such bit.
+  static constexpr std::uint64_t kNotedBit =
+      Noted ? ring::NotedEntry::kNotedBit : 0;
+
+  // The entry word at j without the noted bit: what Geometry decodes
+  // and what a word CAS expects.
+  std::uint64_t word_at(std::uint64_t j) const {
+    return entries_[j].word.load(std::memory_order_acquire) & ~kNotedBit;
   }
 
+  // Whether word_cas may be the 8-byte CAS. In the noted ring that
+  // needs CAS2 to be one hardware instruction (the mixed-width contract,
+  // detail::Pair): the inline cmpxchg16b is (kCas2Hardware), and the
+  // portable ring's libatomic CAS2 is only where libatomic reports it
+  // lock-free on entries_ (cas2_lock_free_).
+  bool narrow_word_cas() const {
+    return !Noted ||
+           (detail::kCas2Hardware && (!Portable || cas2_lock_free_));
+  }
+
+  // Word-only CAS from `seen`, a word_at value; on failure `seen` holds
+  // the word found. `seen` has the noted bit clear, so in the noted
+  // ring the CAS fails on every entry a note freezes, exactly as a CAS2
+  // expecting note == 0 would. Where the 8-byte CAS would not be atomic
+  // against CAS2 (narrow_word_cas), the noted ring keeps that CAS2.
+  bool word_cas(std::uint64_t j, std::uint64_t& seen, std::uint64_t desired) {
+    if constexpr (Noted) {
+      if (!narrow_word_cas()) {
+        if (pair_cas(j, {seen, 0}, {desired, 0})) return true;
+        seen = entries_[j].word.load(std::memory_order_acquire);
+        return false;
+      }
+    }
+    return entries_[j].word.compare_exchange_strong(
+        seen, desired, std::memory_order_acq_rel, std::memory_order_acquire);
+  }
+
+  // CAS2 on the {word, note} pair, and the only writer of the noted
+  // bit: the desired word gets it iff the desired note is nonzero, so
+  // every CAS2 that parks a note sets it and every one that clears a
+  // note clears it. `expected` is the pair as read, bit included.
   bool pair_cas(std::uint64_t j, detail::Pair expected, detail::Pair desired)
     requires(Noted)
   {
+    desired.word =
+        (desired.word & ~kNotedBit) | (desired.note != 0 ? kNotedBit : 0);
     return ring::pair_cas<Portable>(&entries_[j], expected, desired);
   }
 
+  // After a failed word CAS: a noted bit on the word found means a note
+  // freezes the entry; resolve it so the caller's retry can progress.
+  void resolve_note(std::uint64_t j, std::uint64_t seen) {
+    if constexpr (Noted) {
+      if ((seen & kNotedBit) != 0) {
+        const std::uint64_t n =
+            entries_[j].note.load(std::memory_order_acquire);
+        if (n != 0) help_note(j, n);
+      }
+    }
+  }
+
   // Mark the entry consumed (index -> BOT) keeping cycle and safe bit.
-  // Returns false when the entry moved (noted ring: possibly because a
-  // note is parked on it) — the caller re-evaluates.
-  bool consume(std::uint64_t j, std::uint64_t seen) {
+  // Returns false, with the word found in `seen`, when the entry moved
+  // (noted ring: possibly because a note is parked on it) — the caller
+  // re-evaluates. The noted ring CASes where SCQ ORs: an OR would write
+  // into a frozen word.
+  bool consume(std::uint64_t j, std::uint64_t& seen) {
     if constexpr (Noted) {
       return word_cas(j, seen, seen | geo_.bot());
     } else {
@@ -432,6 +476,9 @@ class ScqRingT {
   const ring::Remap remap_;
   RingRequest* const reqs_;
   const bool is_fq_;
+  // Portable rings only: libatomic's answer, at construction, to
+  // whether a 16-byte CAS on entries_ is lock-free.
+  bool cas2_lock_free_ = false;
 
   alignas(detail::kNoFalseSharing) std::atomic<std::uint64_t> head_{0};
   alignas(detail::kNoFalseSharing) std::atomic<std::uint64_t> tail_{0};

@@ -37,8 +37,8 @@
 /// backends with a native burst — FaaQueue claims a run of tickets
 /// with a single FAA — one ticket acquisition) over up to
 /// `wcq::kBatchChunk` (64) values per chunk. Values are encoded
-/// through `slot_codec<T>`, so boxed payloads batch exactly like
-/// inline ones.
+/// through `slot_codec<T>`, a chunk at a time, so boxed payloads batch
+/// like inline ones and a chunk's boxes cost one mem request.
 ///
 /// ## Capacity
 ///
@@ -226,19 +226,21 @@ class sharded {
   /// kBatchChunk-sized chunk (plus the backend's native ticket burst
   /// where it has one). Returns the accepted count; stops early when
   /// no shard will take the next value (all full, or a reserved
-  /// sentinel pattern — the refused value stays with the caller).
+  /// sentinel pattern — the refused value stays with the caller). If
+  /// copying a value throws, that chunk is pushed not at all and the
+  /// exception propagates; earlier chunks stay queued.
   std::size_t try_push_n(const T* vs, std::size_t n, handle& h) {
     std::uint64_t slots[kBatchChunk];
     std::size_t pushed = 0;
     while (pushed < n) {
       const std::size_t chunk = std::min(n - pushed, kBatchChunk);
-      for (std::size_t i = 0; i < chunk; ++i) {
-        slots[i] = codec::encode(vs[pushed + i]);
-      }
+      detail::encode_chunk<codec>(vs + pushed, chunk, slots);
       const std::size_t ok = push_slots(slots, chunk, h);
-      for (std::size_t i = ok; i < chunk; ++i) codec::drop(slots[i]);
       pushed += ok;
-      if (ok < chunk) break;
+      if (ok < chunk) {
+        detail::drop_chunk<codec>(slots + ok, chunk - ok);
+        break;
+      }
     }
     return pushed;
   }
@@ -252,9 +254,7 @@ class sharded {
     while (got < n) {
       const std::size_t chunk = std::min(n - got, kBatchChunk);
       const std::size_t ok = pop_slots(slots, chunk, h);
-      for (std::size_t i = 0; i < ok; ++i) {
-        out[got + i] = codec::decode(slots[i]);
-      }
+      detail::decode_chunk<codec>(slots, ok, out + got);
       got += ok;
       if (ok < chunk) break;
     }
@@ -355,49 +355,19 @@ class sharded {
     return s;
   }
 
-  // Push a run of encoded slots into shard s; native backend burst
-  // when it exists, else a loop (same semantics, no ticket
-  // amortization). Returns slots accepted.
-  std::size_t shard_push_n(unsigned s, const std::uint64_t* slots,
-                           std::size_t n, handle& h) {
-    if constexpr (requires {
-                    {
-                      shards_[s].try_push_n(slots, n, h.subs_[s])
-                    } -> std::same_as<std::size_t>;
-                  }) {
-      return shards_[s].try_push_n(slots, n, h.subs_[s]);
-    } else {
-      std::size_t ok = 0;
-      while (ok < n && shards_[s].try_push(slots[ok], h.subs_[s])) ++ok;
-      return ok;
-    }
-  }
-
-  std::size_t shard_pop_n(unsigned s, std::uint64_t* slots, std::size_t n,
-                          handle& h) {
-    if constexpr (requires {
-                    {
-                      shards_[s].try_pop_n(slots, n, h.subs_[s])
-                    } -> std::same_as<std::size_t>;
-                  }) {
-      return shards_[s].try_pop_n(slots, n, h.subs_[s]);
-    } else {
-      std::size_t ok = 0;
-      while (ok < n && shards_[s].try_pop(&slots[ok], h.subs_[s])) ++ok;
-      return ok;
-    }
-  }
-
-  // Slot-level batch push: one shard pick per chunk; when the picked
-  // shard refuses mid-chunk, the refused slot is routed through the
-  // scanning single-slot path (which also rebalances sticky homes),
-  // and the remainder re-picks. Stops only on a global refusal.
+  // Slot-level batch push: one shard pick per chunk, whose run goes in
+  // as the shard backend's native burst where it has one (else one
+  // push at a time); when the picked shard refuses mid-chunk, the
+  // refused slot is routed through the scanning single-slot path
+  // (which also rebalances sticky homes), and the remainder re-picks.
+  // Stops only on a global refusal.
   std::size_t push_slots(const std::uint64_t* slots, std::size_t n,
                          handle& h) {
     std::size_t done = 0;
     while (done < n) {
       const unsigned s = pick(h.push_cur_);
-      done += shard_push_n(s, slots + done, n - done, h);
+      done += detail::backend_push_n(shards_[s], slots + done, n - done,
+                                     h.subs_[s]);
       if (done == n) break;
       if (!push_slot(slots[done], h)) break;
       ++done;
@@ -409,7 +379,8 @@ class sharded {
     std::size_t done = 0;
     while (done < n) {
       const unsigned s = pick(h.pop_cur_);
-      done += shard_pop_n(s, slots + done, n - done, h);
+      done += detail::backend_pop_n(shards_[s], slots + done, n - done,
+                                    h.subs_[s]);
       if (done == n) break;
       if (!pop_slot(&slots[done], h)) break;
       ++done;

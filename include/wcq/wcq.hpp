@@ -8,7 +8,10 @@
 // every helper that notices the request — advance the same pending
 // operation concurrently. No thread ever takes exclusive ownership of
 // a request; the commit is made unique by a single Pending->Phase2
-// transition on the request's ctl word, not by an executor claim.
+// transition on the request's ctl word, not by an executor claim. A
+// noted bit in each entry word mirrors whether a note is parked, so
+// the fast path, as in the paper, keeps SCQ's single-word CAS; only
+// the slow path issues CAS2.
 // Threads check one peer for a pending request every `help_delay` own
 // operations, the first on the `help_delay`-th ("to amortize the cost
 // of help_threads", Section 3.1).
@@ -64,7 +67,12 @@ struct WcqStats {
 // Portable=true models the Section 4 build for LL/SC machines: every
 // double-width CAS goes through the compiler's 128-bit __atomic path
 // instead of the native cmpxchg16b — the algorithmic shape of the
-// POWER version exercised on whatever ISA we run on.
+// POWER version exercised on whatever ISA we run on. As in the paper,
+// it differs from the native queue only on the slow path, where
+// libatomic reports that 16-byte CAS lock-free: both fast paths then
+// mutate entries with the same single-word CAS. Where it does not
+// (gcc 12's libatomic on x86-64, say), the portable fast path keeps a
+// CAS2 per entry mutation (ScqRingT::narrow_word_cas).
 template <bool Portable>
 struct WcqTestAccess;
 
@@ -449,6 +457,33 @@ struct WcqTestAccess {
 
   static std::uint64_t helps(H& h) {
     return h.rec_->helps.load(std::memory_order_relaxed);
+  }
+
+  // Whether the aq (fq = false) or fq ring's fast path mutates entries
+  // with the 8-byte CAS rather than CAS2 (ScqRingT::narrow_word_cas).
+  static bool narrow_word_cas(Q& q, bool fq) {
+    return (fq ? q.fq_ : q.aq_).narrow_word_cas();
+  }
+
+  // Calls visit(pair) with every {word, note} entry of aq, then of fq,
+  // each read atomically: a CAS2 whose desired value is its expected
+  // value, so it only ever writes back what it read. Safe while other
+  // threads run operations.
+  template <typename F>
+  static void for_each_entry(Q& q, F&& visit) {
+    typename Q::Ring* const rings[] = {&q.aq_, &q.fq_};
+    for (typename Q::Ring* ring : rings) {
+      for (std::uint64_t j = 0; j < ring->geo_.ring_size(); ++j) {
+        auto* addr = reinterpret_cast<detail::Pair*>(&ring->entries_[j]);
+        detail::Pair seen{0, 0};
+        if constexpr (Portable) {
+          detail::cas2_portable(addr, &seen, seen);
+        } else {
+          detail::cas2(addr, &seen, seen);
+        }
+        visit(seen);
+      }
+    }
   }
 };
 

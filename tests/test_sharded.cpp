@@ -2,7 +2,8 @@
 // (per-shard FIFO, relaxed cross-shard order, global FIFO with one
 // shard), both picker policies,
 // the batch API's edge cases (partial fills, zero spans, boxed
-// payloads, sentinel refusal, chunking), constructor validation, and
+// payloads and their accounting, a throwing copy mid-chunk, sentinel
+// refusal, chunking), constructor validation, and
 // handle churn over recycled sub-handle rows. The shared battery
 // (fifo/empty_full/mpmc/churn) also runs the sharded adapters; this
 // file covers what those generic checks cannot see.
@@ -14,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "boxed_batch_checks.hpp"
 #include "queue_test_common.hpp"
 #include "wcq/faa_queue.hpp"
 #include "wcq/sharded.hpp"
@@ -365,6 +367,11 @@ int main() {
   test_round_robin_fifo();
   test_batch_edges();
   test_batch_boxed();
+  test::test_batch_box_accounting<sharded<test::Msg40>,
+                                  sharded<test::PerValueMsg40>>(
+      "sharded", options{}.shards(2), /*boxes=*/110);
+  test::test_batch_throwing_copy<sharded<test::ThrowingMsg>>(
+      "sharded", options{}.shards(2), /*whole_chunks=*/true);
   test_batch_sentinel_refusal();
   test_validation_throws();
   test_handle_churn();

@@ -5,7 +5,8 @@
 // entirely, so literally every operation runs claim/commit/finalize.
 //
 // Covered: single-thread FIFO and empty/full through the slow path,
-// MPMC no-loss/no-duplication with per-producer order, and two helpers
+// MPMC no-loss/no-duplication with per-producer order (watched for the
+// noted-bit invariant on every entry of both rings), and two helpers
 // stepping the SAME pending request in turn, with the operation
 // completing exactly once.
 #include <atomic>
@@ -82,6 +83,56 @@ void test_slow_empty_full(const char* name) {
   std::printf("  ok slow_empty_full   %s\n", name);
 }
 
+// Scans every {word, note} entry of both rings, each read atomically,
+// until `done`, at least once, and fails at once on an entry whose
+// word's bit 63 disagrees with note != 0: the fast path's single-word
+// CAS is only correct under that invariant. `parked` counts entries
+// seen holding a note; it depends on scheduling, so it is reported,
+// never asserted.
+template <bool Portable>
+struct NotedBitWatcher {
+  std::uint64_t parked = 0;
+  std::uint64_t scans = 0;
+
+  void run(WcqQueueT<Portable>& q, const std::atomic<bool>& done,
+           const char* name) {
+    do {
+      WcqTestAccess<Portable>::for_each_entry(q, [&](detail::Pair e) {
+        const bool bit = (e.word & ring::NotedEntry::kNotedBit) != 0;
+        WCQ_CHECK(bit == (e.note != 0),
+                  "%s: noted bit %d disagrees with note %#llx (word %#llx)",
+                  name, bit, (unsigned long long)e.note,
+                  (unsigned long long)e.word);
+        if (e.note != 0) ++parked;
+      });
+      ++scans;
+    } while (!done.load(std::memory_order_acquire));
+  }
+};
+
+// The fast path's 8-byte word CAS is atomic against CAS2 only where
+// CAS2 is one hardware instruction: native wCQ's inline cmpxchg16b
+// (detail::kCas2Hardware), and the portable build's libatomic CAS2
+// only where libatomic reports a 16-byte CAS lock-free. Both rings must
+// pick the 8-byte CAS exactly there; which one this platform runs is
+// printed.
+template <bool Portable>
+void test_word_cas_width(const char* name) {
+  WcqQueueT<Portable> q(options{}.order(4).max_threads(2));
+  alignas(16) detail::Pair probe{0, 0};
+  const bool want =
+      detail::kCas2Hardware &&
+      (!Portable || __atomic_is_lock_free(sizeof(probe), &probe));
+  for (const bool fq : {false, true}) {
+    WCQ_CHECK(WcqTestAccess<Portable>::narrow_word_cas(q, fq) == want,
+              "%s: %s ring's fast path uses %s, want %s", name,
+              fq ? "fq" : "aq", want ? "CAS2" : "the 8-byte CAS",
+              want ? "the 8-byte CAS" : "CAS2");
+  }
+  std::printf("  ok word_cas_width    %s (fast path: %s)\n", name,
+              want ? "8-byte CAS" : "CAS2");
+}
+
 template <bool Portable>
 void test_slow_mpmc(const char* name, unsigned producers,
                     unsigned consumers) {
@@ -93,6 +144,10 @@ void test_slow_mpmc(const char* name, unsigned producers,
   for (auto& s : seen) s.store(0, std::memory_order_relaxed);
   std::atomic<std::uint64_t> consumed{0};
   std::atomic<bool> order_ok{true};
+
+  std::atomic<bool> workers_done{false};
+  NotedBitWatcher<Portable> watch;
+  std::thread watcher([&] { watch.run(q, workers_done, name); });
 
   std::vector<std::thread> threads;
   threads.reserve(producers + consumers);
@@ -131,6 +186,8 @@ void test_slow_mpmc(const char* name, unsigned producers,
     });
   }
   for (auto& t : threads) t.join();
+  workers_done.store(true, std::memory_order_release);
+  watcher.join();
 
   for (std::uint64_t v = 0; v < total; ++v) {
     const std::uint32_t count = seen[v].load(std::memory_order_relaxed);
@@ -149,9 +206,12 @@ void test_slow_mpmc(const char* name, unsigned producers,
   WCQ_CHECK(st.slow_enqueues + st.slow_dequeues > 0,
             "%s: all-slow build never took the slow path", name);
 #endif
-  std::printf("  ok slow_mpmc %ux%u    %s (%llu slow ops)\n", producers,
-              consumers, name,
-              (unsigned long long)(st.slow_enqueues + st.slow_dequeues));
+  std::printf(
+      "  ok slow_mpmc %ux%u    %s (%llu slow ops; %llu parked notes seen "
+      "in %llu scans)\n",
+      producers, consumers, name,
+      (unsigned long long)(st.slow_enqueues + st.slow_dequeues),
+      (unsigned long long)watch.parked, (unsigned long long)watch.scans);
 }
 
 // Regression for slow-path threshold accounting. Threshold decrements
@@ -254,6 +314,8 @@ void test_two_helpers_one_request(const char* name) {
 }  // namespace
 
 int main() {
+  test_word_cas_width<false>("wcq");
+  test_word_cas_width<true>("wcq-portable");
   test_slow_fifo<false>("wcq");
   test_slow_fifo<true>("wcq-portable");
   test_slow_empty_full<false>("wcq");

@@ -1,9 +1,10 @@
 // Typed wcq::queue<T> facade coverage: inline slot_codec for small
 // trivially copyable T (must be bit-exact and allocation-free), the
 // boxed pointer-indirection codec for anything larger (no leaks on
-// failed pushes or on teardown with values still queued), the
-// concept surface working over a non-default backend, and the one
-// options refusal rule across the whole lineup.
+// failed pushes or on teardown with values still queued; batch boxing
+// accounted exactly as per-value boxing, and leak-free when a copy
+// throws), the concept surface working over a non-default backend,
+// and the one options refusal rule across the whole lineup.
 #include <climits>
 #include <cstdint>
 #include <stdexcept>
@@ -11,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "boxed_batch_checks.hpp"
 #include "queue_test_common.hpp"
 #include "wcq/concepts.hpp"
 #include "wcq/faa_queue.hpp"
@@ -213,6 +215,15 @@ int main() {
   test_boxed_codec_roundtrip();
   test_boxed_no_leak_on_failed_push();
   test_boxed_teardown_drains();
+  // Over wCQ, which has no native burst, try_push_n pushes value by
+  // value; over FaaQueue it boxes and bursts whole chunks.
+  test::test_batch_box_accounting<queue<test::Msg40>,
+                                  queue<test::PerValueMsg40>>(
+      "queue", options{}, /*boxes=*/75);
+  test::test_batch_throwing_copy<queue<test::ThrowingMsg>>(
+      "queue", options{}, /*whole_chunks=*/false);
+  test::test_batch_throwing_copy<queue<test::ThrowingMsg, FaaQueue>>(
+      "queue<faa>", options{}, /*whole_chunks=*/true);
   test_faa_reserved_values_refused();
   test_non_default_backend();
   test_refusals<harness::WcqAdapter>("wcq", detail::kMaxNoteOrder, "wcq");
