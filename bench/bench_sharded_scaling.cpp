@@ -7,9 +7,10 @@
 // Series named like "wCQ shard=4/rr" are the sharded layer over that
 // backend; "wCQ" and "FAA" are the unsharded baselines. The "+batch"
 // series drive the batch API (try_push_n/try_pop_n) with kBatchChunk
-// (64) values per call — over FAA that is the native single-FAA ticket
-// burst, the config expected to reach >= 2x single-ring wCQ pairwise
-// at max threads.
+// (64) values per call — over both backends a native ticket burst: one
+// FAA per chunk over FAA, one F&A per ring per chunk over wCQ. The
+// FAA config is the one expected to reach >= 2x single-ring wCQ
+// pairwise at max threads.
 //
 // Knob on top of the usual WCQ_BENCH_OPS/RUNS/THREADS/RATE/ARRIVAL:
 //   WCQ_BENCH_SHARDS  comma list of shard counts (default "1,2,4")
@@ -91,8 +92,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Batch series: the amortization story. Over FAA the whole chunk is
-  // one ticket burst; over wCQ it is one shard selection per chunk.
+  // Batch series: the amortization story. A chunk is one shard
+  // selection and one ticket burst: one FAA over FAA, one F&A per ring
+  // over wCQ.
   for (const unsigned s : shards) {
     sweep<ShardedWcq, OpSampler>(closed, "wCQ " + tag(s) + "/rr+batch",
                                  options{}.shards(s), BatchPairwise{});

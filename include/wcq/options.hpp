@@ -19,6 +19,7 @@
 #pragma once
 
 #include <climits>
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 
@@ -35,6 +36,13 @@ enum class shard_policy : unsigned char {
   sticky,       ///< producer/consumer shard affinity, rebalance on
                 ///< full (push) or empty (pop)
 };
+
+/// Slots one batch call (try_push_n/try_pop_n of wcq::queue and
+/// wcq::sharded) hands the backend at a time, from a stack array
+/// (512 B); sharded picks one shard per chunk, and a backend with a
+/// native burst (wCQ, FaaQueue) claims a chunk's tickets with one F&A
+/// per counter.
+inline constexpr std::size_t kBatchChunk = 64;
 
 /// Fluent configuration builder shared by every queue backend.
 ///

@@ -43,11 +43,6 @@
 
 namespace wcq {
 
-/// Slots one batch call (try_push_n/try_pop_n of wcq::queue and
-/// wcq::sharded) hands the backend at a time, from a stack array
-/// (512 B); sharded picks one shard per chunk.
-inline constexpr std::size_t kBatchChunk = 64;
-
 /// True when T can live directly inside a 64-bit data slot.
 template <typename T>
 inline constexpr bool fits_in_slot_v =
@@ -217,8 +212,9 @@ void decode_chunk(const std::uint64_t* slots, std::size_t n, T* out) {
   }
 }
 
-// A backend with a native push burst (FaaQueue claims a run of
-// tickets with one FAA).
+// A backend with a native push burst: FaaQueue claims a run of
+// tickets with one FAA, wCQ a chunk's free indices and their fq
+// positions with one F&A per ring.
 template <typename Backend>
 concept PushBurst = requires(Backend& b, const std::uint64_t* slots,
                              std::size_t n, typename Backend::Handle& h) {
@@ -342,17 +338,20 @@ class queue {
 
   /// Batch enqueue: pushes vs[0..n) in order, stopping at the first
   /// refusal (queue full, or a backend-reserved sentinel pattern);
-  /// returns how many were accepted. On backends with a native burst
-  /// (FaaQueue's single-FAA ticket run) it works in kBatchChunk chunks:
-  /// a chunk is encoded (boxed values as one mem request), pushed as
-  /// one burst, and the refused tail's boxes are dropped; if copying a
-  /// value throws, that chunk is pushed not at all and the exception
-  /// propagates, earlier chunks staying queued. Elsewhere it is a loop
-  /// of try_push, which boxes nothing past the first refusal; a copy
-  /// that throws leaves the values before it queued.
+  /// returns how many were accepted. Over a backend with a native burst
+  /// that cannot refuse as full (FaaQueue) it works in kBatchChunk
+  /// chunks: a chunk is encoded (boxed values as one mem request),
+  /// pushed as one burst, and the refused tail's boxes are dropped; if
+  /// copying a value throws, that chunk is pushed not at all and the
+  /// exception propagates, earlier chunks staying queued. Elsewhere,
+  /// over wCQ's bursts too, it is a loop of try_push, which boxes
+  /// nothing past the first refusal: a whole-chunk push refused by a
+  /// full queue would pay up to a chunk of allocations, copies and
+  /// frees instead of one. A copy that throws there leaves the values
+  /// before it queued.
   std::size_t try_push_n(const T* vs, std::size_t n, handle& h) {
     std::size_t pushed = 0;
-    if constexpr (detail::PushBurst<Backend>) {
+    if constexpr (kChunkPush) {
       std::uint64_t slots[kBatchChunk];
       while (pushed < n) {
         const std::size_t chunk = std::min(n - pushed, kBatchChunk);
@@ -378,9 +377,10 @@ class queue {
 
   /// Batch dequeue into out[0..n): returns how many values arrived
   /// (zero iff the queue is empty), in queue order. Works in
-  /// kBatchChunk chunks: backends with a native burst claim a chunk's
-  /// run of tickets with one FAA, others pop one value at a time, and
-  /// the chunk is decoded (boxed values freed as one mem request).
+  /// kBatchChunk chunks: backends with a native burst (wCQ, FaaQueue)
+  /// claim a chunk's run of tickets with one F&A, others pop one value
+  /// at a time, and the chunk is decoded (boxed values freed as one
+  /// mem request).
   std::size_t try_pop_n(T* out, std::size_t n, handle& h) {
     std::uint64_t slots[kBatchChunk];
     std::size_t got = 0;
@@ -421,6 +421,12 @@ class queue {
   }
 
  private:
+  // Whether try_push_n pushes whole chunks (see there): a bounded
+  // backend has a capacity().
+  static constexpr bool kChunkPush =
+      detail::PushBurst<Backend> &&
+      !requires(const Backend& b) { b.capacity(); };
+
   Backend backend_;
 };
 

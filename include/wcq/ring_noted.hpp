@@ -187,6 +187,14 @@ void ScqRingT<Noted, Finalizable, Portable>::finalize(
 // is the accountant). A stalled helper never blocks accounting: the
 // head CAS is attempted by every helper at p before the pos advance,
 // and the one success is itself the idempotence token.
+//
+// The scan never passes Head: it starts there, and it leaves p only
+// once ticket p is taken (by its CAS, or Head had already passed p),
+// for Head itself or p + 1. That keeps SCQ's rule for enqueues sound:
+// an unsafe entry at p takes an install only while Head <= p, i.e.
+// while no dequeuer has passed p. A scan that ran ahead of Head could
+// close positions and later commit a claim beyond them, and the
+// commit's Head bump would then jump over values installed behind it.
 template <bool Noted, bool Finalizable, bool Portable>
 void ScqRingT<Noted, Finalizable, Portable>::step_dequeue(RingRequest* r,
                                                           std::uint64_t c)
@@ -196,7 +204,8 @@ void ScqRingT<Noted, Finalizable, Portable>::step_dequeue(RingRequest* r,
     try_finalize_empty(r, c);
     return;
   }
-  const std::uint64_t p = r->pos.load(std::memory_order_acquire);
+  std::atomic<std::uint64_t>& pos = r->pos[is_fq_][1];
+  std::uint64_t p = pos.load(std::memory_order_acquire);
   const std::uint64_t pcycle = geo_.cycle_of_pos(p);
   const std::uint64_t j = remap_.map(p);
   const std::uint64_t n = entries_[j].note.load(std::memory_order_acquire);
@@ -206,7 +215,8 @@ void ScqRingT<Noted, Finalizable, Portable>::step_dequeue(RingRequest* r,
   }
   std::uint64_t w = word_at(j);
   const std::uint64_t ec = geo_.cycle_of_entry(w);
-  if (ec == pcycle && geo_.idx_of_entry(w) != geo_.bot()) {
+  const bool empty = geo_.idx_of_entry(w) == geo_.bot();
+  if (ec == pcycle && !empty) {
     // Claim the value: word frozen, index recorded in the note.
     pair_cas(j, {w, 0},
              {w, detail::pack_note(false, true, slot_of(r),
@@ -214,43 +224,69 @@ void ScqRingT<Noted, Finalizable, Portable>::step_dequeue(RingRequest* r,
                                    geo_.idx_of_entry(w))});
     return;
   }
-  if (ec > pcycle) {
-    // Our scan position fell behind the ring; jump it forward.
-    advance_pos(r, p, head_.load(std::memory_order_seq_cst));
-    return;
-  }
+  // The cleared safe bit at our cycle marks a slow-path consume: that
+  // position yielded a value, so even if we end up owning its ticket
+  // (the committer may have stalled before bumping head_) it must not
+  // be accounted as a failed position.
+  const bool consumed_here = ec == pcycle && empty && !geo_.is_safe(w);
   if (ec < pcycle) {
     const std::uint64_t fresh =
-        geo_.idx_of_entry(w) == geo_.bot()
-            ? geo_.pack(pcycle, geo_.is_safe(w), geo_.bot())
-            : geo_.pack(ec, false, geo_.idx_of_entry(w));
+        empty ? geo_.pack(pcycle, geo_.is_safe(w), geo_.bot())
+              : geo_.pack(ec, false, geo_.idx_of_entry(w));
     if (!word_cas(j, w, fresh)) return;
-    // Spent as empty at pcycle; fall through to account ticket p.
   }
-  // Position p is spent: closed empty just now, or already at our
-  // cycle with BOT. The cleared safe bit marks a slow-path consume —
-  // that position yielded a value, so even if we end up owning its
-  // ticket (the committer may have stalled before bumping head_) it
-  // must not be accounted as a failed position.
-  const bool consumed_here =
-      ec == pcycle && geo_.idx_of_entry(w) == geo_.bot() && !geo_.is_safe(w);
-  std::uint64_t hexp = p;
-  if (head_.compare_exchange_strong(hexp, p + 1, std::memory_order_seq_cst,
-                                    std::memory_order_seq_cst) &&
-      !consumed_here) {
-    // Ticket p is ours and yielded nothing: the fast path's rules.
-    const std::uint64_t t = tail_.load(std::memory_order_seq_cst);
-    if (t <= p + 1) {
-      catchup(t, p + 1);
-      threshold_.spend();
-      try_finalize_empty(r, c);
-    } else if (threshold_.spend()) {
+  // Position p is spent at pcycle: closed just now, already closed at
+  // our cycle, or past it (ec > pcycle). A helper whose request has
+  // finished must not take a ticket for it (see settle_lagging); the
+  // ctl check narrows that window to the next few instructions.
+  if (r->ctl.load(std::memory_order_acquire) != c) return;
+  std::uint64_t h = p;
+  if (head_.compare_exchange_strong(h, p + 1, std::memory_order_seq_cst,
+                                    std::memory_order_seq_cst)) {
+    // Ticket p is ours. Marking a lagging value unsafe keeps enqueues
+    // out of p only once Head > p, which this CAS just made true: settle
+    // p first, and if something landed there, revisit p unaccounted.
+    if (ec < pcycle && !empty && !settle_lagging(j, pcycle)) return;
+    // Ticket p yielded nothing: the fast path's rules.
+    if (!consumed_here && (catch_tail_up(p) || threshold_.spend())) {
       try_finalize_empty(r, c);
     }
+    h = p + 1;
   }
-  // Ticket p accounted (by us, a sibling helper, or the fast holder
-  // head_'s FAA stream gave it to); the scan may move on.
-  advance_pos(r, p, p + 1);
+  // Ticket p accounted (by us, a sibling helper, or the holder that
+  // head_'s FAA stream gave it to). The scan moves on to h, never past
+  // Head: h is p + 1 after our CAS, else the Head our failed CAS saw.
+  pos.compare_exchange_strong(p, h, std::memory_order_acq_rel,
+                              std::memory_order_acquire);
+}
+
+// After a slow dequeue took ticket p for a position whose entry held a
+// lagging value it marked unsafe: whether p is now closed for pcycle.
+// Between that mark and the ticket, the lagging value may have been
+// consumed and an enqueue may have passed `safe || head <= p` — an
+// install that has landed or may still land. So an entry the lagging
+// value has left is closed here by advancing its cycle, as a fast
+// dequeuer holding ticket p would; a parked note or a value at pcycle
+// returns false, and the request's next step finds it. A lagging value
+// still there keeps p closed now that Head > p.
+template <bool Noted, bool Finalizable, bool Portable>
+bool ScqRingT<Noted, Finalizable, Portable>::settle_lagging(
+    std::uint64_t j, std::uint64_t pcycle)
+  requires(Noted)
+{
+  std::uint64_t w = entries_[j].word.load(std::memory_order_acquire);
+  for (;;) {
+    if ((w & kNotedBit) != 0) return false;
+    const std::uint64_t ec = geo_.cycle_of_entry(w);
+    const bool empty = geo_.idx_of_entry(w) == geo_.bot();
+    // At pcycle, an empty entry is closed unless its cleared safe bit
+    // marks a slow-path consume: a value did land; revisit p.
+    if (ec >= pcycle) return ec > pcycle || (empty && geo_.is_safe(w));
+    if (!empty) return !geo_.is_safe(w);
+    if (word_cas(j, w, geo_.pack(pcycle, geo_.is_safe(w), geo_.bot()))) {
+      return true;
+    }
+  }
 }
 
 // One Pending-state step of a slow enqueue: claim an eligible empty
@@ -261,7 +297,8 @@ void ScqRingT<Noted, Finalizable, Portable>::step_enqueue(RingRequest* r,
                                                           std::uint64_t c)
   requires(Noted)
 {
-  const std::uint64_t p = r->pos.load(std::memory_order_acquire);
+  std::atomic<std::uint64_t>& pos = r->pos[is_fq_][0];
+  std::uint64_t p = pos.load(std::memory_order_acquire);
   const std::uint64_t pcycle = geo_.cycle_of_pos(p);
   const std::uint64_t j = remap_.map(p);
   const std::uint64_t n = entries_[j].note.load(std::memory_order_acquire);
@@ -293,18 +330,8 @@ void ScqRingT<Noted, Finalizable, Portable>::step_enqueue(RingRequest* r,
     const std::uint64_t t = tail_.load(std::memory_order_seq_cst);
     if (t > next) next = t;
   }
-  advance_pos(r, p, next);
-}
-
-template <bool Noted, bool Finalizable, bool Portable>
-bool ScqRingT<Noted, Finalizable, Portable>::advance_pos(RingRequest* r,
-                                                         std::uint64_t p,
-                                                         std::uint64_t target)
-  requires(Noted)
-{
-  if (target <= p) target = p + 1;
-  return r->pos.compare_exchange_strong(p, target, std::memory_order_acq_rel,
-                                        std::memory_order_acquire);
+  pos.compare_exchange_strong(p, next, std::memory_order_acq_rel,
+                              std::memory_order_acquire);
 }
 
 template <bool Noted, bool Finalizable, bool Portable>

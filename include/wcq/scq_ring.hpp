@@ -15,6 +15,12 @@
 // constant-time empty exit, and Cache_Remap spreads consecutive
 // positions across cache lines.
 //
+// What one ticket does lives in one place: enqueue_ticket and
+// dequeue_ticket. The single-op loops (enqueue_idx/dequeue_idx), the
+// non-finalizable rings' ticket bursts (enqueue_idx_n/dequeue_idx_n:
+// one F&A claims up to k tickets, each then visited in order) and
+// LSCQ's drain_idx all call them.
+//
 // Instantiations sharing the state machine:
 //
 //   ScqRingT<false>        ("ScqRing")  64-bit entries, lock-free —
@@ -86,9 +92,14 @@ struct alignas(detail::kNoFalseSharing) RingRequest {
   std::atomic<std::uint64_t> ctl{0};     // packed seq/j/ring/kind/state
   std::atomic<std::uint64_t> arg{0};     // enqueue: index to insert
   std::atomic<std::uint64_t> result{0};  // dequeue: index obtained
-  std::atomic<std::uint64_t> pos{0};     // shared scan position; dequeue
-                                         // advances it in lockstep with
-                                         // the global Head ticket stream
+  // Shared scan positions, one per ring and kind: pos[fq][deq]. A
+  // helper reads ctl, then pos, then CASes pos; by then the owner may
+  // have finished the operation and published its next one. With one
+  // field per ring and kind, such a stale step only ever moves a
+  // position of its own ring and kind, to a target that is still safe
+  // there: a dequeue scan never passes its ring's Head, and an enqueue
+  // scan may skip any position, as a Tail F&A does.
+  std::atomic<std::uint64_t> pos[2][2];
 };
 
 template <bool Noted, bool Finalizable = false, bool Portable = false>
@@ -178,23 +189,7 @@ class ScqRingT {
       if constexpr (Finalizable) {
         if (t & kClosedBit) return kClosed;
       }
-      const std::uint64_t tcycle = geo_.cycle_of_pos(t);
-      const std::uint64_t j = remap_.map(t);
-      for (;;) {
-        std::uint64_t e = word_at(j);
-        if (geo_.cycle_of_entry(e) < tcycle &&
-            geo_.idx_of_entry(e) == geo_.bot() &&
-            (geo_.is_safe(e) ||
-             head_.load(std::memory_order_seq_cst) <= t)) {
-          if (!word_cas(j, e, geo_.pack(tcycle, true, eidx))) {
-            resolve_note(j, e);
-            continue;  // entry changed under us; re-evaluate
-          }
-          threshold_.arm();
-          return kOk;
-        }
-        break;  // position unusable, take the next one
-      }
+      if (enqueue_ticket(t, eidx)) return kOk;
     }
     return kContended;
   }
@@ -208,63 +203,81 @@ class ScqRingT {
     }
     for (std::uint64_t iter = 0; iter < max_iters; ++iter) {
       const std::uint64_t h = head_.fetch_add(1, std::memory_order_seq_cst);
-      const std::uint64_t hcycle = geo_.cycle_of_pos(h);
-      const std::uint64_t j = remap_.map(h);
-      bool advanced = false;
-      bool consumed_by_peer = false;
-      for (;;) {
-        std::uint64_t e = word_at(j);
-        const std::uint64_t ecycle = geo_.cycle_of_entry(e);
-        if (ecycle == hcycle && geo_.idx_of_entry(e) != geo_.bot()) {
-          if (!consume(j, e)) {
-            // Claimed by a slow-path request sharing this position:
-            // help it through; the value goes to the request and the
-            // re-read will see a consumed entry (our ticket is spent).
-            resolve_note(j, e);
-            continue;
-          }
-          *out = geo_.idx_of_entry(e);
-          return kOk;
-        }
-        if (ecycle < hcycle) {
-          // Either advance an empty entry's cycle or mark a lagging
-          // value unsafe so a slow enqueuer cannot resurrect it.
-          const std::uint64_t fresh =
-              geo_.idx_of_entry(e) == geo_.bot()
-                  ? geo_.pack(hcycle, geo_.is_safe(e), geo_.bot())
-                  : geo_.pack(ecycle, false, geo_.idx_of_entry(e));
-          if (!word_cas(j, e, fresh)) {
-            resolve_note(j, e);
-            continue;
-          }
-        }
-        // ecycle == hcycle with BOT and ecycle > hcycle both land
-        // here. A cleared safe bit at exactly our cycle is the slow
-        // path's consume marker: our ticket's value went to a request
-        // (which never held a head ticket for it), so the position
-        // *did* yield a value and must not be accounted as failed —
-        // in SCQ a value-yielding ticket never decrements threshold.
-        if constexpr (Noted) {
-          consumed_by_peer = ecycle == hcycle &&
-                             geo_.idx_of_entry(e) == geo_.bot() &&
-                             !geo_.is_safe(e);
-        }
-        advanced = true;
-        break;
-      }
-      if (advanced) {
-        const std::uint64_t t = tail_.load(std::memory_order_seq_cst);
-        if (tail_pos(t) <= h + 1) {
-          catchup(t, h + 1);
-          threshold_.spend();
-          return kEmpty;
-        }
-        if (!consumed_by_peer && threshold_.spend()) {
-          return kEmpty;
-        }
+      const Ticket got = dequeue_ticket(h, out);
+      if (got == Ticket::value) return kOk;
+      if (catch_tail_up(h) ||
+          (got == Ticket::fruitless && threshold_.spend())) {
+        return kEmpty;
       }
     }
     return kContended;
+  }
+
+  // ---- ticket bursts (non-finalizable rings) ------------------------
+  // One F&A claims k tickets, and each is visited by the same ticket
+  // body as in the single-op loops above; only the dequeue burst's
+  // threshold accounting differs (see there). A burst has no patience
+  // of its own: its k tickets bound it.
+
+  // Enqueue idx[0..k) in order. Each Tail ticket installs the next
+  // index not yet placed, or is skipped when its position is unusable.
+  // Returns how many were placed, always a prefix of idx; the caller
+  // enqueues the rest after the burst, in order.
+  //
+  // SCQ's 3n-1 threshold bound rests on every outstanding enqueue
+  // ticket being held by a caller that still holds an unplaced index,
+  // of which there are at most n. After visiting i of its k tickets a
+  // burst holds k - i tickets and k - placed >= k - i indices: like k
+  // enqueue_idx callers, it never holds more tickets than indices.
+  [[gnu::always_inline]] std::size_t enqueue_idx_n(const std::uint64_t* idx,
+                                                   std::size_t k)
+    requires(!Finalizable)
+  {
+    if (k == 0) return 0;
+    const std::uint64_t t0 = tail_.fetch_add(k, std::memory_order_seq_cst);
+    std::size_t placed = 0;
+    for (std::size_t i = 0; i < k; ++i) {
+      if (enqueue_ticket(t0 + i, idx[placed])) ++placed;
+    }
+    return placed;
+  }
+
+  // Dequeue up to k indices into out[0..), in ring order; returns how
+  // many arrived. 0 is not a definitive empty: dequeue_idx gives that.
+  // k is capped at the observed Tail - Head, so an empty ring costs no
+  // tickets. Every claimed Head ticket is visited, never abandoned: a
+  // ticket left unvisited would strand a value installed at its
+  // position, since Head has passed it.
+  //
+  // A fruitless ticket catches Tail up as dequeue_idx's does, but
+  // spends the threshold only when it did catch Tail up. SCQ's 3n-1
+  // budget covers the fruitless tickets visited after an enqueue arms
+  // it, and each dequeue_idx caller stops at a spent budget; a burst
+  // visits all of its up to kBatchChunk tickets regardless. Spending on
+  // each would drain the budget below zero while a value installed
+  // past them waits for a ticket nobody holds yet: a false empty for
+  // the next dequeuer. A ticket that catches Tail up leaves no such
+  // value (every value sits below Tail <= h + 1, where tickets are
+  // taken), so its spend is safe.
+  [[gnu::always_inline]] std::size_t dequeue_idx_n(std::uint64_t* out,
+                                                   std::size_t k)
+    requires(!Finalizable)
+  {
+    if (threshold_.spent()) return 0;
+    const std::uint64_t h = head_.load(std::memory_order_seq_cst);
+    const std::uint64_t t = tail_.load(std::memory_order_seq_cst);
+    if (t <= h) return 0;
+    if (k > t - h) k = t - h;
+    const std::uint64_t h0 = head_.fetch_add(k, std::memory_order_seq_cst);
+    std::size_t got = 0;
+    for (std::size_t i = 0; i < k; ++i) {
+      if (dequeue_ticket(h0 + i, &out[got]) == Ticket::value) {
+        ++got;
+      } else {
+        catch_tail_up(h0 + i);
+      }
+    }
+    return got;
   }
 
   // ---- segment finalization (Finalizable only) ----------------------
@@ -284,33 +297,16 @@ class ScqRingT {
   // certificate: head has met tail, every pre-close ticket's position
   // was consumed or poisoned, and no install can land here anymore —
   // the ring may be retired. Callers loop on kOk.
+  //
+  // Each ticket is visited exactly as a dequeuer visits it: once the
+  // cycle moves past a pre-close ticket's target (or the safe bit
+  // drops), that ticket's install CAS can no longer succeed.
   Result drain_idx(std::uint64_t* out)
     requires(Finalizable)
   {
     for (;;) {
       const std::uint64_t h = head_.fetch_add(1, std::memory_order_seq_cst);
-      const std::uint64_t hcycle = geo_.cycle_of_pos(h);
-      const std::uint64_t j = remap_.map(h);
-      for (;;) {
-        std::uint64_t e = word_at(j);
-        const std::uint64_t ecycle = geo_.cycle_of_entry(e);
-        if (ecycle == hcycle && geo_.idx_of_entry(e) != geo_.bot()) {
-          if (!consume(j, e)) continue;
-          *out = geo_.idx_of_entry(e);
-          return kOk;
-        }
-        if (ecycle < hcycle) {
-          // Advance-or-poison, exactly as a dequeuer would: once the
-          // cycle moves past a pre-close ticket's target (or the safe
-          // bit drops), its install CAS can no longer succeed.
-          const std::uint64_t fresh =
-              geo_.idx_of_entry(e) == geo_.bot()
-                  ? geo_.pack(hcycle, geo_.is_safe(e), geo_.bot())
-                  : geo_.pack(ecycle, false, geo_.idx_of_entry(e));
-          if (!word_cas(j, e, fresh)) continue;
-        }
-        break;
-      }
+      if (dequeue_ticket(h, out) == Ticket::value) return kOk;
       const std::uint64_t t = tail_.load(std::memory_order_seq_cst);
       if (tail_pos(t) <= h + 1) {
         catchup(t, h + 1);
@@ -425,6 +421,98 @@ class ScqRingT {
     }
   }
 
+  // ---- ticket bodies: what one ticket does, whoever claimed it ------
+  // The single-op loops, the bursts and drain_idx all call these.
+
+  // Tail ticket t: install eidx at t's position, or report the
+  // position unusable (true iff installed).
+  [[gnu::always_inline]] bool enqueue_ticket(std::uint64_t t,
+                                             std::uint64_t eidx) {
+    const std::uint64_t tcycle = geo_.cycle_of_pos(t);
+    const std::uint64_t j = remap_.map(t);
+    for (;;) {
+      std::uint64_t e = word_at(j);
+      if (geo_.cycle_of_entry(e) < tcycle &&
+          geo_.idx_of_entry(e) == geo_.bot() &&
+          (geo_.is_safe(e) || head_.load(std::memory_order_seq_cst) <= t)) {
+        if (!word_cas(j, e, geo_.pack(tcycle, true, eidx))) {
+          resolve_note(j, e);
+          continue;  // entry changed under us; re-evaluate
+        }
+        threshold_.arm();
+        return true;
+      }
+      return false;  // position unusable
+    }
+  }
+
+  // What a Head ticket yielded its holder.
+  enum class Ticket {
+    value,         // the index installed for its cycle, now in *out
+    fruitless,     // nothing
+    request_took,  // nothing: a slow-path request took its value
+  };
+
+  // Head ticket h: consume the index installed for h's cycle, or
+  // advance an empty entry's cycle / mark a lagging value unsafe so no
+  // enqueue can install at h's position any more.
+  [[gnu::always_inline]] Ticket dequeue_ticket(std::uint64_t h,
+                                               std::uint64_t* out) {
+    const std::uint64_t hcycle = geo_.cycle_of_pos(h);
+    const std::uint64_t j = remap_.map(h);
+    for (;;) {
+      std::uint64_t e = word_at(j);
+      const std::uint64_t ecycle = geo_.cycle_of_entry(e);
+      if (ecycle == hcycle && geo_.idx_of_entry(e) != geo_.bot()) {
+        if (!consume(j, e)) {
+          // Claimed by a slow-path request sharing this position:
+          // help it through; the value goes to the request and the
+          // re-read will see a consumed entry (our ticket is spent).
+          resolve_note(j, e);
+          continue;
+        }
+        *out = geo_.idx_of_entry(e);
+        return Ticket::value;
+      }
+      if (ecycle < hcycle) {
+        // Either advance an empty entry's cycle or mark a lagging
+        // value unsafe so a slow enqueuer cannot resurrect it.
+        const std::uint64_t fresh =
+            geo_.idx_of_entry(e) == geo_.bot()
+                ? geo_.pack(hcycle, geo_.is_safe(e), geo_.bot())
+                : geo_.pack(ecycle, false, geo_.idx_of_entry(e));
+        if (!word_cas(j, e, fresh)) {
+          resolve_note(j, e);
+          continue;
+        }
+      }
+      // ecycle == hcycle with BOT and ecycle > hcycle both land here.
+      // A cleared safe bit at exactly our cycle is the slow path's
+      // consume marker: our ticket's value went to a request (which
+      // never held a head ticket for it), so the position *did* yield
+      // a value and must not be accounted as failed — in SCQ a
+      // value-yielding ticket never decrements threshold.
+      if constexpr (Noted) {
+        if (ecycle == hcycle && geo_.idx_of_entry(e) == geo_.bot() &&
+            !geo_.is_safe(e)) {
+          return Ticket::request_took;
+        }
+      }
+      return Ticket::fruitless;
+    }
+  }
+
+  // Head ticket h yielded its holder nothing. When Tail is at or below
+  // h + 1, the ring holds nothing past h: catch Tail up, spend the
+  // threshold, and return true (a definitive empty for dequeue_idx).
+  [[gnu::always_inline]] bool catch_tail_up(std::uint64_t h) {
+    const std::uint64_t t = tail_.load(std::memory_order_seq_cst);
+    if (tail_pos(t) > h + 1) return false;
+    catchup(t, h + 1);
+    threshold_.spend();
+    return true;
+  }
+
   void catchup(std::uint64_t t, std::uint64_t h) {
     // The CAS keeps the closed bit exactly as read; only the position
     // half of tail_ moves.
@@ -467,7 +555,7 @@ class ScqRingT {
     requires(Noted);
   void step_enqueue(RingRequest* r, std::uint64_t c)
     requires(Noted);
-  bool advance_pos(RingRequest* r, std::uint64_t p, std::uint64_t target)
+  bool settle_lagging(std::uint64_t j, std::uint64_t pcycle)
     requires(Noted);
   void try_finalize_empty(RingRequest* r, std::uint64_t c)
     requires(Noted);

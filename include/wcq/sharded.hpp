@@ -34,11 +34,15 @@
 /// ## Batch API
 ///
 /// `try_push_n`/`try_pop_n` amortize one shard selection (and, on
-/// backends with a native burst — FaaQueue claims a run of tickets
+/// backends with a native burst — wCQ claims a chunk's free indices
+/// and fq positions with one F&A per ring, FaaQueue a run of tickets
 /// with a single FAA — one ticket acquisition) over up to
 /// `wcq::kBatchChunk` (64) values per chunk. Values are encoded
 /// through `slot_codec<T>`, a chunk at a time, so boxed payloads batch
-/// like inline ones and a chunk's boxes cost one mem request.
+/// like inline ones and a chunk's boxes cost one mem request. Unlike
+/// `wcq::queue`, which pushes value by value over a bounded backend,
+/// sharded pushes whole chunks there too: a chunk the picked shard
+/// refuses moves on to the other shards before any box is dropped.
 ///
 /// ## Capacity
 ///

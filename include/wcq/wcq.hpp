@@ -14,19 +14,28 @@
 // the slow path issues CAS2.
 // Threads check one peer for a pending request every `help_delay` own
 // operations, the first on the `help_delay`-th ("to amortize the cost
-// of help_threads", Section 3.1).
+// of help_threads", Section 3.1); a batch call's chunk of up to
+// kBatchChunk values is one own operation.
 //
 // A queue-level operation on the slow path is two ring-level requests
 // driven in order by the owner (enqueue: aq-dequeue a free index,
 // write data, fq-enqueue the index; dequeue mirrors it), each of which
 // is helpable by everyone while it is pending.
 //
+// try_push_n/try_pop_n are native bursts: per chunk, one F&A on each
+// ring's Tail or Head claims the chunk's tickets (ScqRingT's
+// enqueue_idx_n/dequeue_idx_n) instead of one F&A per value per ring.
+// Whatever a burst could not place takes the single-op path, so the
+// full and empty answers stay try_push's and try_pop's.
+//
 // Compile with -DWCQ_ALL_SLOW to skip the fast path entirely, so
 // every operation exercises the note protocol (test builds only).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -148,56 +157,55 @@ class WcqQueueT {
 
   // False iff the queue is full.
   [[gnu::noinline]] bool try_push(std::uint64_t v, Handle& h) {
-    ThreadRec* rec = h.rec_;
-    maybe_help(rec);
-#if !defined(WCQ_ALL_SLOW)
-    std::uint64_t idx = 0;
-    const typename Ring::Result rc = aq_.dequeue_idx(&idx, enqueue_patience_);
-    if (rc == Ring::kEmpty) {
-      detail::owner_bump(rec->fast_enq);
-      return false;  // full: definitive, no slow path needed
-    }
-    if (rc == Ring::kOk) {
-      data_[idx].store(v, std::memory_order_relaxed);
-      if (fq_.enqueue_idx(idx, enqueue_patience_) == Ring::kOk) {
-        detail::owner_bump(rec->fast_enq);
-        return true;
-      }
-      // We already own the free index; only the second stage needs the
-      // cooperative path (a ring enqueue cannot fail, only contend).
-      detail::owner_bump(rec->slow_enq);
-      publish_ring_op(rec, /*fq_ring=*/true, /*deq=*/false, idx);
-      complete_ring_op(rec, nullptr);
-      return true;
-    }
-#endif
-    detail::owner_bump(rec->slow_enq);
-    return slow_push(rec, v);
+    maybe_help(h.rec_);
+    return push_one(h.rec_, v);
   }
 
   // False iff the queue is empty.
   [[gnu::noinline]] bool try_pop(std::uint64_t* v, Handle& h) {
-    ThreadRec* rec = h.rec_;
-    maybe_help(rec);
-#if !defined(WCQ_ALL_SLOW)
-    std::uint64_t idx = 0;
-    const typename Ring::Result rc = fq_.dequeue_idx(&idx, dequeue_patience_);
-    if (rc == Ring::kEmpty) {
-      detail::owner_bump(rec->fast_deq);
-      return false;
-    }
-    if (rc == Ring::kOk) {
-      *v = data_[idx].load(std::memory_order_relaxed);
-      if (aq_.enqueue_idx(idx, enqueue_patience_) != Ring::kOk) {
-        publish_ring_op(rec, /*fq_ring=*/false, /*deq=*/false, idx);
-        complete_ring_op(rec, nullptr);
-      }
-      detail::owner_bump(rec->fast_deq);
-      return true;
+    maybe_help(h.rec_);
+    return pop_one(h.rec_, v);
+  }
+
+  // Batch enqueue: pushes vs[0..n) in order, stopping at the first
+  // value refused as full; returns how many were accepted. Works in
+  // chunks of kBatchChunk, each one own operation for the help cadence:
+  // an aq burst claims the chunk's free indices with one F&A, and an fq
+  // burst publishes them with one more (see push_chunk).
+  [[gnu::noinline]] std::size_t try_push_n(const std::uint64_t* vs,
+                                           std::size_t n, Handle& h) {
+    std::size_t done = 0;
+#if defined(WCQ_ALL_SLOW)
+    while (done < n && try_push(vs[done], h)) ++done;
+#else
+    while (done < n) {
+      const std::size_t k = std::min(n - done, kBatchChunk);
+      const std::size_t ok = push_chunk(h.rec_, vs + done, k);
+      done += ok;
+      if (ok < k) break;
     }
 #endif
-    detail::owner_bump(rec->slow_deq);
-    return slow_pop(rec, v);
+    return done;
+  }
+
+  // Batch dequeue into out[0..n), in queue order: returns how many
+  // values arrived, zero iff the queue is empty. Chunks as try_push_n;
+  // an fq burst claims up to a chunk of values with one F&A, and an aq
+  // burst returns their indices with one more (see pop_chunk).
+  [[gnu::noinline]] std::size_t try_pop_n(std::uint64_t* out, std::size_t n,
+                                          Handle& h) {
+    std::size_t done = 0;
+#if defined(WCQ_ALL_SLOW)
+    while (done < n && try_pop(&out[done], h)) ++done;
+#else
+    while (done < n) {
+      const std::size_t k = std::min(n - done, kBatchChunk);
+      const std::size_t ok = pop_chunk(h.rec_, out + done, k);
+      done += ok;
+      if (ok < k) break;
+    }
+#endif
+    return done;
   }
 
   // Sums every handle slot's counters (see WcqStats). Safe to call from
@@ -274,7 +282,8 @@ class WcqQueueT {
     r->result.store(detail::pack_result(seq, detail::kResultNone),
                     std::memory_order_relaxed);
     Ring& ring = fq_ring ? fq_ : aq_;
-    r->pos.store(deq ? ring.head() : ring.tail(), std::memory_order_relaxed);
+    r->pos[fq_ring][deq].store(deq ? ring.head() : ring.tail(),
+                              std::memory_order_relaxed);
     r->ctl.store(detail::pack_ctl(seq, 0, fq_ring, deq, detail::kReqPending),
                  std::memory_order_release);
   }
@@ -305,6 +314,112 @@ class WcqQueueT {
     if (st != detail::kReqPending && st != detail::kReqPhase2) return false;
     (detail::ctl_fq(c) ? fq_ : aq_).help_slow(r);
     return true;
+  }
+
+  // try_push after its help check: the fast path, then the slow path.
+  [[gnu::always_inline]] bool push_one(ThreadRec* rec, std::uint64_t v) {
+#if !defined(WCQ_ALL_SLOW)
+    std::uint64_t idx = 0;
+    const typename Ring::Result rc = aq_.dequeue_idx(&idx, enqueue_patience_);
+    if (rc == Ring::kEmpty) {
+      detail::owner_bump(rec->fast_enq);
+      return false;  // full: definitive, no slow path needed
+    }
+    if (rc == Ring::kOk) {
+      data_[idx].store(v, std::memory_order_relaxed);
+      // We already own the free index; only the second stage may need
+      // the cooperative path.
+      detail::owner_bump(put_idx(rec, /*fq_ring=*/true, idx) ? rec->fast_enq
+                                                            : rec->slow_enq);
+      return true;
+    }
+#endif
+    detail::owner_bump(rec->slow_enq);
+    return slow_push(rec, v);
+  }
+
+  // try_pop after its help check.
+  [[gnu::always_inline]] bool pop_one(ThreadRec* rec, std::uint64_t* v) {
+#if !defined(WCQ_ALL_SLOW)
+    std::uint64_t idx = 0;
+    const typename Ring::Result rc = fq_.dequeue_idx(&idx, dequeue_patience_);
+    if (rc == Ring::kEmpty) {
+      detail::owner_bump(rec->fast_deq);
+      return false;
+    }
+    if (rc == Ring::kOk) {
+      *v = data_[idx].load(std::memory_order_relaxed);
+      put_idx(rec, /*fq_ring=*/false, idx);
+      detail::owner_bump(rec->fast_deq);
+      return true;
+    }
+#endif
+    detail::owner_bump(rec->slow_deq);
+    return slow_pop(rec, v);
+  }
+
+  // The second stage of a push (fq_ring) or a pop: enqueue an index
+  // this thread owns, within enqueue patience, else as a helpable
+  // request. A ring enqueue cannot fail, only contend. True iff the
+  // fast path placed it.
+  [[gnu::always_inline]] bool put_idx(ThreadRec* rec, bool fq_ring,
+                                      std::uint64_t idx) {
+    if ((fq_ring ? fq_ : aq_).enqueue_idx(idx, enqueue_patience_) ==
+        Ring::kOk) {
+      return true;
+    }
+    publish_ring_op(rec, fq_ring, /*deq=*/false, idx);
+    complete_ring_op(rec, nullptr);
+    return false;
+  }
+
+  // One chunk (k <= kBatchChunk) of try_push_n; returns how many of
+  // vs[0..k) it pushed, fewer only when the queue is full. A value is
+  // counted fast when a burst or the fast path placed its index, slow
+  // when it went through a published request.
+  std::size_t push_chunk(ThreadRec* rec, const std::uint64_t* vs,
+                         std::size_t k) {
+    maybe_help(rec);
+    std::uint64_t idx[kBatchChunk];
+    const std::size_t got = aq_.dequeue_idx_n(idx, k);
+    for (std::size_t i = 0; i < got; ++i) {
+      data_[idx[i]].store(vs[i], std::memory_order_relaxed);
+    }
+    std::size_t fast = fq_.enqueue_idx_n(idx, got);
+    // Indices the burst could not place follow it in order, as
+    // try_push's second stage places one.
+    for (std::size_t i = fast; i < got; ++i) {
+      if (put_idx(rec, /*fq_ring=*/true, idx[i])) {
+        ++fast;
+      } else {
+        detail::owner_bump(rec->slow_enq);
+      }
+    }
+    detail::owner_bump(rec->fast_enq, fast);
+    // Values that got no free index go one at a time, which keeps
+    // try_push's definitive "full".
+    std::size_t done = got;
+    while (done < k && push_one(rec, vs[done])) ++done;
+    return done;
+  }
+
+  // One chunk (k <= kBatchChunk) of try_pop_n. Every value is read
+  // before any index goes back to aq, where a pusher could reuse it.
+  // When the burst yields nothing, the single pop gives the answer, so
+  // that 0 stays a definitive empty.
+  std::size_t pop_chunk(ThreadRec* rec, std::uint64_t* out, std::size_t k) {
+    maybe_help(rec);
+    std::uint64_t idx[kBatchChunk];
+    const std::size_t got = fq_.dequeue_idx_n(idx, k);
+    if (got == 0) return pop_one(rec, out) ? 1 : 0;
+    for (std::size_t i = 0; i < got; ++i) {
+      out[i] = data_[idx[i]].load(std::memory_order_relaxed);
+    }
+    for (std::size_t i = aq_.enqueue_idx_n(idx, got); i < got; ++i) {
+      put_idx(rec, /*fq_ring=*/false, idx[i]);
+    }
+    detail::owner_bump(rec->fast_deq, got);
+    return got;
   }
 
   // Queue-level slow enqueue: two helpable ring requests in sequence.
@@ -430,6 +545,38 @@ struct WcqTestAccess {
     return true;
   }
 
+  // One ring-level operation of h's owner, published and driven to its
+  // end (a dequeue's index in *out). Returns the ctl word it was
+  // published with: a helper that read it then and steps now is stale.
+  static std::uint64_t ring_op(Q& q, H& h, bool fq, bool deq,
+                               std::uint64_t arg, std::uint64_t* out) {
+    q.publish_ring_op(h.rec_, fq, deq, arg);
+    const std::uint64_t c =
+        q.req_of(h.rec_)->ctl.load(std::memory_order_acquire);
+    q.complete_ring_op(h.rec_, out);
+    return c;
+  }
+
+  // One Pending-state step of h's request on the fq (or aq) ring, taken
+  // by a helper that read ctl word c earlier.
+  static void step(Q& q, H& h, bool fq, std::uint64_t c) {
+    typename Q::Ring& ring = fq ? q.fq_ : q.aq_;
+    RingRequest* r = q.req_of(h.rec_);
+    if (detail::ctl_deq(c)) {
+      ring.step_dequeue(r, c);
+    } else {
+      ring.step_enqueue(r, c);
+    }
+  }
+
+  // h's dequeue scan position on the fq (or aq) ring, and that Head.
+  static std::uint64_t dequeue_scan(Q& q, H& h, bool fq) {
+    return q.req_of(h.rec_)->pos[fq][1].load(std::memory_order_acquire);
+  }
+  static std::uint64_t head(Q& q, bool fq) {
+    return (fq ? q.fq_ : q.aq_).head();
+  }
+
   // Helper-side single call: drive h's request as maybe_help would.
   static bool help(Q& q, H& h) { return q.help_request(q.req_of(h.rec_)); }
 
@@ -463,6 +610,22 @@ struct WcqTestAccess {
   // with the 8-byte CAS rather than CAS2 (ScqRingT::narrow_word_cas).
   static bool narrow_word_cas(Q& q, bool fq) {
     return (fq ? q.fq_ : q.aq_).narrow_word_cas();
+  }
+
+  // Whether every handle slot's dequeue scan position, on both rings,
+  // is at or below that ring's Head (read after it). A slow dequeue
+  // never scans ahead of Head (ScqRingT::step_dequeue). Safe while
+  // other threads run operations.
+  static bool dequeue_scans_behind_head(Q& q) {
+    typename Q::Ring* const rings[] = {&q.aq_, &q.fq_};
+    for (unsigned slot = 0; slot < q.max_threads_; ++slot) {
+      for (bool fq : {false, true}) {
+        const std::uint64_t p =
+            q.reqs_[slot].pos[fq][1].load(std::memory_order_acquire);
+        if (p > rings[fq]->head()) return false;
+      }
+    }
+    return true;
   }
 
   // Calls visit(pair) with every {word, note} entry of aq, then of fq,

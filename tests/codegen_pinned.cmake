@@ -7,7 +7,10 @@
 #   cmake -DNM=<nm> -DBINARIES=<bin>,<bin>,... -P codegen_pinned.cmake
 cmake_minimum_required(VERSION 3.16)
 
-set(_pattern "(enqueue|dequeue)_idx\\(|wcq::(Crq|ScqSegment)::(push|pop)\\(")
+# The ring ops: the single-op loops (enqueue_idx/dequeue_idx), the
+# ticket bursts (enqueue_idx_n/dequeue_idx_n) and the ticket bodies
+# they share (enqueue_ticket/dequeue_ticket).
+set(_pattern "(enqueue|dequeue)_(idx|idx_n|ticket)\\(|wcq::(Crq|ScqSegment)::(push|pop)\\(")
 
 string(REPLACE "," ";" _binaries "${BINARIES}")
 set(_found 0)

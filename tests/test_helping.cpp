@@ -4,8 +4,13 @@
 // the request up through help_threads and finalize it through the
 // note protocol. On real schedules this window is nanoseconds wide, so
 // timing alone cannot exercise it — this is the wait-freedom scenario
-// made reproducible.
+// made reproducible. Also pinned here: a batch call is one own
+// operation for the help cadence, stats() counts batch values, and a
+// stale helper — one that read a request's ctl word, then stepped it
+// after the owner had moved on to its next request — never moves that
+// next request's dequeue scan.
 #include <climits>
+#include <cstddef>
 
 #include "queue_test_common.hpp"
 #include "wcq/wcq.hpp"
@@ -81,9 +86,14 @@ void test_helper_completes_stalled_ops(const char* name) {
 // slot 0, so its first check (cursor 0) hits itself; before the fix
 // that returned without helping and — with exactly one other thread —
 // every other round was wasted the same way.
+//
+// `batch`: the helper's own operations are try_pop_n calls instead,
+// each one own operation. Every one finds the queue empty, so its burst
+// yields nothing and it falls back to the single pop, which must not
+// check a peer a second time.
 template <bool Portable>
-void test_help_round_not_wasted_on_self(const char* name,
-                                        unsigned help_delay) {
+void test_help_round_not_wasted_on_self(const char* name, unsigned help_delay,
+                                        bool batch) {
   using Access = wcq::WcqTestAccess<Portable>;
   using Queue = wcq::WcqQueueT<Portable>;
   Queue q(wcq::options{}.order(4).max_threads(4).help_delay(help_delay));
@@ -100,14 +110,16 @@ void test_help_round_not_wasted_on_self(const char* name,
   bool got321 = false;
   for (unsigned op = 1; op <= own_ops; ++op) {
     WCQ_CHECK(!Access::done_ok(q, stalled),
-              "%s help_delay %u: peer helped before own op %u", name,
-              help_delay, op);
+              "%s help_delay %u%s: peer helped before own op %u", name,
+              help_delay, batch ? " batch" : "", op);
     // The help lands before the pop itself, so the pop that helps may
     // already consume the helped value; no earlier pop may.
-    got321 = q.try_pop(&v, helper);
+    std::uint64_t vs[4] = {};
+    got321 = batch ? q.try_pop_n(vs, 4, helper) > 0 : q.try_pop(vs, helper);
+    v = vs[0];
     WCQ_CHECK(!got321 || (!never && op == own_ops && v == 321),
-              "%s help_delay %u: own op %u popped %llu", name, help_delay,
-              op, (unsigned long long)v);
+              "%s help_delay %u%s: own op %u popped %llu", name, help_delay,
+              batch ? " batch" : "", op, (unsigned long long)v);
   }
   WCQ_CHECK(Access::done_ok(q, stalled) == !never,
             "%s help_delay %u: after %u own ops the request is %s", name,
@@ -121,8 +133,88 @@ void test_help_round_not_wasted_on_self(const char* name,
     WCQ_CHECK(q.try_pop(&v, helper) && v == 321,
               "%s help_delay %u: helped value lost", name, help_delay);
   }
-  std::printf("  ok helping_cadence   %s (help_delay %u)\n", name,
-              help_delay);
+  std::printf("  ok helping_cadence   %s (help_delay %u%s)\n", name,
+              help_delay, batch ? ", batch calls" : "");
+}
+
+// stats() counts values, not calls: after batch rounds in which no call
+// is refused (no push_n short of its values, no pop_n on an empty
+// queue), enqueues equal the values pushed and dequeues the values
+// popped. Chunks of every size 1-64 and calls spanning two chunks.
+template <bool Portable>
+void test_batch_stats(const char* name, const wcq::options& opt) {
+  using Queue = wcq::WcqQueueT<Portable>;
+  Queue q(wcq::options{opt}.order(8).max_threads(2));
+  auto h = wcq::test::backend_handle(q);
+  std::uint64_t in[100];
+  std::uint64_t out[100];
+  for (std::uint64_t i = 0; i < 100; ++i) in[i] = i;
+  std::uint64_t pushed = 0;
+  std::uint64_t popped = 0;
+  for (std::size_t round = 0; round < 400; ++round) {
+    const std::size_t n = 1 + round * 37 % 100;  // 1..100, cap 256
+    WCQ_CHECK(q.try_push_n(in, n, h) == n, "%s: push_n(%zu) refused", name,
+              n);
+    pushed += n;
+    for (std::size_t got = 0; got < n;) {
+      const std::size_t k = q.try_pop_n(out + got, n - got, h);
+      WCQ_CHECK(k > 0, "%s: pop_n found %zu values empty", name, n - got);
+      for (std::size_t i = 0; i < k; ++i) {
+        WCQ_CHECK(out[got + i] == got + i, "%s: pop_n value %llu want %zu",
+                  name, (unsigned long long)out[got + i], got + i);
+      }
+      got += k;
+      popped += k;
+    }
+  }
+  const wcq::WcqStats st = q.stats();
+  WCQ_CHECK(st.fast_enqueues + st.slow_enqueues == pushed &&
+                st.fast_dequeues + st.slow_dequeues == popped,
+            "%s: stats count %llu+%llu enqueues for %llu pushed, %llu+%llu "
+            "dequeues for %llu popped",
+            name, (unsigned long long)st.fast_enqueues,
+            (unsigned long long)st.slow_enqueues, (unsigned long long)pushed,
+            (unsigned long long)st.fast_dequeues,
+            (unsigned long long)st.slow_dequeues, (unsigned long long)popped);
+  std::printf("  ok batch_stats       %s (patience %u/%u)\n", name,
+              opt.enqueue_patience(), opt.dequeue_patience());
+}
+
+// A helper reads a request's ctl word, then its scan position, then
+// steps; the owner may have finished that request and published the
+// next one in between. Here the owner pops one value through both
+// ring stages, a helper holds the ctl word of the second (returning the
+// index to aq), and the owner publishes its next pop: an fq dequeue
+// scanning from fq's Head. The stale aq-enqueue step must leave that
+// scan where it is: an enqueue scan advances past positions it cannot
+// use, and a dequeue scan moved past Head would skip, for good, values
+// queued behind it.
+template <bool Portable>
+void test_stale_step_keeps_to_its_kind(const char* name) {
+  using Access = wcq::WcqTestAccess<Portable>;
+  using Queue = wcq::WcqQueueT<Portable>;
+  Queue q(wcq::options{}.order(4).max_threads(4).help_delay(UINT_MAX));
+  auto owner = wcq::test::backend_handle(q);
+  auto other = wcq::test::backend_handle(q);
+  WCQ_CHECK(q.try_push(1, other) && q.try_push(2, other),
+            "%s: seed pushes refused", name);
+  std::uint64_t idx = 0;
+  (void)Access::ring_op(q, owner, /*fq=*/true, /*deq=*/true, 0, &idx);
+  const std::uint64_t stale =
+      Access::ring_op(q, owner, /*fq=*/false, /*deq=*/false, idx, nullptr);
+  Access::publish_stalled_pop(q, owner);
+  const std::uint64_t head = Access::head(q, /*fq=*/true);
+  Access::step(q, owner, /*fq=*/false, stale);
+  const std::uint64_t scan = Access::dequeue_scan(q, owner, /*fq=*/true);
+  WCQ_CHECK(scan == head,
+            "%s: a stale aq-enqueue step moved the fq dequeue scan from "
+            "Head %llu to %llu",
+            name, (unsigned long long)head, (unsigned long long)scan);
+  std::uint64_t v = 0;
+  WCQ_CHECK(Access::finish_pop(q, owner, &v) && v == 2,
+            "%s: pop after the stale step got %llu, want 2", name,
+            (unsigned long long)v);
+  std::printf("  ok stale_step        %s\n", name);
 }
 
 }  // namespace
@@ -131,8 +223,18 @@ int main() {
   test_helper_completes_stalled_ops<false>("wcq");
   test_helper_completes_stalled_ops<true>("wcq-portable");
   for (const unsigned help_delay : {1u, 3u, UINT_MAX}) {
-    test_help_round_not_wasted_on_self<false>("wcq", help_delay);
-    test_help_round_not_wasted_on_self<true>("wcq-portable", help_delay);
+    for (const bool batch : {false, true}) {
+      test_help_round_not_wasted_on_self<false>("wcq", help_delay, batch);
+      test_help_round_not_wasted_on_self<true>("wcq-portable", help_delay,
+                                               batch);
+    }
   }
+  for (const auto& opt :
+       {wcq::options{}, wcq::options{}.patience(1, 1).help_delay(1)}) {
+    test_batch_stats<false>("wcq", opt);
+    test_batch_stats<true>("wcq-portable", opt);
+  }
+  test_stale_step_keeps_to_its_kind<false>("wcq");
+  test_stale_step_keeps_to_its_kind<true>("wcq-portable");
   return 0;
 }

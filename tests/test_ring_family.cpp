@@ -10,18 +10,30 @@
 //     members run a small ring (order 4, capacity 16) so the tape
 //     wraps the cycle counter many times and hits full episodes;
 //     LSCQ runs the unbounded variant (pushes may never refuse) with
-//     order-4 segments so the tape crosses segment boundaries.
+//     order-4 segments so the tape crosses segment boundaries. The
+//     wCQ members (native and portable) mix in try_push_n/try_pop_n
+//     of 1-64 values, their native ticket bursts: a push_n must accept
+//     exactly the model's free space, and a pop_n must return a FIFO
+//     prefix of the model, non-empty whenever the model is. wcq::queue
+//     pushes value by value over a bounded backend, so these calls go
+//     through wcq::sharded over one wCQ shard, which hands every chunk
+//     to WcqQueueT's bursts and otherwise is that one queue.
 //  2. Tape agreement: one no-refusal tape (pending kept inside
 //     (0, capacity) by construction) replayed on all five queues must
 //     yield byte-identical pop traces.
 //  3. Concurrent fuzz per queue: threads each run a random push/pop
-//     mix over one queue; accounting must be exact (every accepted
-//     push popped exactly once, nothing invented) and each popping
-//     thread must see every pusher's values in monotone order.
+//     mix over one queue (batch calls among them for the wCQ members,
+//     on rings of 2, 8 and 64 values, at default patience and at
+//     patience 1); accounting must be exact (every accepted push popped
+//     exactly once, nothing invented, and the final drain finds every
+//     survivor) and each popping thread must see every pusher's values
+//     in monotone order.
 //  4. Start-full differential per index ring (SCQ, NCQ, CCQ): a ring
 //     constructed full must be indistinguishable from an empty one
 //     filled by capacity enqueue_idx calls, which is the reference.
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <numeric>
@@ -34,11 +46,23 @@
 #include "wcq/ncq.hpp"
 #include "wcq/queue.hpp"
 #include "wcq/scq.hpp"
+#include "wcq/sharded.hpp"
 #include "wcq/wcq.hpp"
 
 namespace {
 
 using namespace wcq;
+
+// wCQ with its try_push_n/try_pop_n bursts reachable: wcq::sharded
+// over a single shard of Backend.
+template <typename Backend>
+class OneShard : public sharded<std::uint64_t, Backend> {
+ public:
+  explicit OneShard(const options& opt)
+      : sharded<std::uint64_t, Backend>(options{opt}.shards(1)) {}
+};
+using WcqBursts = OneShard<WcqQueue>;
+using WcqPortableBursts = OneShard<WcqPortableQueue>;
 
 // Deterministic splitmix64: the tape must be identical across queues
 // and across runs (failures reproduce).
@@ -54,9 +78,10 @@ struct Rng {
 
 // ---- 1. serial differential vs std::deque ----
 
+// `batch`: one op in four is a try_push_n/try_pop_n of 1-64 values.
 template <concepts::Queue Q>
 void diff_model(const char* name, unsigned order, bool bounded,
-                std::uint64_t ops) {
+                std::uint64_t ops, bool batch = false) {
   Q q(options{}.max_threads(2).order(order));
   auto h = q.get_handle();
   const std::uint64_t cap = std::uint64_t{1} << order;
@@ -64,12 +89,43 @@ void diff_model(const char* name, unsigned order, bool bounded,
   std::deque<std::uint64_t> model;
   Rng rng{0x5ca1ab1e0ddba11ull};
   std::uint64_t next_value = 1;
+  std::uint64_t buf[kBatchChunk];
 
   for (std::uint64_t i = 0; i < ops; ++i) {
     // Regime waves: 256 push-heavy ops, then 256 pop-heavy, so the
     // tape holds the ring near-full and near-empty in turn.
     const bool push_heavy = ((i >> 8) & 1) == 0;
     const unsigned push_pct = push_heavy ? 75 : 25;
+    if (batch && rng.next() % 4 == 0) {
+      const std::size_t n = 1 + rng.next() % kBatchChunk;
+      if (rng.next() % 100 < push_pct) {
+        for (std::size_t k = 0; k < n; ++k) buf[k] = next_value + k;
+        next_value += n;
+        const std::size_t ok = q.try_push_n(buf, n, h);
+        const std::size_t want =
+            bounded ? std::min<std::uint64_t>(n, cap - model.size()) : n;
+        WCQ_CHECK(ok == want,
+                  "%s: op %llu push_n(%zu) took %zu, model (size %zu/%llu) "
+                  "says %zu",
+                  name, (unsigned long long)i, n, ok, model.size(),
+                  (unsigned long long)cap, want);
+        model.insert(model.end(), buf, buf + ok);
+      } else {
+        const std::size_t got = q.try_pop_n(buf, n, h);
+        WCQ_CHECK(got <= n && got <= model.size() &&
+                      (got > 0 || model.empty()),
+                  "%s: op %llu pop_n(%zu) got %zu, model holds %zu", name,
+                  (unsigned long long)i, n, got, model.size());
+        for (std::size_t k = 0; k < got; ++k) {
+          WCQ_CHECK(buf[k] == model.front(),
+                    "%s: op %llu pop_n value %zu is %llu want %llu", name,
+                    (unsigned long long)i, k, (unsigned long long)buf[k],
+                    (unsigned long long)model.front());
+          model.pop_front();
+        }
+      }
+      continue;
+    }
     if (rng.next() % 100 < push_pct) {
       const std::uint64_t v = next_value++;
       const bool ok = q.try_push(v, h);
@@ -171,13 +227,15 @@ void test_tape_agreement() {
 
 // ---- 3. concurrent randomized push/pop mix ----
 
+// `batch`: half the pushes and pops are try_push_n/try_pop_n of 1-64.
 template <concepts::Queue Q>
-void fuzz_concurrent(const char* name, unsigned order) {
+void fuzz_concurrent(const char* name, unsigned order, bool batch = false,
+                     const options& base = options{}) {
   constexpr unsigned kThreads = 4;
   const std::uint64_t per_thread = test::env_ops(12000);
   const std::uint64_t value_space = kThreads * per_thread;
 
-  Q q(options{}.max_threads(kThreads + 1).order(order));
+  Q q(options{base}.max_threads(kThreads + 1).order(order));
   std::vector<std::atomic<std::uint32_t>> seen(value_space);
   for (auto& s : seen) s.store(0, std::memory_order_relaxed);
   std::vector<std::uint64_t> pushed(kThreads, 0);
@@ -192,22 +250,36 @@ void fuzz_concurrent(const char* name, unsigned order) {
       std::uint64_t seq = 0;
       std::vector<std::uint64_t> last(kThreads, 0);
       std::vector<bool> any(kThreads, false);
+      const auto take = [&](std::uint64_t v) {
+        WCQ_CHECK(v < value_space, "%s: invented value %llu", name,
+                  (unsigned long long)v);
+        seen[v].fetch_add(1, std::memory_order_relaxed);
+        const std::uint64_t p = v / per_thread;
+        const std::uint64_t s = v % per_thread;
+        if (any[p] && s <= last[p]) {
+          order_ok.store(false, std::memory_order_relaxed);
+        }
+        last[p] = s;
+        any[p] = true;
+      };
+      std::uint64_t buf[kBatchChunk];
       for (std::uint64_t i = 0; i < per_thread * 2; ++i) {
-        if (rng.next() % 2 == 0 && seq < per_thread) {
-          // A refused push (bounded queue momentarily full) is simply
-          // not retried; accounting only covers accepted pushes.
+        const bool push = rng.next() % 2 == 0 && seq < per_thread;
+        const std::size_t n =
+            batch && rng.next() % 2 == 0 ? 1 + rng.next() % kBatchChunk : 0;
+        // A refused push (bounded queue momentarily full) is simply not
+        // retried; accounting only covers accepted pushes.
+        if (push && n > 0) {
+          const std::size_t k = std::min<std::uint64_t>(n, per_thread - seq);
+          for (std::size_t j = 0; j < k; ++j) buf[j] = t * per_thread + seq + j;
+          seq += q.try_push_n(buf, k, h);
+        } else if (push) {
           if (q.try_push(t * per_thread + seq, h)) ++seq;
+        } else if (n > 0) {
+          const std::size_t got = q.try_pop_n(buf, n, h);
+          for (std::size_t j = 0; j < got; ++j) take(buf[j]);
         } else if (const auto v = q.try_pop(h)) {
-          WCQ_CHECK(*v < value_space, "%s: invented value %llu", name,
-                    (unsigned long long)*v);
-          seen[*v].fetch_add(1, std::memory_order_relaxed);
-          const std::uint64_t p = *v / per_thread;
-          const std::uint64_t s = *v % per_thread;
-          if (any[p] && s <= last[p]) {
-            order_ok.store(false, std::memory_order_relaxed);
-          }
-          last[p] = s;
-          any[p] = true;
+          take(*v);
         }
       }
       pushed[t] = seq;
@@ -238,9 +310,10 @@ void fuzz_concurrent(const char* name, unsigned order) {
     }
   }
   WCQ_CHECK(order_ok.load(), "%s: per-producer FIFO order violated", name);
-  std::printf("  ok fuzz_concurrent   %s (%llu of %llu pushes accepted)\n",
-              name, (unsigned long long)total_pushed,
-              (unsigned long long)value_space);
+  std::printf(
+      "  ok fuzz_concurrent   %s order %u (%llu of %llu pushes accepted)\n",
+      name, order, (unsigned long long)total_pushed,
+      (unsigned long long)value_space);
 }
 
 // ---- 4. a ring started full vs one filled by enqueues ----
@@ -344,9 +417,26 @@ int main(int argc, char** argv) {
     diff_model<harness::CcqAdapter>("ccq", 4, true, ops);
     fuzz_concurrent<harness::CcqAdapter>("ccq", 6);
   }
+  // wCQ's bursts race single ops down to a 2-value ring, where a
+  // dequeue burst's held tickets meet re-armed thresholds most often.
+  const options patience1 = options{}.patience(1, 1);
   if (test::selected(argc, argv, "wcq")) {
     diff_model<harness::WcqAdapter>("wcq", 4, true, ops);
+    diff_model<WcqBursts>("wcq+batch", 4, true, ops, true);
     fuzz_concurrent<harness::WcqAdapter>("wcq", 6);
+    for (const unsigned order : {1u, 3u, 6u}) {
+      fuzz_concurrent<WcqBursts>("wcq+batch", order, true);
+      fuzz_concurrent<WcqBursts>("wcq+batch patience 1", order, true,
+                                 patience1);
+    }
+  }
+  if (test::selected(argc, argv, "wcq-portable")) {
+    diff_model<WcqPortableBursts>("wcq-portable+batch", 4, true, ops, true);
+    for (const unsigned order : {1u, 3u, 6u}) {
+      fuzz_concurrent<WcqPortableBursts>("wcq-portable+batch", order, true);
+      fuzz_concurrent<WcqPortableBursts>("wcq-portable+batch patience 1",
+                                         order, true, patience1);
+    }
   }
   if (test::selected(argc, argv, "lscq")) {
     diff_model<harness::LscqAdapter>("lscq", 4, false, ops);

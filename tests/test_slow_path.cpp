@@ -6,15 +6,27 @@
 //
 // Covered: single-thread FIFO and empty/full through the slow path,
 // MPMC no-loss/no-duplication with per-producer order (watched for the
-// noted-bit invariant on every entry of both rings), and two helpers
+// noted-bit invariant on every entry of both rings), once with single
+// ops and once with try_push_n/try_pop_n bursts racing the parked
+// notes (per-value slow ops in the all-slow build), and two helpers
 // stepping the SAME pending request in turn, with the operation
-// completing exactly once.
+// completing exactly once. Also the bounded-memory invariant: after
+// construction and handle registration, wCQ (both builds), SCQ, NCQ
+// and CCQ make no mem::alloc call, here at patience 1 and at the
+// default patience.
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <thread>
 #include <vector>
 
 #include "queue_test_common.hpp"
+#include "wcq/ccq.hpp"
+#include "wcq/mem.hpp"
+#include "wcq/ncq.hpp"
+#include "wcq/queue.hpp"
+#include "wcq/scq.hpp"
 #include "wcq/wcq.hpp"
 
 namespace {
@@ -86,9 +98,11 @@ void test_slow_empty_full(const char* name) {
 // Scans every {word, note} entry of both rings, each read atomically,
 // until `done`, at least once, and fails at once on an entry whose
 // word's bit 63 disagrees with note != 0: the fast path's single-word
-// CAS is only correct under that invariant. `parked` counts entries
-// seen holding a note; it depends on scheduling, so it is reported,
-// never asserted.
+// CAS is only correct under that invariant. Each scan also fails on a
+// slow dequeue scanning ahead of its ring's Head, which lets a commit's
+// Head bump jump over values queued behind the scan. `parked` counts
+// entries seen holding a note; it depends on scheduling, so it is
+// reported, never asserted.
 template <bool Portable>
 struct NotedBitWatcher {
   std::uint64_t parked = 0;
@@ -105,6 +119,8 @@ struct NotedBitWatcher {
                   (unsigned long long)e.word);
         if (e.note != 0) ++parked;
       });
+      WCQ_CHECK(WcqTestAccess<Portable>::dequeue_scans_behind_head(q),
+                "%s: a slow dequeue scans ahead of its ring's Head", name);
       ++scans;
     } while (!done.load(std::memory_order_acquire));
   }
@@ -133,9 +149,11 @@ void test_word_cas_width(const char* name) {
               want ? "8-byte CAS" : "CAS2");
 }
 
+// `bursts`: producers push with try_push_n and consumers pop with
+// try_pop_n, of 1-64 values each (a seeded size per call).
 template <bool Portable>
-void test_slow_mpmc(const char* name, unsigned producers,
-                    unsigned consumers) {
+void test_slow_mpmc(const char* name, unsigned producers, unsigned consumers,
+                    bool bursts = false) {
   const std::uint64_t per_producer = test::env_ops(5000);
   WcqQueueT<Portable> q(slow_opts(8, producers + consumers + 2));
 
@@ -154,34 +172,58 @@ void test_slow_mpmc(const char* name, unsigned producers,
   for (unsigned p = 0; p < producers; ++p) {
     threads.emplace_back([&, p] {
       auto h = test::backend_handle(q);
-      for (std::uint64_t i = 0; i < per_producer; ++i) {
-        const std::uint64_t v = p * per_producer + i;
-        while (!q.try_push(v, h)) std::this_thread::yield();
+      std::uint64_t vs[kBatchChunk];
+      for (std::uint64_t i = 0; i < per_producer;) {
+        // Burst sizes cycle through 1..64 from a per-producer offset.
+        std::uint64_t n = 1;
+        if (bursts) {
+          n = std::min<std::uint64_t>(1 + (i + p * 29) % kBatchChunk,
+                                      per_producer - i);
+        }
+        for (std::uint64_t k = 0; k < n; ++k) vs[k] = p * per_producer + i + k;
+        std::size_t ok = 0;
+        if (bursts) {
+          ok = q.try_push_n(vs, n, h);
+        } else if (q.try_push(vs[0], h)) {
+          ok = 1;
+        }
+        i += ok;
+        if (ok < n) std::this_thread::yield();
       }
     });
   }
   for (unsigned c = 0; c < consumers; ++c) {
-    threads.emplace_back([&] {
+    threads.emplace_back([&, c] {
       auto h = test::backend_handle(q);
       std::vector<std::uint64_t> last(producers, 0);
       std::vector<bool> any(producers, false);
-      while (consumed.load(std::memory_order_acquire) < total) {
-        std::uint64_t v = 0;
-        if (!q.try_pop(&v, h)) {
+      std::uint64_t vs[kBatchChunk];
+      for (std::uint64_t call = c;
+           consumed.load(std::memory_order_acquire) < total; ++call) {
+        std::size_t got = 0;
+        if (bursts) {
+          got = q.try_pop_n(vs, 1 + call * 37 % kBatchChunk, h);
+        } else if (q.try_pop(&vs[0], h)) {
+          got = 1;
+        }
+        if (got == 0) {
           std::this_thread::yield();
           continue;
         }
-        WCQ_CHECK(v < total, "%s: out-of-range value %llu", name,
-                  (unsigned long long)v);
-        seen[v].fetch_add(1, std::memory_order_relaxed);
-        consumed.fetch_add(1, std::memory_order_acq_rel);
-        const std::uint64_t p = v / per_producer;
-        const std::uint64_t seq = v % per_producer;
-        if (any[p] && seq <= last[p]) {
-          order_ok.store(false, std::memory_order_relaxed);
+        for (std::size_t k = 0; k < got; ++k) {
+          const std::uint64_t v = vs[k];
+          WCQ_CHECK(v < total, "%s: out-of-range value %llu", name,
+                    (unsigned long long)v);
+          seen[v].fetch_add(1, std::memory_order_relaxed);
+          const std::uint64_t p = v / per_producer;
+          const std::uint64_t seq = v % per_producer;
+          if (any[p] && seq <= last[p]) {
+            order_ok.store(false, std::memory_order_relaxed);
+          }
+          last[p] = seq;
+          any[p] = true;
         }
-        last[p] = seq;
-        any[p] = true;
+        consumed.fetch_add(got, std::memory_order_acq_rel);
       }
     });
   }
@@ -207,9 +249,9 @@ void test_slow_mpmc(const char* name, unsigned producers,
             "%s: all-slow build never took the slow path", name);
 #endif
   std::printf(
-      "  ok slow_mpmc %ux%u    %s (%llu slow ops; %llu parked notes seen "
+      "  ok slow_mpmc %ux%u%s %s (%llu slow ops; %llu parked notes seen "
       "in %llu scans)\n",
-      producers, consumers, name,
+      producers, consumers, bursts ? " burst" : "      ", name,
       (unsigned long long)(st.slow_enqueues + st.slow_dequeues),
       (unsigned long long)watch.parked, (unsigned long long)watch.scans);
 }
@@ -311,6 +353,70 @@ void test_two_helpers_one_request(const char* name) {
   std::printf("  ok slow_two_helpers  %s (%d rounds)\n", name, kRounds);
 }
 
+// No allocation after set-up (the first half of bounded memory): once
+// the queue is built and every handle registered, four threads run a
+// seeded push/pop mix on a 32-slot ring, which bursts of up to 64
+// fill and drain, and mem's allocation count must not move. Backends
+// with bursts (wCQ) mix in try_push_n/try_pop_n of 1-64 values. In
+// the all-slow build this mix also pins a fixed slow-path defect: a
+// dequeue scan that got ahead of Head never finished here.
+template <typename B>
+void no_alloc_after_setup(const char* name, const options& opt) {
+  constexpr unsigned kThreads = 4;
+  const std::uint64_t ops = test::env_ops(5000);
+  B q(options{opt}.order(5).max_threads(kThreads));
+  std::vector<typename B::Handle> hs;
+  for (unsigned t = 0; t < kThreads; ++t) hs.push_back(test::backend_handle(q));
+  const std::uint64_t before = mem::stats().total_allocs;
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::uint64_t x = 0x9e3779b97f4a7c15ull * (t + 1);
+      std::uint64_t vs[kBatchChunk];
+      for (std::uint64_t i = 0; i < ops; ++i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        const std::size_t n = 1 + (x >> 8) % kBatchChunk;
+        const bool push = (x & 1) != 0;
+        if constexpr (detail::PushBurst<B>) {
+          if ((x & 2) != 0) {
+            if (push) {
+              std::fill(vs, vs + n, i);
+              (void)q.try_push_n(vs, n, hs[t]);
+            } else {
+              (void)q.try_pop_n(vs, n, hs[t]);
+            }
+            continue;
+          }
+        }
+        if (push) {
+          (void)q.try_push(i, hs[t]);
+        } else {
+          (void)q.try_pop(vs, hs[t]);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  const std::uint64_t after = mem::stats().total_allocs;
+  WCQ_CHECK(after == before, "%s: %llu mem::alloc calls after set-up", name,
+            (unsigned long long)(after - before));
+  std::printf("  ok no_alloc          %s\n", name);
+}
+
+void test_no_alloc_after_setup() {
+  no_alloc_after_setup<WcqQueue>("wcq", options{});
+  no_alloc_after_setup<WcqPortableQueue>("wcq-portable", options{});
+  // patience=1 puts contended wCQ ops on the slow path.
+  no_alloc_after_setup<WcqQueue>("wcq (patience 1)", slow_opts(5, 4));
+  no_alloc_after_setup<WcqPortableQueue>("wcq-portable (patience 1)",
+                                         slow_opts(5, 4));
+  no_alloc_after_setup<ScqQueue>("scq", options{});
+  no_alloc_after_setup<NcqQueue>("ncq", options{});
+  no_alloc_after_setup<CcqQueue>("ccq", options{});
+}
+
 }  // namespace
 
 int main() {
@@ -322,9 +428,12 @@ int main() {
   test_slow_empty_full<true>("wcq-portable");
   test_slow_mpmc<false>("wcq", 3, 3);
   test_slow_mpmc<true>("wcq-portable", 2, 2);
+  test_slow_mpmc<false>("wcq", 3, 3, /*bursts=*/true);
+  test_slow_mpmc<true>("wcq-portable", 2, 2, /*bursts=*/true);
   test_no_premature_empty<false>("wcq");
   test_no_premature_empty<true>("wcq-portable");
   test_two_helpers_one_request<false>("wcq");
   test_two_helpers_one_request<true>("wcq-portable");
+  test_no_alloc_after_setup();
   return 0;
 }

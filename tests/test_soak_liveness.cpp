@@ -12,16 +12,23 @@
 // a lost request record shows up here as a watchdog violation (or the
 // accounting check failing), not as a silent ctest timeout.
 //
-// Two phases: default options (fast path dominant), then patience=1
+// Four phases: default options (fast path dominant), then patience=1
 // with help_delay=1 on a tiny ring, where every operation runs the
-// CAS2 note-based cooperative slow path under helping traffic.
+// CAS2 note-based cooperative slow path under helping traffic; then
+// both again on a 2-value wCQ with half the ops try_push_n/try_pop_n
+// bursts of 1-64 values, where a dequeue burst's held tickets meet
+// re-armed thresholds most often (a burst that spent the threshold on
+// each fruitless ticket left values behind a false empty there).
 //
 // Sized for ctest by default; the nightly TSan lane turns the knobs:
 //   WCQ_SOAK_SECONDS   total soak wall-clock across phases (def 2)
 //   WCQ_SOAK_THREADS   workers per phase (def 4)
 //   WCQ_SOAK_STALL_MS  per-op in-flight bound (def 10000)
 #include <atomic>
+#include <barrier>
 #include <chrono>
+#include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <thread>
 #include <vector>
@@ -50,14 +57,33 @@ unsigned env_unsigned(const char* name, unsigned dflt) {
   return dflt;
 }
 
+// `batch`: half the ops are try_push_n/try_pop_n of 1-64 values.
+//
+// Accounting is checked at a checkpoint every millisecond and at the
+// end: the workers meet at a barrier while one of them drains the
+// queue, which must then hold exactly the accepted pushes not yet
+// popped — nothing lost, nothing invented, and no false empty (a spent
+// threshold with values still queued) at any checkpoint.
 template <concepts::Queue Q>
 void soak_phase(const char* tag, const options& opts, unsigned threads,
-                double seconds, std::uint64_t stall_ms) {
+                double seconds, std::uint64_t stall_ms, bool batch = false) {
+  constexpr std::uint64_t kCheckpointNs = 1'000'000;
   Q q(opts);
   harness::StarvationWatchdog dog(
       threads, std::chrono::milliseconds(stall_ms), /*fatal=*/true);
-  std::atomic<std::uint64_t> pushed{0};
-  std::atomic<std::uint64_t> popped{0};
+  std::atomic<std::int64_t> held{0};  // accepted pushes not yet popped
+  auto drain_h = q.get_handle();
+  std::uint64_t checks = 0;
+  const auto drain = [&]() noexcept {
+    std::int64_t got = 0;
+    while (q.try_pop(drain_h).has_value()) ++got;
+    const std::int64_t want = held.exchange(0, std::memory_order_relaxed);
+    WCQ_CHECK(got == want, "%s: check %llu drained %lld values, want %lld",
+              tag, (unsigned long long)checks, (long long)got,
+              (long long)want);
+    ++checks;
+  };
+  std::barrier sync(static_cast<std::ptrdiff_t>(threads), drain);
   const std::uint64_t end_ns =
       harness::now_ns() +
       static_cast<std::uint64_t>(seconds * 1e9);
@@ -69,9 +95,13 @@ void soak_phase(const char* tag, const options& opts, unsigned threads,
     workers.emplace_back([&, t] {
       auto h = q.get_handle();
       Xoshiro256 rng(0x50ACu + t * 65537u);
-      std::uint64_t my_pushed = 0;
-      std::uint64_t my_popped = 0;
-      while (harness::now_ns() < end_ns) {
+      typename Q::value_type buf[kBatchChunk] = {};
+      std::uint64_t next_check = harness::now_ns() + kCheckpointNs;
+      for (std::uint64_t now; (now = harness::now_ns()) < end_ns;) {
+        if (now >= next_check) {
+          sync.arrive_and_wait();
+          next_check = harness::now_ns() + kCheckpointNs;
+        }
         // Preemption injection, between ops: a yield burst hands the
         // core to a peer mid-*its*-op on an oversubscribed box; a
         // busy-spin window simulates a stalled-but-running thread.
@@ -81,31 +111,30 @@ void soak_phase(const char* tag, const options& opts, unsigned threads,
         } else if (rng.chance_pct(1)) {
           spin_delay(rng.next_below(4000));
         }
+        const std::size_t n =
+            batch && rng.chance_pct(50) ? 1 + rng.next_below(kBatchChunk) : 0;
+        std::int64_t moved = 0;  // + pushed, - popped
         dog.op_begin(t);
         if (rng.chance_pct(50)) {
-          if (q.try_push(t, h)) ++my_pushed;
-        } else {
-          if (q.try_pop(h).has_value()) ++my_popped;
+          if (n > 0) {
+            moved = static_cast<std::int64_t>(q.try_push_n(buf, n, h));
+          } else if (q.try_push(t, h)) {
+            moved = 1;
+          }
+        } else if (n > 0) {
+          moved = -static_cast<std::int64_t>(q.try_pop_n(buf, n, h));
+        } else if (q.try_pop(h).has_value()) {
+          moved = -1;
         }
         dog.op_end(t);
+        held.fetch_add(moved, std::memory_order_relaxed);
       }
-      pushed.fetch_add(my_pushed, std::memory_order_acq_rel);
-      popped.fetch_add(my_popped, std::memory_order_acq_rel);
+      sync.arrive_and_drop();
     });
   }
   for (auto& w : workers) w.join();
   dog.stop();
-
-  // Accounting: nothing lost, nothing invented.
-  std::uint64_t drained = 0;
-  {
-    auto h = q.get_handle();
-    while (q.try_pop(h).has_value()) ++drained;
-  }
-  WCQ_CHECK(pushed.load() == popped.load() + drained,
-            "%s: pushed %llu != popped %llu + drained %llu", tag,
-            (unsigned long long)pushed.load(),
-            (unsigned long long)popped.load(), (unsigned long long)drained);
+  drain();
 
   const auto rep = dog.report();
   WCQ_CHECK(rep.violations == 0,
@@ -118,8 +147,10 @@ void soak_phase(const char* tag, const options& opts, unsigned threads,
     WCQ_CHECK(dog.ops(t) > 0, "%s: thread %u starved (0 ops)", tag, t);
   }
   std::printf(
-      "  ok soak %-10s %u threads, %.1fs: %llu ops, max in-flight %.3f ms\n",
+      "  ok soak %-10s %u threads, %.1fs: %llu ops, %llu checks, max "
+      "in-flight %.3f ms\n",
       tag, threads, seconds, (unsigned long long)rep.total_ops,
+      (unsigned long long)checks,
       static_cast<double>(rep.max_stall_ns) / 1e6);
 }
 
@@ -130,7 +161,7 @@ int main() {
   const unsigned threads = env_unsigned("WCQ_SOAK_THREADS", 4);
   const auto stall_ms =
       static_cast<std::uint64_t>(env_unsigned("WCQ_SOAK_STALL_MS", 10000));
-  const double per_phase = total_s / 2.0;
+  const double per_phase = total_s / 4.0;
 
   // Phase 1: defaults — fast path dominant, ring small enough that
   // full/empty edges and the threshold logic stay hot.
@@ -146,6 +177,15 @@ int main() {
       options{}.order(6).max_threads(threads + 2).patience(1, 1).help_delay(
           1),
       threads, per_phase, stall_ms);
+
+  // Phases 3 and 4: wCQ's native bursts (wcq::sharded over one shard
+  // hands every chunk to them) on a 2-value ring, both ways.
+  const options bursts = options{}.order(1).shards(1).max_threads(threads + 2);
+  soak_phase<harness::ShardedWcqAdapter>("batch", bursts, threads, per_phase,
+                                         stall_ms, /*batch=*/true);
+  soak_phase<harness::ShardedWcqAdapter>(
+      "batch p=1", options{bursts}.patience(1, 1).help_delay(1), threads,
+      per_phase, stall_ms, /*batch=*/true);
 
   return 0;
 }

@@ -215,8 +215,9 @@ int main() {
   test_boxed_codec_roundtrip();
   test_boxed_no_leak_on_failed_push();
   test_boxed_teardown_drains();
-  // Over wCQ, which has no native burst, try_push_n pushes value by
-  // value; over FaaQueue it boxes and bursts whole chunks.
+  // Over wCQ, which bursts but can refuse as full, try_push_n pushes
+  // value by value, so a refused push costs one box; over FaaQueue,
+  // which never refuses as full, it boxes and bursts whole chunks.
   test::test_batch_box_accounting<queue<test::Msg40>,
                                   queue<test::PerValueMsg40>>(
       "queue", options{}, /*boxes=*/75);
