@@ -5,13 +5,19 @@
 // is the peak live bytes the algorithm requested; a second column
 // reports the kernel's peak RSS over the same run (rearmed per queue
 // instance via /proc/self/clear_refs) so allocator slack is visible too.
-// Expected shape: LCRQ's closed-ring churn and FAA's segments now
-// retire through the shared SMR layer, so their peaks track the
-// *in-flight* rings/segments (bounded by the amnesty threshold) rather
-// than growing with total ops the way the old leak-until-destructor
-// behaviour did; MSQ likewise frees dequeued nodes as it goes. wCQ/SCQ
-// stay at their statically allocated ring (~1-2 MB at the paper's
-// 2^16-slot size).
+// Expected shape: wCQ/SCQ stay at their statically allocated ring
+// (~1-2 MB at the paper's 2^16-slot size). LCRQ's closed rings, LSCQ's
+// segments, MSQ's nodes and FAA's segments retire through the shared
+// SMR layer. LCRQ, LSCQ and MSQ protect them with hazard pointers, so a
+// stalled thread holds back only what its hazards name, and their
+// peaks track the in-flight rings/nodes plus the amnesty threshold.
+// FAA walks its segments under epoch pins (faa_queue.hpp), so its peak
+// is bounded only while every thread keeps moving, as here: one thread
+// parked inside an operation holds back every segment retired after it
+// pinned, and FAA grows without bound (a run at order 10 with one
+// thread parked and two churning for 2 s took it from 0.12 to 81 MB).
+// FAA is the lineup's unbounded-under-stall example, the role YMC
+// plays in the paper's Figure 10.
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {

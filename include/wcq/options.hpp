@@ -100,8 +100,10 @@ class options {
   }
 
   /// One peer help check every `v` own operations of a handle, the
-  /// first on its `v`-th; `v` >= 1 (wCQ §3.1). UINT_MAX in effect
-  /// turns helping off.
+  /// first on its `v`-th; `v` >= 1 (wCQ §3.1). An own operation is one
+  /// that reaches a ring: a push, a pop past the empty exit, or a batch
+  /// call's chunk. A pop answered empty by the threshold is not one.
+  /// UINT_MAX in effect turns helping off.
   constexpr options& help_delay(unsigned v) {
     help_delay_ = v;
     return *this;

@@ -172,6 +172,10 @@ class ScqRingT {
     return tail_pos(tail_.load(std::memory_order_seq_cst));
   }
 
+  // Whether the threshold is spent: the definitive empty that
+  // dequeue_idx and dequeue_idx_n answer before taking a ticket.
+  bool spent() const { return threshold_.spent(); }
+
   // Enqueue an index in [0, capacity). As long as at most `capacity`
   // indices are live the ring always has room, so the only non-kOk
   // outcome is kContended when `max_iters` attempts are spent (or
@@ -198,7 +202,7 @@ class ScqRingT {
   // tail caught up); kContended means patience ran out first.
   [[gnu::always_inline]] Result dequeue_idx(std::uint64_t* out,
                                             std::uint64_t max_iters) {
-    if (threshold_.spent()) {
+    if (spent()) {
       return kEmpty;  // the paper's fast empty exit (Figure 11a)
     }
     for (std::uint64_t iter = 0; iter < max_iters; ++iter) {
@@ -263,7 +267,7 @@ class ScqRingT {
                                                    std::size_t k)
     requires(!Finalizable)
   {
-    if (threshold_.spent()) return 0;
+    if (spent()) return 0;
     const std::uint64_t h = head_.load(std::memory_order_seq_cst);
     const std::uint64_t t = tail_.load(std::memory_order_seq_cst);
     if (t <= h) return 0;

@@ -14,8 +14,11 @@
 // the slow path issues CAS2.
 // Threads check one peer for a pending request every `help_delay` own
 // operations, the first on the `help_delay`-th ("to amortize the cost
-// of help_threads", Section 3.1); a batch call's chunk of up to
-// kBatchChunk values is one own operation.
+// of help_threads", Section 3.1). An own operation is one that reaches
+// a ring: a push, a pop past the empty exit, or a batch call's chunk
+// of up to kBatchChunk values. A pop that the spent threshold answers
+// empty is not one; as in the paper's Dequeue, it returns before the
+// help check (see try_pop).
 //
 // A queue-level operation on the slow path is two ring-level requests
 // driven in order by the owner (enqueue: aq-dequeue a free index,
@@ -60,7 +63,8 @@ struct WcqStats {
   std::uint64_t fast_dequeues = 0;
   std::uint64_t slow_dequeues = 0;
   // Peer requests driven. A handle checks one peer every help_delay
-  // own operations, the first check on its help_delay-th operation.
+  // own operations that reach a ring, the first check on its
+  // help_delay-th; a pop answered empty by the threshold is not one.
   std::uint64_t helps = 0;
 
   WcqStats& operator+=(const WcqStats& o) {
@@ -162,9 +166,23 @@ class WcqQueueT {
   }
 
   // False iff the queue is empty.
+  //
+  // As the paper's Dequeue does, try_pop tests fq's threshold before
+  // the help check: a spent threshold is a definitive empty, answered
+  // without touching the help cadence. That keeps wCQ wait-free. An
+  // empty exit takes no ticket and mutates no entry, so it can delay no
+  // pending request, and every operation that can contend with one (it
+  // takes a Head or Tail ticket or changes an entry) reaches a ring and
+  // still checks a peer every help_delay such operations.
+  //
+  // Everything past the exit is one out-of-line call, pop_from_ring,
+  // which try_pop tail-calls. Merely placing the test first leaves
+  // gcc free to hoist the remainder's register saves above it; the
+  // split keeps the exit a leaf: load the threshold, test, bump
+  // fast_deq, return.
   [[gnu::noinline]] bool try_pop(std::uint64_t* v, Handle& h) {
-    maybe_help(h.rec_);
-    return pop_one(h.rec_, v);
+    if (answered_empty(h.rec_)) return false;
+    return pop_from_ring(h.rec_, v);
   }
 
   // Batch enqueue: pushes vs[0..n) in order, stopping at the first
@@ -189,9 +207,10 @@ class WcqQueueT {
   }
 
   // Batch dequeue into out[0..n), in queue order: returns how many
-  // values arrived, zero iff the queue is empty. Chunks as try_push_n;
-  // an fq burst claims up to a chunk of values with one F&A, and an aq
-  // burst returns their indices with one more (see pop_chunk).
+  // values arrived, zero iff the queue is empty. Chunks as try_push_n,
+  // each starting with try_pop's empty exit; an fq burst claims up to a
+  // chunk of values with one F&A, and an aq burst returns their indices
+  // with one more (see pop_chunk).
   [[gnu::noinline]] std::size_t try_pop_n(std::uint64_t* out, std::size_t n,
                                           Handle& h) {
     std::size_t done = 0;
@@ -255,7 +274,8 @@ class WcqQueueT {
     // Owner-thread locals. seq is only published through the
     // RingRequest ctl word.
     std::uint64_t seq = 0;
-    unsigned help_countdown;  // own ops left until the next peer check
+    // Own operations that reach a ring left until the next peer check.
+    unsigned help_countdown;
     unsigned help_cursor = 0;
   };
   static_assert(sizeof(ThreadRec) == detail::kNoFalseSharing,
@@ -338,7 +358,28 @@ class WcqQueueT {
     return slow_push(rec, v);
   }
 
-  // try_pop after its help check.
+  // The empty exit of try_pop and of each pop_chunk: true, with the
+  // pop counted fast, iff fq's threshold is spent. The all-slow build
+  // never takes it, so that every pop runs the note protocol.
+  [[gnu::always_inline]] bool answered_empty(
+      [[maybe_unused]] ThreadRec* rec) {
+#if !defined(WCQ_ALL_SLOW)
+    if (fq_.spent()) {
+      detail::owner_bump(rec->fast_deq);
+      return true;
+    }
+#endif
+    return false;
+  }
+
+  // try_pop past its empty exit: an own operation, so the help check,
+  // then the ring.
+  [[gnu::noinline]] bool pop_from_ring(ThreadRec* rec, std::uint64_t* v) {
+    maybe_help(rec);
+    return pop_one(rec, v);
+  }
+
+  // A pop after its help check.
   [[gnu::always_inline]] bool pop_one(ThreadRec* rec, std::uint64_t* v) {
 #if !defined(WCQ_ALL_SLOW)
     std::uint64_t idx = 0;
@@ -403,11 +444,13 @@ class WcqQueueT {
     return done;
   }
 
-  // One chunk (k <= kBatchChunk) of try_pop_n. Every value is read
+  // One chunk (k <= kBatchChunk) of try_pop_n. A spent threshold
+  // answers 0 before the help check, as in try_pop. Every value is read
   // before any index goes back to aq, where a pusher could reuse it.
   // When the burst yields nothing, the single pop gives the answer, so
   // that 0 stays a definitive empty.
   std::size_t pop_chunk(ThreadRec* rec, std::uint64_t* out, std::size_t k) {
+    if (answered_empty(rec)) return 0;
     maybe_help(rec);
     std::uint64_t idx[kBatchChunk];
     const std::size_t got = fq_.dequeue_idx_n(idx, k);
@@ -443,9 +486,10 @@ class WcqQueueT {
     return true;
   }
 
-  // Once every help_delay own operations, first on the help_delay-th,
-  // look at one peer (round-robin) and drive its pending request, if
-  // any, to completion. A countdown keeps division off the hot path.
+  // Once every help_delay own operations (those that reach a ring),
+  // first on the help_delay-th, look at one peer (round-robin) and
+  // drive its pending request, if any, to completion. A countdown keeps
+  // division off the hot path.
   void maybe_help(ThreadRec* rec) {
     if (--rec->help_countdown != 0) return;
     rec->help_countdown = help_delay_;

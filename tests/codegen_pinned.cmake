@@ -4,6 +4,11 @@
 # Any symbol matching the pattern below is a call the source says
 # cannot exist, and the figures would again price the inliner.
 #
+# One symbol must exist: wCQ's try_pop answers a spent threshold as a
+# leaf and tail-calls everything else, pop_from_ring. Folded back into
+# try_pop, the remainder's register saves precede the empty exit, so
+# Figure 11a's binary must hold pop_from_ring out of line.
+#
 #   cmake -DNM=<nm> -DBINARIES=<bin>,<bin>,... -P codegen_pinned.cmake
 cmake_minimum_required(VERSION 3.16)
 
@@ -14,12 +19,18 @@ set(_pattern "(enqueue|dequeue)_(idx|idx_n|ticket)\\(|wcq::(Crq|ScqSegment)::(pu
 
 string(REPLACE "," ";" _binaries "${BINARIES}")
 set(_found 0)
+set(_leaf_exit FALSE)
 foreach(bin IN LISTS _binaries)
   execute_process(COMMAND ${NM} -C ${bin}
                   OUTPUT_VARIABLE _symbols
                   RESULT_VARIABLE _rc)
   if(NOT _rc EQUAL 0)
     message(FATAL_ERROR "${NM} -C ${bin} failed (${_rc})")
+  endif()
+  get_filename_component(_name ${bin} NAME)
+  if(_name STREQUAL "bench_fig11a_empty_deq" AND
+     _symbols MATCHES "WcqQueueT<false>::pop_from_ring\\(")
+    set(_leaf_exit TRUE)
   endif()
   string(REPLACE "\n" ";" _lines "${_symbols}")
   list(FILTER _lines INCLUDE REGEX "${_pattern}")
@@ -35,3 +46,10 @@ if(_found GREATER 0)
                       "${_count} binaries")
 endif()
 message("no out-of-line ring operation in ${_count} binaries")
+
+if(NOT _leaf_exit)
+  message(FATAL_ERROR "bench_fig11a_empty_deq: no out-of-line "
+                      "WcqQueueT<false>::pop_from_ring; wCQ's empty exit "
+                      "is no longer a leaf")
+endif()
+message("wCQ's pop_from_ring is out of line in bench_fig11a_empty_deq")

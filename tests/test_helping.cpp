@@ -4,13 +4,15 @@
 // the request up through help_threads and finalize it through the
 // note protocol. On real schedules this window is nanoseconds wide, so
 // timing alone cannot exercise it — this is the wait-freedom scenario
-// made reproducible. Also pinned here: a batch call is one own
-// operation for the help cadence, stats() counts batch values, and a
+// made reproducible. Also pinned here: the help cadence counts the
+// operations that reach a ring, a batch call being one and a pop that
+// the threshold answers empty none, stats() counts batch values, and a
 // stale helper — one that read a request's ctl word, then stepped it
 // after the owner had moved on to its next request — never moves that
 // next request's dequeue scan.
 #include <climits>
 #include <cstddef>
+#include <vector>
 
 #include "queue_test_common.hpp"
 #include "wcq/wcq.hpp"
@@ -27,32 +29,37 @@ void test_helper_completes_stalled_ops(const char* name) {
   auto helper = wcq::test::backend_handle(q);
 
   // --- stalled enqueue(777): the owner already holds its free index
-  // and published the fq-enqueue request; the helper's own (empty)
-  // dequeues must complete it, after which the value is really queued.
+  // and published the fq-enqueue request; the helper's own pushes must
+  // complete it, after which the value is really queued. (Its pops of
+  // the empty queue would not: the threshold answers them before the
+  // help check.) The help lands before each push's own ring access, so
+  // 777 is queued ahead of every value the helper pushed.
   WCQ_CHECK(Access::publish_stalled_push(q, stalled, 777),
             "%s: fresh queue had no free index", name);
-  std::uint64_t v = 0;
-  bool got777 = false;
-  int spins = 0;
+  std::uint64_t pushed = 0;
   while (!Access::done_ok(q, stalled)) {
-    // The loop dequeue may consume 777 the moment the help lands.
-    if (q.try_pop(&v, helper) && v == 777) got777 = true;
-    WCQ_CHECK(++spins < 1000, "%s: helper never completed the enqueue",
-              name);
+    WCQ_CHECK(pushed < 8, "%s: helper never completed the enqueue", name);
+    WCQ_CHECK(q.try_push(1000 + pushed, helper),
+              "%s: helper push refused", name);
+    ++pushed;
   }
   WCQ_CHECK(Access::finish_push(q, stalled), "%s: stalled enqueue failed",
             name);
-  if (!got777) {
-    WCQ_CHECK(q.try_pop(&v, helper) && v == 777,
-              "%s: helped enqueue value lost (got %llu)", name,
-              (unsigned long long)v);
+  std::uint64_t v = 0;
+  WCQ_CHECK(q.try_pop(&v, helper) && v == 777,
+            "%s: helped enqueue value lost (got %llu)", name,
+            (unsigned long long)v);
+  for (std::uint64_t i = 0; i < pushed; ++i) {
+    WCQ_CHECK(q.try_pop(&v, helper) && v == 1000 + i,
+              "%s: helper value %llu popped as %llu", name,
+              (unsigned long long)(1000 + i), (unsigned long long)v);
   }
 
   // --- stalled dequeue: put one value in, publish the request, and
   // drive the helper with enqueue/dequeue churn until it finalizes.
   WCQ_CHECK(q.try_push(888, helper), "%s: seed enqueue refused", name);
   Access::publish_stalled_pop(q, stalled);
-  spins = 0;
+  int spins = 0;
   while (!Access::done_ok(q, stalled)) {
     // Churn on a disjoint value; the helper must hand 888 (FIFO head)
     // to the stalled requester, not consume it itself. maybe_help runs
@@ -74,11 +81,39 @@ void test_helper_completes_stalled_ops(const char* name) {
   std::printf("  ok helping           %s\n", name);
 }
 
+// How the helper's own operations reach a ring in the cadence case.
+enum class Drive {
+  push,    // try_push of a distinct value
+  push_n,  // try_push_n of 1-4 distinct values
+  pop,     // try_pop of the empty queue, its threshold armed
+  pop_n,   // try_pop_n of the empty queue, its threshold armed
+};
+
+const char* drive_name(Drive d) {
+  switch (d) {
+    case Drive::push: return "push";
+    case Drive::push_n: return "push_n";
+    case Drive::pop: return "pop";
+    case Drive::pop_n: return "pop_n";
+  }
+  return "?";
+}
+
 // The help cadence, pinned: a handle checks one peer every help_delay
-// own operations, the first check on its help_delay-th. The helper's
-// own pops see an empty queue (the stalled push is not installed until
-// someone drives it), so the request stays pending exactly until the
-// helper's first check; help_delay(UINT_MAX) never checks.
+// own operations that reach a ring, the first check on its
+// help_delay-th. The stalled push is not installed until someone drives
+// it, so the request stays pending exactly until the helper's first
+// check; help_delay(UINT_MAX) never checks. Before it stalls, the peer
+// pushes and pops one value: that arms fq's threshold, so the helper's
+// pops of the empty queue take a ticket instead of answering at the
+// empty exit (3n - 1 tickets before it is spent again, n = 4096, more
+// than the 1000 calls of the UINT_MAX case). A batch call is one own
+// operation, however many values it moves: an empty try_pop_n whose
+// burst yields nothing falls back to the single pop, which must not
+// check a peer a second time, and a try_push_n of up to 4 values must
+// not count its values. The help lands before the operation's own ring
+// access; the final drain pins where 321 landed among the helper's
+// values.
 //
 // Also the regression for the help-round self-skip bug: when the
 // round-robin cursor lands on the helper's own record, the round must
@@ -86,55 +121,121 @@ void test_helper_completes_stalled_ops(const char* name) {
 // slot 0, so its first check (cursor 0) hits itself; before the fix
 // that returned without helping and — with exactly one other thread —
 // every other round was wasted the same way.
-//
-// `batch`: the helper's own operations are try_pop_n calls instead,
-// each one own operation. Every one finds the queue empty, so its burst
-// yields nothing and it falls back to the single pop, which must not
-// check a peer a second time.
 template <bool Portable>
-void test_help_round_not_wasted_on_self(const char* name, unsigned help_delay,
-                                        bool batch) {
+void test_help_cadence(const char* name, unsigned help_delay, Drive drive) {
   using Access = wcq::WcqTestAccess<Portable>;
   using Queue = wcq::WcqQueueT<Portable>;
-  Queue q(wcq::options{}.order(4).max_threads(4).help_delay(help_delay));
+  Queue q(wcq::options{}.order(12).max_threads(4).help_delay(help_delay));
   // Slot 0 is the helper (its cursor 0 lands on itself); slot 1 is the
   // peer needing help.
   auto helper = wcq::test::backend_handle(q);
   auto stalled = wcq::test::backend_handle(q);
+  const char* how = drive_name(drive);
 
+  std::uint64_t v = 0;
+  WCQ_CHECK(q.try_push(1, stalled) && q.try_pop(&v, stalled) && v == 1,
+            "%s: arming push and pop failed", name);
   WCQ_CHECK(Access::publish_stalled_push(q, stalled, 321),
             "%s: fresh queue had no free index", name);
   const bool never = help_delay == UINT_MAX;
   const unsigned own_ops = never ? 1000 : help_delay;
-  std::uint64_t v = 0;
-  bool got321 = false;
+  std::vector<std::uint64_t> want;  // the queue's values, in order
   for (unsigned op = 1; op <= own_ops; ++op) {
     WCQ_CHECK(!Access::done_ok(q, stalled),
-              "%s help_delay %u%s: peer helped before own op %u", name,
-              help_delay, batch ? " batch" : "", op);
-    // The help lands before the pop itself, so the pop that helps may
-    // already consume the helped value; no earlier pop may.
+              "%s help_delay %u %s: peer helped before own op %u", name,
+              help_delay, how, op);
+    const bool helps_now = !never && op == own_ops;
+    if (helps_now) want.push_back(321);
     std::uint64_t vs[4] = {};
-    got321 = batch ? q.try_pop_n(vs, 4, helper) > 0 : q.try_pop(vs, helper);
-    v = vs[0];
-    WCQ_CHECK(!got321 || (!never && op == own_ops && v == 321),
-              "%s help_delay %u%s: own op %u popped %llu", name, help_delay,
-              batch ? " batch" : "", op, (unsigned long long)v);
+    std::size_t k = 0;
+    switch (drive) {
+      case Drive::push:
+      case Drive::push_n:
+        k = drive == Drive::push ? 1 : 1 + op % 4;
+        for (std::size_t i = 0; i < k; ++i) vs[i] = 4 * op + i;
+        WCQ_CHECK(drive == Drive::push ? q.try_push(vs[0], helper)
+                                       : q.try_push_n(vs, k, helper) == k,
+                  "%s help_delay %u %s: own op %u refused", name,
+                  help_delay, how, op);
+        want.insert(want.end(), vs, vs + k);
+        break;
+      case Drive::pop:
+      case Drive::pop_n:
+        k = drive == Drive::pop ? (q.try_pop(vs, helper) ? 1 : 0)
+                                : q.try_pop_n(vs, 4, helper);
+        // Only the operation that helps finds a value, and it is 321.
+        WCQ_CHECK(k == 0 || (helps_now && k == 1 && vs[0] == 321),
+                  "%s help_delay %u %s: own op %u popped %zu values, "
+                  "the first %llu",
+                  name, help_delay, how, op, k, (unsigned long long)vs[0]);
+        want.erase(want.begin(), want.begin() + k);
+        break;
+    }
   }
   WCQ_CHECK(Access::done_ok(q, stalled) == !never,
-            "%s help_delay %u: after %u own ops the request is %s", name,
-            help_delay, own_ops, never ? "done" : "still pending");
+            "%s help_delay %u %s: after %u own ops the request is %s", name,
+            help_delay, how, own_ops, never ? "done" : "still pending");
   WCQ_CHECK(Access::helps(helper) == (never ? 0u : 1u),
-            "%s help_delay %u: helps counter is %llu", name, help_delay,
-            (unsigned long long)Access::helps(helper));
+            "%s help_delay %u %s: helps counter is %llu", name, help_delay,
+            how, (unsigned long long)Access::helps(helper));
   WCQ_CHECK(Access::finish_push(q, stalled), "%s: stalled push failed",
             name);
-  if (!got321) {
-    WCQ_CHECK(q.try_pop(&v, helper) && v == 321,
-              "%s help_delay %u: helped value lost", name, help_delay);
+  if (never) want.push_back(321);
+  for (const std::uint64_t w : want) {
+    WCQ_CHECK(q.try_pop(&v, helper) && v == w,
+              "%s help_delay %u %s: drained %llu, want %llu", name,
+              help_delay, how, (unsigned long long)v,
+              (unsigned long long)w);
   }
-  std::printf("  ok helping_cadence   %s (help_delay %u%s)\n", name,
-              help_delay, batch ? ", batch calls" : "");
+  WCQ_CHECK(!q.try_pop(&v, helper), "%s help_delay %u %s: extra value %llu",
+            name, help_delay, how, (unsigned long long)v);
+  std::printf("  ok helping_cadence   %s (help_delay %u, %s)\n", name,
+              help_delay, how);
+}
+
+// The paper's order, pinned: Dequeue tests the threshold before
+// help_threads, so a pop that the threshold answers empty neither helps
+// nor counts toward help_delay. A stalled fq enqueue leaves fq's
+// threshold spent until someone installs it. So with help_delay(1),
+// 1000 empty try_pop and 1000 empty try_pop_n calls leave the request
+// pending, with no help counted and 2000 fast dequeues; the helper's
+// next push, an operation that reaches a ring, completes it first, so
+// 321 is queued ahead of the pushed value.
+template <bool Portable>
+void test_empty_exit_before_help(const char* name) {
+  using Access = wcq::WcqTestAccess<Portable>;
+  using Queue = wcq::WcqQueueT<Portable>;
+  Queue q(wcq::options{}.order(4).max_threads(4).help_delay(1));
+  auto helper = wcq::test::backend_handle(q);
+  auto stalled = wcq::test::backend_handle(q);
+  WCQ_CHECK(Access::publish_stalled_push(q, stalled, 321),
+            "%s: fresh queue had no free index", name);
+  const std::uint64_t before = q.stats().fast_dequeues;
+  std::uint64_t vs[4] = {};
+  for (int i = 0; i < 1000; ++i) {
+    WCQ_CHECK(!q.try_pop(vs, helper), "%s: empty try_pop found a value",
+              name);
+    WCQ_CHECK(q.try_pop_n(vs, 4, helper) == 0,
+              "%s: empty try_pop_n found a value", name);
+  }
+  WCQ_CHECK(!Access::done_ok(q, stalled),
+            "%s: an empty pop helped the stalled push", name);
+  WCQ_CHECK(Access::helps(helper) == 0, "%s: helps counter is %llu", name,
+            (unsigned long long)Access::helps(helper));
+  const std::uint64_t empties = q.stats().fast_dequeues - before;
+  WCQ_CHECK(empties == 2000, "%s: %llu fast dequeues for 2000 empty pops",
+            name, (unsigned long long)empties);
+  WCQ_CHECK(q.try_push(5, helper), "%s: helper push refused", name);
+  WCQ_CHECK(Access::done_ok(q, stalled) && Access::helps(helper) == 1,
+            "%s: the push after the empty pops did not help", name);
+  WCQ_CHECK(Access::finish_push(q, stalled), "%s: stalled push failed",
+            name);
+  std::uint64_t v = 0;
+  WCQ_CHECK(q.try_pop(&v, helper) && v == 321,
+            "%s: first pop got %llu, want 321", name, (unsigned long long)v);
+  WCQ_CHECK(q.try_pop(&v, helper) && v == 5,
+            "%s: second pop got %llu, want 5", name, (unsigned long long)v);
+  std::printf("  ok empty_exit        %s\n", name);
 }
 
 // stats() counts values, not calls: after batch rounds in which no call
@@ -223,12 +324,14 @@ int main() {
   test_helper_completes_stalled_ops<false>("wcq");
   test_helper_completes_stalled_ops<true>("wcq-portable");
   for (const unsigned help_delay : {1u, 3u, UINT_MAX}) {
-    for (const bool batch : {false, true}) {
-      test_help_round_not_wasted_on_self<false>("wcq", help_delay, batch);
-      test_help_round_not_wasted_on_self<true>("wcq-portable", help_delay,
-                                               batch);
+    for (const Drive drive :
+         {Drive::push, Drive::push_n, Drive::pop, Drive::pop_n}) {
+      test_help_cadence<false>("wcq", help_delay, drive);
+      test_help_cadence<true>("wcq-portable", help_delay, drive);
     }
   }
+  test_empty_exit_before_help<false>("wcq");
+  test_empty_exit_before_help<true>("wcq-portable");
   for (const auto& opt :
        {wcq::options{}, wcq::options{}.patience(1, 1).help_delay(1)}) {
     test_batch_stats<false>("wcq", opt);
