@@ -13,9 +13,10 @@
 ///
 /// Handles are RAII: get_handle() registers the calling thread with
 /// the backend (a ThreadRec slot for wCQ, an SMR slot for
-/// LSCQ/LCRQ/FAA/MSQ, nothing for SCQ/NCQ/CCQ) and destruction
-/// recycles the registration, so max_threads bounds concurrent
-/// participants rather than lifetime thread count.
+/// LSCQ/LCRQ/FAA/MSQ, nothing for SCQ/NCQ/CCQ, a handle of every shard
+/// for shard_set) and destruction recycles the registration, so
+/// max_threads bounds concurrent participants rather than lifetime
+/// thread count.
 ///
 /// Caveat: a backend may reserve slot bit patterns for its own
 /// protocol (FaaQueue reserves the top two as EMPTY/TAKEN sentinels,
@@ -212,9 +213,9 @@ void decode_chunk(const std::uint64_t* slots, std::size_t n, T* out) {
   }
 }
 
-// A backend with a native push burst: FaaQueue claims a run of
-// tickets with one FAA, wCQ a chunk's free indices and their fq
-// positions with one F&A per ring.
+// A backend with its own push burst: FaaQueue claims a run of tickets
+// with one FAA, wCQ a chunk's free indices and their fq positions with
+// one F&A per ring, shard_set picks one shard per run.
 template <typename Backend>
 concept PushBurst = requires(Backend& b, const std::uint64_t* slots,
                              std::size_t n, typename Backend::Handle& h) {
@@ -338,38 +339,24 @@ class queue {
 
   /// Batch enqueue: pushes vs[0..n) in order, stopping at the first
   /// refusal (queue full, or a backend-reserved sentinel pattern);
-  /// returns how many were accepted. Over a backend with a native burst
-  /// that cannot refuse as full (FaaQueue) it works in kBatchChunk
-  /// chunks: a chunk is encoded (boxed values as one mem request),
-  /// pushed as one burst, and the refused tail's boxes are dropped; if
-  /// copying a value throws, that chunk is pushed not at all and the
-  /// exception propagates, earlier chunks staying queued. Elsewhere,
-  /// over wCQ's bursts too, it is a loop of try_push, which boxes
-  /// nothing past the first refusal: a whole-chunk push refused by a
-  /// full queue would pay up to a chunk of allocations, copies and
-  /// frees instead of one. A copy that throws there leaves the values
-  /// before it queued.
+  /// returns how many were accepted. Works in kBatchChunk chunks: a
+  /// chunk is encoded (boxed values as one mem request), pushed as one
+  /// burst where the backend has its own (wCQ, FaaQueue, shard_set),
+  /// else one value at a time, and the refused tail's boxes are
+  /// dropped. If copying a value throws, that chunk is pushed not at
+  /// all and the exception propagates; earlier chunks stay queued.
   std::size_t try_push_n(const T* vs, std::size_t n, handle& h) {
+    std::uint64_t slots[kBatchChunk];
     std::size_t pushed = 0;
-    if constexpr (kChunkPush) {
-      std::uint64_t slots[kBatchChunk];
-      while (pushed < n) {
-        const std::size_t chunk = std::min(n - pushed, kBatchChunk);
-        detail::encode_chunk<codec>(vs + pushed, chunk, slots);
-        const std::size_t ok = backend_.try_push_n(slots, chunk, h.h_);
-        pushed += ok;
-        if (ok < chunk) {
-          detail::drop_chunk<codec>(slots + ok, chunk - ok);
-          break;
-        }
-      }
-    } else {
-      for (; pushed < n; ++pushed) {
-        const std::uint64_t slot = codec::encode(vs[pushed]);
-        if (!backend_.try_push(slot, h.h_)) {
-          codec::drop(slot);
-          break;
-        }
+    while (pushed < n) {
+      const std::size_t chunk = std::min(n - pushed, kBatchChunk);
+      detail::encode_chunk<codec>(vs + pushed, chunk, slots);
+      const std::size_t ok =
+          detail::backend_push_n(backend_, slots, chunk, h.h_);
+      pushed += ok;
+      if (ok < chunk) {
+        detail::drop_chunk<codec>(slots + ok, chunk - ok);
+        break;
       }
     }
     return pushed;
@@ -377,10 +364,9 @@ class queue {
 
   /// Batch dequeue into out[0..n): returns how many values arrived
   /// (zero iff the queue is empty), in queue order. Works in
-  /// kBatchChunk chunks: backends with a native burst (wCQ, FaaQueue)
-  /// claim a chunk's run of tickets with one F&A, others pop one value
-  /// at a time, and the chunk is decoded (boxed values freed as one
-  /// mem request).
+  /// kBatchChunk chunks as try_push_n: a chunk is popped as one burst
+  /// where the backend has its own, else one value at a time, and
+  /// decoded (boxed values freed as one mem request).
   std::size_t try_pop_n(T* out, std::size_t n, handle& h) {
     std::uint64_t slots[kBatchChunk];
     std::size_t got = 0;
@@ -412,6 +398,14 @@ class queue {
     return backend_.stats();
   }
 
+  /// Per-shard counters summed (shard_set over an observable backend;
+  /// see there why they are not stats()).
+  auto backend_stats() const
+    requires requires(const Backend& b) { b.backend_stats(); }
+  {
+    return backend_.backend_stats();
+  }
+
   /// Backends that reclaim through the shared SMR layer (MSQ, FAA,
   /// LCRQ, LSCQ) expose the domain's retire/scan counters.
   auto smr_stats() const
@@ -420,13 +414,10 @@ class queue {
     return backend_.smr_stats();
   }
 
- private:
-  // Whether try_push_n pushes whole chunks (see there): a bounded
-  // backend has a capacity().
-  static constexpr bool kChunkPush =
-      detail::PushBurst<Backend> &&
-      !requires(const Backend& b) { b.capacity(); };
+  /// The backend itself (tests; not a stable API).
+  Backend& backend() { return backend_; }
 
+ private:
   Backend backend_;
 };
 

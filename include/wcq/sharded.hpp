@@ -3,11 +3,13 @@
 ///
 /// One FAA-ticketed ring is the contention wall at high core counts:
 /// every operation, from every core, meets at the same head/tail
-/// cache lines. This layer puts an array of independent backend
-/// instances (shards) behind the exact same `concepts::Queue` surface
-/// the rest of the repo programs against, so it drops into every
-/// test, bench, and adapter unchanged — the scaling decision becomes
-/// a configuration knob (`options::shards`), not an API fork.
+/// cache lines. `wcq::shard_set<Backend>` puts an array of independent
+/// backend instances (shards) behind the `concepts::Backend` surface,
+/// and `sharded<T, Backend>` is the typed facade over it,
+/// `wcq::queue<T, shard_set<Backend>>`: the codec, handles, batching
+/// and teardown are `wcq::queue`'s, so sharded drops into every test,
+/// bench, and adapter unchanged — the scaling decision becomes a
+/// configuration knob (`options::shards`), not an API fork.
 ///
 /// ## Ordering contract (read this before depending on FIFO)
 ///
@@ -36,13 +38,10 @@
 /// `try_push_n`/`try_pop_n` amortize one shard selection (and, on
 /// backends with a native burst — wCQ claims a chunk's free indices
 /// and fq positions with one F&A per ring, FaaQueue a run of tickets
-/// with a single FAA — one ticket acquisition) over up to
-/// `wcq::kBatchChunk` (64) values per chunk. Values are encoded
-/// through `slot_codec<T>`, a chunk at a time, so boxed payloads batch
-/// like inline ones and a chunk's boxes cost one mem request. Unlike
-/// `wcq::queue`, which pushes value by value over a bounded backend,
-/// sharded pushes whole chunks there too: a chunk the picked shard
-/// refuses moves on to the other shards before any box is dropped.
+/// with a single FAA — one ticket acquisition) over each chunk of up
+/// to `wcq::kBatchChunk` (64) slots that `wcq::queue` hands them. A
+/// chunk the picked shard refuses moves on to the other shards, so the
+/// facade drops only the boxes that every shard refused.
 ///
 /// ## Capacity
 ///
@@ -54,13 +53,11 @@
 /// ...) with `std::invalid_argument` — refuse, never silently clamp.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <new>
 #include <optional>
-#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -73,22 +70,16 @@
 
 namespace wcq {
 
-/// Sharded queue-of-queues over any concepts::Backend. Satisfies
-/// concepts::Queue, so the whole harness accepts it as a lineup entry.
-template <typename T, typename Backend = WcqQueue>
-class sharded {
+/// Shards of any concepts::Backend behind one concepts::Backend over
+/// 64-bit slots: what `wcq::sharded` types.
+template <typename Backend>
+class shard_set {
   static_assert(concepts::Backend<Backend>,
                 "Backend must satisfy wcq::concepts::Backend "
                 "(options ctor + Handle + try_push/try_pop over slots)");
 
  public:
-  using value_type = T;
-  using backend_type = Backend;
-  using codec = slot_codec<T>;
-
-  class handle;
-
-  explicit sharded(const options& opt = options{})
+  explicit shard_set(const options& opt = options{})
       : nshards_(resolve_shards(opt)),
         mask_(nshards_ - 1),
         step_(opt.shard_policy() == shard_policy::round_robin ? 1 : 0) {
@@ -108,42 +99,29 @@ class sharded {
     }
   }
 
-  ~sharded() {
-    // Boxed values still parked in any shard own heap memory; reclaim
-    // them before the shards tear down their rings.
-    if constexpr (codec::kBoxed) {
-      for (unsigned s = 0; s < nshards_; ++s) {
-        auto h = shards_[s].try_get_handle();
-        if (h) {
-          std::uint64_t slot = 0;
-          while (shards_[s].try_pop(&slot, *h)) codec::drop(slot);
-        }
-      }
-    }
+  ~shard_set() {
     for (unsigned s = 0; s < nshards_; ++s) shards_[s].~Backend();
     mem::free(shards_, nshards_ * sizeof(Backend));
   }
 
-  sharded(const sharded&) = delete;
-  sharded& operator=(const sharded&) = delete;
+  shard_set(const shard_set&) = delete;
+  shard_set& operator=(const shard_set&) = delete;
 
   /// RAII registration with EVERY shard (one backend handle each), so
   /// an op can land anywhere without a registration on its hot path.
-  /// Move-only; must not outlive the sharded queue.
-  class handle {
+  /// Move-only; must not outlive the shard set.
+  class Handle {
    public:
-    handle() = delete;
-
-    handle(handle&& o) noexcept
-        : q_(std::exchange(o.q_, nullptr)),
+    Handle(Handle&& o) noexcept
+        : set_(std::exchange(o.set_, nullptr)),
           subs_(o.subs_),
           push_cur_(o.push_cur_),
           pop_cur_(o.pop_cur_) {}
 
-    handle& operator=(handle&& o) noexcept {
+    Handle& operator=(Handle&& o) noexcept {
       if (this != &o) {
         release();
-        q_ = std::exchange(o.q_, nullptr);
+        set_ = std::exchange(o.set_, nullptr);
         subs_ = o.subs_;
         push_cur_ = o.push_cur_;
         pop_cur_ = o.pop_cur_;
@@ -151,27 +129,29 @@ class sharded {
       return *this;
     }
 
-    handle(const handle&) = delete;
-    handle& operator=(const handle&) = delete;
+    Handle(const Handle&) = delete;
+    Handle& operator=(const Handle&) = delete;
 
-    ~handle() { release(); }
+    ~Handle() { release(); }
 
    private:
-    friend class sharded;
+    friend class shard_set;
     using BackendHandle = typename Backend::Handle;
 
-    handle(sharded* q, BackendHandle* subs, unsigned id)
-        : q_(q), subs_(subs), push_cur_(id), pop_cur_(id) {}
+    Handle(shard_set* set, BackendHandle* subs, unsigned id)
+        : set_(set), subs_(subs), push_cur_(id), pop_cur_(id) {}
 
     void release() {
-      if (q_ != nullptr) {
-        for (unsigned s = q_->nshards_; s-- > 0;) subs_[s].~BackendHandle();
-        mem::free(subs_, q_->nshards_ * sizeof(BackendHandle));
-        q_ = nullptr;
+      if (set_ != nullptr) {
+        for (unsigned s = set_->nshards_; s-- > 0;) {
+          subs_[s].~BackendHandle();
+        }
+        mem::free(subs_, set_->nshards_ * sizeof(BackendHandle));
+        set_ = nullptr;
       }
     }
 
-    sharded* q_ = nullptr;
+    shard_set* set_ = nullptr;
     BackendHandle* subs_ = nullptr;
     // round_robin cursor / sticky home, one per direction, starting at
     // the handle's id. Masked at use; push and pop start aligned for
@@ -181,7 +161,7 @@ class sharded {
   };
 
   /// nullopt iff some shard has all max_threads handle slots live.
-  std::optional<handle> try_get_handle() {
+  std::optional<Handle> try_get_handle() {
     using BH = typename Backend::Handle;
     BH* subs = static_cast<BH*>(mem::alloc(nshards_ * sizeof(BH)));
     unsigned made = 0;
@@ -195,74 +175,77 @@ class sharded {
       mem::free(subs, nshards_ * sizeof(BH));
       return std::nullopt;
     }
-    return handle(this, subs,
+    return Handle(this, subs,
                   next_handle_.fetch_add(1, std::memory_order_relaxed));
   }
 
-  /// Throwing flavor for call sites where exhaustion is a logic error.
-  handle get_handle() {
-    auto h = try_get_handle();
-    if (!h) {
-      throw std::runtime_error(
-          "sharded: a shard has all max_threads handle slots "
-          "simultaneously live");
-    }
-    return std::move(*h);
-  }
+  // Single-slot ops scan from the handle's cursor and, on success, set
+  // it to the accepting shard plus step_: round_robin moves one past
+  // it, sticky adopts it as the new home (rebalance on full/empty). A
+  // fully failed scan leaves the cursor, and so the push/pop
+  // alignment, untouched.
 
   /// False iff no shard accepts (all full, or the backend reserves
-  /// the value's bit pattern — see queue.hpp's sentinel caveat).
-  bool try_push(T v, handle& h) {
-    const std::uint64_t slot = codec::encode(std::move(v));
-    if (push_slot(slot, h)) return true;
-    codec::drop(slot);
+  /// the slot's bit pattern — see queue.hpp's sentinel caveat).
+  bool try_push(std::uint64_t slot, Handle& h) {
+    const unsigned c = h.push_cur_;
+    for (unsigned k = 0; k < nshards_; ++k) {
+      const unsigned s = (c + k) & mask_;
+      if (shards_[s].try_push(slot, h.subs_[s])) {
+        h.push_cur_ = c + k + step_;
+        return true;
+      }
+    }
     return false;
   }
 
-  /// nullopt iff every shard reports empty.
-  std::optional<T> try_pop(handle& h) {
-    std::uint64_t slot = 0;
-    if (!pop_slot(&slot, h)) return std::nullopt;
-    return codec::decode(slot);
-  }
-
-  /// Batch enqueue: vs[0..n) in order, one shard selection per
-  /// kBatchChunk-sized chunk (plus the backend's native ticket burst
-  /// where it has one). Returns the accepted count; stops early when
-  /// no shard will take the next value (all full, or a reserved
-  /// sentinel pattern — the refused value stays with the caller). If
-  /// copying a value throws, that chunk is pushed not at all and the
-  /// exception propagates; earlier chunks stay queued.
-  std::size_t try_push_n(const T* vs, std::size_t n, handle& h) {
-    std::uint64_t slots[kBatchChunk];
-    std::size_t pushed = 0;
-    while (pushed < n) {
-      const std::size_t chunk = std::min(n - pushed, kBatchChunk);
-      detail::encode_chunk<codec>(vs + pushed, chunk, slots);
-      const std::size_t ok = push_slots(slots, chunk, h);
-      pushed += ok;
-      if (ok < chunk) {
-        detail::drop_chunk<codec>(slots + ok, chunk - ok);
-        break;
+  /// False iff every shard reports empty.
+  bool try_pop(std::uint64_t* slot, Handle& h) {
+    const unsigned c = h.pop_cur_;
+    for (unsigned k = 0; k < nshards_; ++k) {
+      const unsigned s = (c + k) & mask_;
+      if (shards_[s].try_pop(slot, h.subs_[s])) {
+        h.pop_cur_ = c + k + step_;
+        return true;
       }
     }
-    return pushed;
+    return false;
   }
 
-  /// Batch dequeue into out[0..n): returns how many values arrived
-  /// (zero iff every shard is empty). Values from one shard arrive in
-  /// that shard's FIFO order; chunks may interleave shards.
-  std::size_t try_pop_n(T* out, std::size_t n, handle& h) {
-    std::uint64_t slots[kBatchChunk];
-    std::size_t got = 0;
-    while (got < n) {
-      const std::size_t chunk = std::min(n - got, kBatchChunk);
-      const std::size_t ok = pop_slots(slots, chunk, h);
-      detail::decode_chunk<codec>(slots, ok, out + got);
-      got += ok;
-      if (ok < chunk) break;
+  /// Batch push of slots[0..n) in order; returns how many went in.
+  /// One shard pick per call, whose run goes in as that shard's native
+  /// burst where it has one (else one push at a time); when the picked
+  /// shard refuses mid-run, the refused slot takes the scanning
+  /// try_push (which also rebalances sticky homes), and the remainder
+  /// re-picks. Stops only on a global refusal.
+  std::size_t try_push_n(const std::uint64_t* slots, std::size_t n,
+                         Handle& h) {
+    std::size_t done = 0;
+    while (done < n) {
+      const unsigned s = pick(h.push_cur_);
+      done += detail::backend_push_n(shards_[s], slots + done, n - done,
+                                     h.subs_[s]);
+      if (done == n) break;
+      if (!try_push(slots[done], h)) break;
+      ++done;
     }
-    return got;
+    return done;
+  }
+
+  /// Batch pop into slots[0..n), as try_push_n: returns how many
+  /// arrived, zero iff every shard is empty. Slots from one shard
+  /// arrive in that shard's FIFO order; runs may interleave shards.
+  std::size_t try_pop_n(std::uint64_t* slots, std::size_t n, Handle& h) {
+    std::size_t done = 0;
+    while (done < n) {
+      const unsigned s = pick(h.pop_cur_);
+      done += detail::backend_pop_n(shards_[s], slots + done, n - done,
+                                    h.subs_[s]);
+      if (done == n) break;
+      if (!try_pop(&slots[done], h)) break;
+      ++done;
+    }
+    return done;
   }
 
   unsigned shard_count() const { return nshards_; }
@@ -321,75 +304,13 @@ class sharded {
     return n;
   }
 
-  // Single-slot ops scan from the handle's cursor and, on success, set
-  // it to the accepting shard plus step_: round_robin moves one past
-  // it, sticky adopts it as the new home (rebalance on full/empty). A
-  // fully failed scan leaves the cursor, and so the push/pop
-  // alignment, untouched.
-  bool push_slot(std::uint64_t slot, handle& h) {
-    const unsigned c = h.push_cur_;
-    for (unsigned k = 0; k < nshards_; ++k) {
-      const unsigned s = (c + k) & mask_;
-      if (shards_[s].try_push(slot, h.subs_[s])) {
-        h.push_cur_ = c + k + step_;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  bool pop_slot(std::uint64_t* slot, handle& h) {
-    const unsigned c = h.pop_cur_;
-    for (unsigned k = 0; k < nshards_; ++k) {
-      const unsigned s = (c + k) & mask_;
-      if (shards_[s].try_pop(slot, h.subs_[s])) {
-        h.pop_cur_ = c + k + step_;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  // The shard a batch chunk targets, advancing the cursor once per
-  // CHUNK (that is the amortization): round_robin steps, sticky stays
-  // home.
+  // The shard a batch call targets, advancing the cursor once per
+  // call, so once per facade chunk (that is the amortization):
+  // round_robin steps, sticky stays home.
   unsigned pick(unsigned& cur) const {
     const unsigned s = cur & mask_;
     cur += step_;
     return s;
-  }
-
-  // Slot-level batch push: one shard pick per chunk, whose run goes in
-  // as the shard backend's native burst where it has one (else one
-  // push at a time); when the picked shard refuses mid-chunk, the
-  // refused slot is routed through the scanning single-slot path
-  // (which also rebalances sticky homes), and the remainder re-picks.
-  // Stops only on a global refusal.
-  std::size_t push_slots(const std::uint64_t* slots, std::size_t n,
-                         handle& h) {
-    std::size_t done = 0;
-    while (done < n) {
-      const unsigned s = pick(h.push_cur_);
-      done += detail::backend_push_n(shards_[s], slots + done, n - done,
-                                     h.subs_[s]);
-      if (done == n) break;
-      if (!push_slot(slots[done], h)) break;
-      ++done;
-    }
-    return done;
-  }
-
-  std::size_t pop_slots(std::uint64_t* slots, std::size_t n, handle& h) {
-    std::size_t done = 0;
-    while (done < n) {
-      const unsigned s = pick(h.pop_cur_);
-      done += detail::backend_pop_n(shards_[s], slots + done, n - done,
-                                    h.subs_[s]);
-      if (done == n) break;
-      if (!pop_slot(&slots[done], h)) break;
-      ++done;
-    }
-    return done;
   }
 
   const unsigned nshards_;
@@ -399,5 +320,10 @@ class sharded {
   Backend* shards_ = nullptr;
   std::atomic<unsigned> next_handle_{0};
 };
+
+/// The sharded typed queue. Satisfies concepts::Queue, so the whole
+/// harness accepts it as a lineup entry.
+template <typename T, typename Backend = WcqQueue>
+using sharded = queue<T, shard_set<Backend>>;
 
 }  // namespace wcq

@@ -1,6 +1,6 @@
-// Batch checks for boxed payloads, shared by the two facades that
-// batch (wcq::queue in test_typed_facade, wcq::sharded in
-// test_sharded): a chunk's boxes are accounted as one mem request but
+// Batch checks for boxed payloads, shared by test_typed_facade
+// (wcq::queue) and test_sharded (wcq::sharded, the same facade over a
+// shard_set): a chunk's boxes are accounted as one mem request but
 // must leave mem's counters exactly where per-value boxing leaves them,
 // and a copy that throws mid-chunk must leak no box.
 #pragma once
@@ -113,13 +113,12 @@ mem::Stats batch_box_round(const char* name, const options& opt) {
 }
 
 // The _n path against the per-value path for the same values, counter
-// by counter, and the number of 40-byte boxes the round makes: 110
-// where the facade boxes a whole chunk before pushing it (the refused
-// tail of 36 included), 75 where it pushes value by value and stops
-// boxing at the first refusal.
+// by counter, and the number of 40-byte boxes the round makes: 110,
+// since the facade boxes a whole chunk before pushing it (the refused
+// tail of 36 included).
 template <typename Q, typename QPerValue>
-void test_batch_box_accounting(const char* name, const options& opt,
-                               std::uint64_t boxes) {
+void test_batch_box_accounting(const char* name, const options& opt) {
+  constexpr std::uint64_t boxes = 110;
   const mem::Stats a = batch_box_round<Q>(name, opt);
   const mem::Stats b = batch_box_round<QPerValue>(name, opt);
   WCQ_CHECK(a.total_allocs == b.total_allocs,
@@ -158,16 +157,13 @@ void test_batch_box_accounting(const char* name, const options& opt,
 
 // A copy that throws inside a batch push: once in the first chunk (its
 // 5th copy), once in the second chunk of a 100-value push (again its
-// 5th copy, after a whole chunk of 64). Where the facade boxes a whole
-// chunk before pushing it (`whole_chunks`), a throw pushes none of its
-// chunk: 0 values land, then chunk 1's 64. Where it pushes value by
-// value, the values before the throwing copy land: 4, then 68. Either
-// way no box may leak: live bytes rise by exactly the landed values'
-// boxes, those values pop back intact, and teardown returns to the
-// baseline.
+// 5th copy, after a whole chunk of 64). The facade boxes a whole chunk
+// before pushing it, so a throw pushes none of its chunk: 0 values
+// land, then chunk 1's 64. No box may leak: live bytes rise by exactly
+// the landed values' boxes, those values pop back intact, and teardown
+// returns to the baseline.
 template <typename Q>
-void test_batch_throwing_copy(const char* name, const options& opt,
-                              bool whole_chunks) {
+void test_batch_throwing_copy(const char* name, const options& opt) {
   const std::uint64_t baseline = mem::stats().live_bytes;
   {
     Q q(options{opt}.order(8).max_threads(2));
@@ -210,11 +206,9 @@ void test_batch_throwing_copy(const char* name, const options& opt,
     };
     const std::size_t in_chunk1 = throw_then_drain(4, 10);
     const std::size_t in_chunk2 = throw_then_drain(64 + 4, 100);
-    WCQ_CHECK(in_chunk1 == (whole_chunks ? 0 : 4) &&
-                  in_chunk2 == (whole_chunks ? 64 : 68),
-              "%s: %zu then %zu values landed, want %d then %d", name,
-              in_chunk1, in_chunk2, whole_chunks ? 0 : 4,
-              whole_chunks ? 64 : 68);
+    WCQ_CHECK(in_chunk1 == 0 && in_chunk2 == 64,
+              "%s: %zu then %zu values landed, want 0 then 64", name,
+              in_chunk1, in_chunk2);
   }
   WCQ_CHECK(mem::stats().live_bytes == baseline,
             "%s: %lld bytes still live after teardown", name,

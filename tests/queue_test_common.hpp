@@ -31,8 +31,8 @@ namespace wcq::test {
   } while (0)
 
 // A raw backend's handle. Backends report exhausted handle slots as
-// nullopt (only the wcq::queue and wcq::sharded facades throw); here
-// exhaustion fails the test.
+// nullopt (only the wcq::queue facade throws); here exhaustion fails
+// the test.
 template <concepts::Backend B>
 typename B::Handle backend_handle(B& b) {
   auto h = b.try_get_handle();

@@ -12,9 +12,11 @@
 // next request's dequeue scan.
 #include <climits>
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "queue_test_common.hpp"
+#include "wcq/queue.hpp"
 #include "wcq/wcq.hpp"
 
 namespace {
@@ -83,16 +85,18 @@ void test_helper_completes_stalled_ops(const char* name) {
 
 // How the helper's own operations reach a ring in the cadence case.
 enum class Drive {
-  push,    // try_push of a distinct value
-  push_n,  // try_push_n of 1-4 distinct values
-  pop,     // try_pop of the empty queue, its threshold armed
-  pop_n,   // try_pop_n of the empty queue, its threshold armed
+  push,          // try_push of a distinct value
+  push_n,        // try_push_n of 1-4 distinct values
+  queue_push_n,  // push_n through wcq::queue, which hands it one burst
+  pop,           // try_pop of the empty queue, its threshold armed
+  pop_n,         // try_pop_n of the empty queue, its threshold armed
 };
 
 const char* drive_name(Drive d) {
   switch (d) {
     case Drive::push: return "push";
     case Drive::push_n: return "push_n";
+    case Drive::queue_push_n: return "queue_push_n";
     case Drive::pop: return "pop";
     case Drive::pop_n: return "pop_n";
   }
@@ -111,9 +115,9 @@ const char* drive_name(Drive d) {
 // operation, however many values it moves: an empty try_pop_n whose
 // burst yields nothing falls back to the single pop, which must not
 // check a peer a second time, and a try_push_n of up to 4 values must
-// not count its values. The help lands before the operation's own ring
-// access; the final drain pins where 321 landed among the helper's
-// values.
+// not count its values, also when wcq::queue's try_push_n makes the
+// call. The help lands before the operation's own ring access; the
+// final drain pins where 321 landed among the helper's values.
 //
 // Also the regression for the help-round self-skip bug: when the
 // round-robin cursor lands on the helper's own record, the round must
@@ -125,10 +129,20 @@ template <bool Portable>
 void test_help_cadence(const char* name, unsigned help_delay, Drive drive) {
   using Access = wcq::WcqTestAccess<Portable>;
   using Queue = wcq::WcqQueueT<Portable>;
-  Queue q(wcq::options{}.order(12).max_threads(4).help_delay(help_delay));
-  // Slot 0 is the helper (its cursor 0 lands on itself); slot 1 is the
-  // peer needing help.
-  auto helper = wcq::test::backend_handle(q);
+  using Facade = wcq::queue<std::uint64_t, Queue>;
+  Facade facade(
+      wcq::options{}.order(12).max_threads(4).help_delay(help_delay));
+  Queue& q = facade.backend();
+  // Slot 0 is the helper (its cursor 0 lands on itself), registered
+  // through the facade for the queue_push_n drive; slot 1 is the peer
+  // needing help.
+  std::optional<typename Facade::handle> facade_helper;
+  std::optional<typename Queue::Handle> helper;
+  if (drive == Drive::queue_push_n) {
+    facade_helper = facade.get_handle();
+  } else {
+    helper = wcq::test::backend_handle(q);
+  }
   auto stalled = wcq::test::backend_handle(q);
   const char* how = drive_name(drive);
 
@@ -151,18 +165,20 @@ void test_help_cadence(const char* name, unsigned help_delay, Drive drive) {
     switch (drive) {
       case Drive::push:
       case Drive::push_n:
+      case Drive::queue_push_n:
         k = drive == Drive::push ? 1 : 1 + op % 4;
         for (std::size_t i = 0; i < k; ++i) vs[i] = 4 * op + i;
-        WCQ_CHECK(drive == Drive::push ? q.try_push(vs[0], helper)
-                                       : q.try_push_n(vs, k, helper) == k,
+        WCQ_CHECK(drive == Drive::push     ? q.try_push(vs[0], *helper)
+                  : drive == Drive::push_n ? q.try_push_n(vs, k, *helper) == k
+                  : facade.try_push_n(vs, k, *facade_helper) == k,
                   "%s help_delay %u %s: own op %u refused", name,
                   help_delay, how, op);
         want.insert(want.end(), vs, vs + k);
         break;
       case Drive::pop:
       case Drive::pop_n:
-        k = drive == Drive::pop ? (q.try_pop(vs, helper) ? 1 : 0)
-                                : q.try_pop_n(vs, 4, helper);
+        k = drive == Drive::pop ? (q.try_pop(vs, *helper) ? 1 : 0)
+                                : q.try_pop_n(vs, 4, *helper);
         // Only the operation that helps finds a value, and it is 321.
         WCQ_CHECK(k == 0 || (helps_now && k == 1 && vs[0] == 321),
                   "%s help_delay %u %s: own op %u popped %zu values, "
@@ -175,19 +191,20 @@ void test_help_cadence(const char* name, unsigned help_delay, Drive drive) {
   WCQ_CHECK(Access::done_ok(q, stalled) == !never,
             "%s help_delay %u %s: after %u own ops the request is %s", name,
             help_delay, how, own_ops, never ? "done" : "still pending");
-  WCQ_CHECK(Access::helps(helper) == (never ? 0u : 1u),
+  // The helper is the only handle that ever helps.
+  WCQ_CHECK(q.stats().helps == (never ? 0u : 1u),
             "%s help_delay %u %s: helps counter is %llu", name, help_delay,
-            how, (unsigned long long)Access::helps(helper));
+            how, (unsigned long long)q.stats().helps);
   WCQ_CHECK(Access::finish_push(q, stalled), "%s: stalled push failed",
             name);
   if (never) want.push_back(321);
   for (const std::uint64_t w : want) {
-    WCQ_CHECK(q.try_pop(&v, helper) && v == w,
+    WCQ_CHECK(q.try_pop(&v, stalled) && v == w,
               "%s help_delay %u %s: drained %llu, want %llu", name,
               help_delay, how, (unsigned long long)v,
               (unsigned long long)w);
   }
-  WCQ_CHECK(!q.try_pop(&v, helper), "%s help_delay %u %s: extra value %llu",
+  WCQ_CHECK(!q.try_pop(&v, stalled), "%s help_delay %u %s: extra value %llu",
             name, help_delay, how, (unsigned long long)v);
   std::printf("  ok helping_cadence   %s (help_delay %u, %s)\n", name,
               help_delay, how);
@@ -324,8 +341,8 @@ int main() {
   test_helper_completes_stalled_ops<false>("wcq");
   test_helper_completes_stalled_ops<true>("wcq-portable");
   for (const unsigned help_delay : {1u, 3u, UINT_MAX}) {
-    for (const Drive drive :
-         {Drive::push, Drive::push_n, Drive::pop, Drive::pop_n}) {
+    for (const Drive drive : {Drive::push, Drive::push_n, Drive::queue_push_n,
+                              Drive::pop, Drive::pop_n}) {
       test_help_cadence<false>("wcq", help_delay, drive);
       test_help_cadence<true>("wcq-portable", help_delay, drive);
     }

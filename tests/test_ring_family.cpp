@@ -12,12 +12,10 @@
 //     LSCQ runs the unbounded variant (pushes may never refuse) with
 //     order-4 segments so the tape crosses segment boundaries. The
 //     wCQ members (native and portable) mix in try_push_n/try_pop_n
-//     of 1-64 values, their native ticket bursts: a push_n must accept
-//     exactly the model's free space, and a pop_n must return a FIFO
-//     prefix of the model, non-empty whenever the model is. wcq::queue
-//     pushes value by value over a bounded backend, so these calls go
-//     through wcq::sharded over one wCQ shard, which hands every chunk
-//     to WcqQueueT's bursts and otherwise is that one queue.
+//     of 1-64 values, which wcq::queue hands to WcqQueueT's native
+//     ticket bursts a chunk at a time: a push_n must accept exactly
+//     the model's free space, and a pop_n must return a FIFO prefix of
+//     the model, non-empty whenever the model is.
 //  2. Tape agreement: one no-refusal tape (pending kept inside
 //     (0, capacity) by construction) replayed on all five queues must
 //     yield byte-identical pop traces.
@@ -46,23 +44,11 @@
 #include "wcq/ncq.hpp"
 #include "wcq/queue.hpp"
 #include "wcq/scq.hpp"
-#include "wcq/sharded.hpp"
 #include "wcq/wcq.hpp"
 
 namespace {
 
 using namespace wcq;
-
-// wCQ with its try_push_n/try_pop_n bursts reachable: wcq::sharded
-// over a single shard of Backend.
-template <typename Backend>
-class OneShard : public sharded<std::uint64_t, Backend> {
- public:
-  explicit OneShard(const options& opt)
-      : sharded<std::uint64_t, Backend>(options{opt}.shards(1)) {}
-};
-using WcqBursts = OneShard<WcqQueue>;
-using WcqPortableBursts = OneShard<WcqPortableQueue>;
 
 // Deterministic splitmix64: the tape must be identical across queues
 // and across runs (failures reproduce).
@@ -422,20 +408,22 @@ int main(int argc, char** argv) {
   const options patience1 = options{}.patience(1, 1);
   if (test::selected(argc, argv, "wcq")) {
     diff_model<harness::WcqAdapter>("wcq", 4, true, ops);
-    diff_model<WcqBursts>("wcq+batch", 4, true, ops, true);
+    diff_model<harness::WcqAdapter>("wcq+batch", 4, true, ops, true);
     fuzz_concurrent<harness::WcqAdapter>("wcq", 6);
     for (const unsigned order : {1u, 3u, 6u}) {
-      fuzz_concurrent<WcqBursts>("wcq+batch", order, true);
-      fuzz_concurrent<WcqBursts>("wcq+batch patience 1", order, true,
-                                 patience1);
+      fuzz_concurrent<harness::WcqAdapter>("wcq+batch", order, true);
+      fuzz_concurrent<harness::WcqAdapter>("wcq+batch patience 1", order,
+                                           true, patience1);
     }
   }
   if (test::selected(argc, argv, "wcq-portable")) {
-    diff_model<WcqPortableBursts>("wcq-portable+batch", 4, true, ops, true);
+    diff_model<harness::WcqPortableAdapter>("wcq-portable+batch", 4, true,
+                                            ops, true);
     for (const unsigned order : {1u, 3u, 6u}) {
-      fuzz_concurrent<WcqPortableBursts>("wcq-portable+batch", order, true);
-      fuzz_concurrent<WcqPortableBursts>("wcq-portable+batch patience 1",
-                                         order, true, patience1);
+      fuzz_concurrent<harness::WcqPortableAdapter>("wcq-portable+batch",
+                                                   order, true);
+      fuzz_concurrent<harness::WcqPortableAdapter>(
+          "wcq-portable+batch patience 1", order, true, patience1);
     }
   }
   if (test::selected(argc, argv, "lscq")) {

@@ -37,11 +37,12 @@ const char* policy_name(shard_policy p) {
 // (the queue is left empty).
 std::vector<std::vector<std::uint64_t>> drain_shards(
     sharded<std::uint64_t>& q) {
-  std::vector<std::vector<std::uint64_t>> held(q.shard_count());
-  for (unsigned s = 0; s < q.shard_count(); ++s) {
-    auto bh = test::backend_handle(q.shard(s));
+  auto& set = q.backend();
+  std::vector<std::vector<std::uint64_t>> held(set.shard_count());
+  for (unsigned s = 0; s < set.shard_count(); ++s) {
+    auto bh = test::backend_handle(set.shard(s));
     std::uint64_t v = 0;
-    while (q.shard(s).try_pop(&v, bh)) held[s].push_back(v);
+    while (set.shard(s).try_pop(&v, bh)) held[s].push_back(v);
   }
   return held;
 }
@@ -369,9 +370,9 @@ int main() {
   test_batch_boxed();
   test::test_batch_box_accounting<sharded<test::Msg40>,
                                   sharded<test::PerValueMsg40>>(
-      "sharded", options{}.shards(2), /*boxes=*/110);
+      "sharded", options{}.shards(2));
   test::test_batch_throwing_copy<sharded<test::ThrowingMsg>>(
-      "sharded", options{}.shards(2), /*whole_chunks=*/true);
+      "sharded", options{}.shards(2));
   test_batch_sentinel_refusal();
   test_validation_throws();
   test_handle_churn();

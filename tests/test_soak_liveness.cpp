@@ -178,12 +178,12 @@ int main() {
           1),
       threads, per_phase, stall_ms);
 
-  // Phases 3 and 4: wCQ's native bursts (wcq::sharded over one shard
-  // hands every chunk to them) on a 2-value ring, both ways.
-  const options bursts = options{}.order(1).shards(1).max_threads(threads + 2);
-  soak_phase<harness::ShardedWcqAdapter>("batch", bursts, threads, per_phase,
-                                         stall_ms, /*batch=*/true);
-  soak_phase<harness::ShardedWcqAdapter>(
+  // Phases 3 and 4: wCQ's native bursts (wcq::queue hands them every
+  // chunk) on a 2-value ring, both ways.
+  const options bursts = options{}.order(1).max_threads(threads + 2);
+  soak_phase<harness::WcqAdapter>("batch", bursts, threads, per_phase,
+                                  stall_ms, /*batch=*/true);
+  soak_phase<harness::WcqAdapter>(
       "batch p=1", options{bursts}.patience(1, 1).help_delay(1), threads,
       per_phase, stall_ms, /*batch=*/true);
 

@@ -215,16 +215,13 @@ int main() {
   test_boxed_codec_roundtrip();
   test_boxed_no_leak_on_failed_push();
   test_boxed_teardown_drains();
-  // Over wCQ, which bursts but can refuse as full, try_push_n pushes
-  // value by value, so a refused push costs one box; over FaaQueue,
-  // which never refuses as full, it boxes and bursts whole chunks.
   test::test_batch_box_accounting<queue<test::Msg40>,
-                                  queue<test::PerValueMsg40>>(
-      "queue", options{}, /*boxes=*/75);
-  test::test_batch_throwing_copy<queue<test::ThrowingMsg>>(
-      "queue", options{}, /*whole_chunks=*/false);
+                                  queue<test::PerValueMsg40>>("queue",
+                                                              options{});
+  test::test_batch_throwing_copy<queue<test::ThrowingMsg>>("queue",
+                                                           options{});
   test::test_batch_throwing_copy<queue<test::ThrowingMsg, FaaQueue>>(
-      "queue<faa>", options{}, /*whole_chunks=*/true);
+      "queue<faa>", options{});
   test_faa_reserved_values_refused();
   test_non_default_backend();
   test_refusals<harness::WcqAdapter>("wcq", detail::kMaxNoteOrder, "wcq");
