@@ -36,8 +36,8 @@ inline void cpu_pause() {
 // race-free and see each field grow monotonically. When a slot changes
 // hands, SlotRegistry's release -> acquire edge orders the last
 // owner's final store before the next owner's first load.
-inline void owner_bump(std::atomic<std::uint64_t>& counter,
-                       std::uint64_t by = 1) {
+[[gnu::always_inline]] inline void owner_bump(
+    std::atomic<std::uint64_t>& counter, std::uint64_t by = 1) {
   counter.store(counter.load(std::memory_order_relaxed) + by,
                 std::memory_order_relaxed);
 }

@@ -26,12 +26,14 @@ class ScqThreshold {
       : init_(static_cast<std::int64_t>(g.ring_size() + g.capacity() - 1)) {}
 
   /// Definitive-empty check: the budget ran out.
-  bool spent() const { return v_.load(std::memory_order_seq_cst) < 0; }
+  [[gnu::always_inline]] bool spent() const {
+    return v_.load(std::memory_order_seq_cst) < 0;
+  }
 
   /// Re-arm after a successful enqueue (a value is live again). The
   /// load-then-store shape keeps the hot path read-only when the
   /// threshold is already armed.
-  void arm() {
+  [[gnu::always_inline]] void arm() {
     if (v_.load(std::memory_order_seq_cst) != init_) {
       v_.store(init_, std::memory_order_seq_cst);
     }
@@ -39,7 +41,9 @@ class ScqThreshold {
 
   /// Account one fruitless dequeue position; true when the budget is
   /// now gone (caller returns definitive empty).
-  bool spend() { return v_.fetch_sub(1, std::memory_order_seq_cst) <= 0; }
+  [[gnu::always_inline]] bool spend() {
+    return v_.fetch_sub(1, std::memory_order_seq_cst) <= 0;
+  }
 
  private:
   const std::int64_t init_;

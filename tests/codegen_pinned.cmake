@@ -1,6 +1,7 @@
-# Guards the code shape of every queue operation: ring operations are
-# [[gnu::always_inline]] and backend entry points [[gnu::noinline]], so
-# a figure binary must hold no out-of-line copy of a ring operation.
+# Guards the code shape of every queue operation: ring operations and
+# the helpers they call are [[gnu::always_inline]] and backend entry
+# points [[gnu::noinline]], so a figure binary must hold no out-of-line
+# copy of a ring operation or helper.
 # Any symbol matching the pattern below is a call the source says
 # cannot exist, and the figures would again price the inliner.
 #
@@ -14,8 +15,12 @@ cmake_minimum_required(VERSION 3.16)
 
 # The ring ops: the single-op loops (enqueue_idx/dequeue_idx), the
 # ticket bursts (enqueue_idx_n/dequeue_idx_n) and the ticket bodies
-# they share (enqueue_ticket/dequeue_ticket).
-set(_pattern "(enqueue|dequeue)_(idx|idx_n|ticket)\\(|wcq::(Crq|ScqSegment)::(push|pop)\\(")
+# they share (enqueue_ticket/dequeue_ticket). Then the small helpers
+# every operation calls: the threshold's spent/arm/spend and wCQ's
+# counter bump. Left to gcc, arm and owner_bump were out of line in six
+# of the eleven figure binaries, so wCQ's try_push called both on every
+# successful push.
+set(_pattern "(enqueue|dequeue)_(idx|idx_n|ticket)\\(|wcq::(Crq|ScqSegment)::(push|pop)\\(|wcq::ring::ScqThreshold::(spent|arm|spend)\\(|wcq::detail::owner_bump\\(")
 
 string(REPLACE "," ";" _binaries "${BINARIES}")
 set(_found 0)
