@@ -1,6 +1,9 @@
-// Entry codecs — the storage layer of the ring kernel. A ring variant
-// picks the entry shape its protocol needs; everything above (cycle
-// arithmetic, threshold, helping) is agnostic to it:
+// Entry shapes — the storage layer of the ring kernel. ScqRingT takes
+// the entry type as its first template parameter and reads and writes
+// entries only through its codec (scq_ring.hpp), so everything above
+// (cycle arithmetic, threshold, the ticket loops, catch-up) is written
+// once and is agnostic to the shape; only wCQ's helping layer needs
+// the note:
 //
 //   PlainEntry   one 64-bit packed word [cycle | safe | index] — SCQ,
 //                NCQ, and the LSCQ segment rings.
@@ -13,7 +16,8 @@
 //                index is a full 64-bit word instead of being packed
 //                into the cycle word (meta = [cycle | safe]). This is
 //                the variant that shows what SCQ's packing buys: CCQ
-//                must pay double-width CAS for the same state machine.
+//                pays double-width CAS for the same state machine, the
+//                same written code in the same kernel.
 //
 // The two-word codecs are accessed both as two separate
 // std::atomic<uint64_t> members and, through reinterpret_cast, as one

@@ -8,9 +8,10 @@
 //    a queue of capacity n = 2^order. A position counter's quotient by
 //    the ring size is its *cycle*; a 64-bit packed entry is
 //    [ cycle | is_safe (1 bit) | index ], where index occupies
-//    order+1 bits and all-ones means "empty" (BOT). Rings whose
-//    entries are wider than one word (CCQ's CAS2 pairs) still use
-//    Geometry for positions and keep cycle/safe in their own codec.
+//    order+1 bits and all-ones means "empty" (BOT). CCQ's split
+//    entries (CAS2 pairs) use Geometry for positions only; the ring
+//    kernel's codec (scq_ring.hpp) keeps their cycle and safe bit in
+//    the meta word and their index in a word of its own.
 //
 //  - Remap: the Cache_Remap position permutation as a pluggable
 //    policy value — Remap::cache() spreads consecutive Head/Tail

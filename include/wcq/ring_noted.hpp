@@ -23,8 +23,8 @@ namespace wcq {
 // {Pending, Phase2}. The owner and any number of helpers run this
 // concurrently; every step is a CAS on shared state, so all of them
 // make progress on the *same* request — nobody claims it exclusively.
-template <bool Noted, bool Finalizable, bool Portable>
-void ScqRingT<Noted, Finalizable, Portable>::help_slow(RingRequest* r)
+template <typename Entry, bool Finalizable, bool Portable>
+void ScqRingT<Entry, Finalizable, Portable>::help_slow(RingRequest* r)
   requires(Noted)
 {
   for (;;) {
@@ -57,8 +57,8 @@ void ScqRingT<Noted, Finalizable, Portable>::help_slow(RingRequest* r)
 // request one step (commit decision, commit, result delivery) or
 // clear the note if its request is over. Callers loop; every call
 // makes global progress or observes someone else's.
-template <bool Noted, bool Finalizable, bool Portable>
-void ScqRingT<Noted, Finalizable, Portable>::help_note(std::uint64_t j,
+template <typename Entry, bool Finalizable, bool Portable>
+void ScqRingT<Entry, Finalizable, Portable>::help_note(std::uint64_t j,
                                                        std::uint64_t n)
   requires(Noted)
 {
@@ -106,8 +106,8 @@ void ScqRingT<Noted, Finalizable, Portable>::help_note(std::uint64_t j,
 // Apply the committed operation at slot j: one CAS2 flips the
 // phase-A claim to phase-B and performs the word change. Exactly one
 // such CAS2 can succeed; racing helpers fail benignly and re-read.
-template <bool Noted, bool Finalizable, bool Portable>
-void ScqRingT<Noted, Finalizable, Portable>::commit(
+template <typename Entry, bool Finalizable, bool Portable>
+void ScqRingT<Entry, Finalizable, Portable>::commit(
     RingRequest* r, std::uint64_t j, std::uint64_t n, std::uint64_t w)
   requires(Noted)
 {
@@ -147,8 +147,8 @@ void ScqRingT<Noted, Finalizable, Portable>::commit(
 // note. Every step is idempotent-by-CAS; any helper may run it. The
 // result CAS is seq-tagged so a finalizer that stalled here for a
 // whole operation lifetime cannot clobber a successor's result.
-template <bool Noted, bool Finalizable, bool Portable>
-void ScqRingT<Noted, Finalizable, Portable>::finalize(
+template <typename Entry, bool Finalizable, bool Portable>
+void ScqRingT<Entry, Finalizable, Portable>::finalize(
     RingRequest* r, std::uint64_t c, std::uint64_t j, std::uint64_t n)
   requires(Noted)
 {
@@ -195,8 +195,8 @@ void ScqRingT<Noted, Finalizable, Portable>::finalize(
 // while no dequeuer has passed p. A scan that ran ahead of Head could
 // close positions and later commit a claim beyond them, and the
 // commit's Head bump would then jump over values installed behind it.
-template <bool Noted, bool Finalizable, bool Portable>
-void ScqRingT<Noted, Finalizable, Portable>::step_dequeue(RingRequest* r,
+template <typename Entry, bool Finalizable, bool Portable>
+void ScqRingT<Entry, Finalizable, Portable>::step_dequeue(RingRequest* r,
                                                           std::uint64_t c)
   requires(Noted)
 {
@@ -269,8 +269,8 @@ void ScqRingT<Noted, Finalizable, Portable>::step_dequeue(RingRequest* r,
 // dequeuer holding ticket p would; a parked note or a value at pcycle
 // returns false, and the request's next step finds it. A lagging value
 // still there keeps p closed now that Head > p.
-template <bool Noted, bool Finalizable, bool Portable>
-bool ScqRingT<Noted, Finalizable, Portable>::settle_lagging(
+template <typename Entry, bool Finalizable, bool Portable>
+bool ScqRingT<Entry, Finalizable, Portable>::settle_lagging(
     std::uint64_t j, std::uint64_t pcycle)
   requires(Noted)
 {
@@ -292,8 +292,8 @@ bool ScqRingT<Noted, Finalizable, Portable>::settle_lagging(
 // One Pending-state step of a slow enqueue: claim an eligible empty
 // entry or advance the scan. Never finalizes empty — both rings of
 // the queue construction have guaranteed room for their index.
-template <bool Noted, bool Finalizable, bool Portable>
-void ScqRingT<Noted, Finalizable, Portable>::step_enqueue(RingRequest* r,
+template <typename Entry, bool Finalizable, bool Portable>
+void ScqRingT<Entry, Finalizable, Portable>::step_enqueue(RingRequest* r,
                                                           std::uint64_t c)
   requires(Noted)
 {
@@ -334,8 +334,8 @@ void ScqRingT<Noted, Finalizable, Portable>::step_enqueue(RingRequest* r,
                               std::memory_order_acquire);
 }
 
-template <bool Noted, bool Finalizable, bool Portable>
-void ScqRingT<Noted, Finalizable, Portable>::try_finalize_empty(
+template <typename Entry, bool Finalizable, bool Portable>
+void ScqRingT<Entry, Finalizable, Portable>::try_finalize_empty(
     RingRequest* r, std::uint64_t c)
   requires(Noted)
 {

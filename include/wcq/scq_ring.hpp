@@ -3,7 +3,8 @@
 //
 //   ring_math.hpp     Geometry (cycle/index packing) + Remap
 //                     (Cache_Remap / identity position permutation)
-//   ring_entry.hpp    entry codecs (plain word vs {word, note} pair)
+//   ring_entry.hpp    entry shapes (plain word, {word, note} pair,
+//                     CCQ's {meta, idx} pair)
 //   ring_policy.hpp   empty detection (ScqThreshold)
 //   ring_noted.hpp    the wCQ helping/note layer — out-of-line
 //                     definitions of the members declared here under
@@ -21,11 +22,18 @@
 // one F&A claims up to k tickets, each then visited in order) and
 // LSCQ's drain_idx all call them.
 //
-// Instantiations sharing the state machine:
+// The entry type is the first template parameter, and every entry read
+// and write goes through one small codec (pack, cycle_of, is_safe,
+// idx_of, bot, word_at, word_cas, consume), so the state machine above
+// it is written once for every entry shape. Instantiations:
 //
-//   ScqRingT<false>        ("ScqRing")  64-bit entries, lock-free —
-//       plain SCQ, and the building block of ScqQueue's aq/fq pair.
-//   ScqRingT<true>         128-bit {word, note} entries — the wCQ
+//   ScqRingT<ring::PlainEntry>  ("ScqRing")  64-bit entries, lock-free
+//       — plain SCQ, and the building block of ScqQueue's aq/fq pair.
+//   ScqRingT<ring::SplitEntry>  ("CcqRing")  128-bit {meta, idx}
+//       entries mutated by CAS2 — CCQ (ccq.hpp): the same state machine
+//       with the index beside the cycle word instead of packed into it,
+//       which prices what SCQ's packing saves.
+//   ScqRingT<ring::NotedEntry>  128-bit {word, note} entries — the wCQ
 //       ring (SPAA 2022, Figures 4-7). The second word parks *notes*:
 //       revocable claims and committed results of the cooperative slow
 //       path, so that any number of helpers can advance one stalled
@@ -35,12 +43,12 @@
 //       *noted bit*, mirrors note != 0, so the fast path is SCQ's
 //       single-word CAS over 16-byte entries; only the slow path's
 //       note changes are CAS2s.
-//   ScqRingT<true, false, true>  the same ring with every CAS2 on the
-//       portable __atomic path (WcqPortableQueue, the §4 build): it
-//       differs from ScqRingT<true> only on the slow path where
+//   ScqRingT<ring::NotedEntry, false, true>  the same ring with every
+//       CAS2 on the portable __atomic path (WcqPortableQueue, the §4
+//       build): it differs from the native ring only on the slow path where
 //       libatomic reports its 16-byte CAS lock-free; elsewhere its
 //       fast path keeps a CAS2 (see word_cas).
-//   ScqRingT<false, true>  ("FinalScqRing")  plain SCQ plus a closed
+//   ScqRingT<ring::PlainEntry, true>  ("FinalScqRing")  plain SCQ plus a closed
 //       bit in Tail: once close() is called no new enqueue ticket is
 //       issued, and drain_idx() sweeps the surviving tickets so an
 //       LSCQ segment can be proven sterile before it is retired to
@@ -49,7 +57,9 @@
 //
 // Word layout (64 bits):   [ cycle | is_safe (1 bit) | index ]
 // where index occupies order+1 bits and all-ones means "empty" (BOT);
-// the noted ring gives the cycle's top bit to the noted bit.
+// the noted ring gives the cycle's top bit to the noted bit. The split
+// entry keeps [ cycle | is_safe (bit 0) ] in meta and a full-word index
+// in idx, all-ones for BOT.
 //
 // Slow-path lifecycle of one request (RingRequest, one per thread):
 //   Pending   helpers scan from req.pos; an eligible entry is *claimed*
@@ -102,8 +112,14 @@ struct alignas(detail::kNoFalseSharing) RingRequest {
   std::atomic<std::uint64_t> pos[2][2];
 };
 
-template <bool Noted, bool Finalizable = false, bool Portable = false>
+template <typename Entry, bool Finalizable = false, bool Portable = false>
 class ScqRingT {
+  // The entry shape: wCQ's {word, note} pair, whose helping layer
+  // (requires(Noted)) lives in ring_noted.hpp, or CCQ's {meta, idx}
+  // pair; otherwise SCQ's plain word.
+  static constexpr bool Noted = std::is_same_v<Entry, ring::NotedEntry>;
+  static constexpr bool Split = std::is_same_v<Entry, ring::SplitEntry>;
+
   // The noted ring is the queue-level wCQ ring; segment finalization
   // belongs to plain rings inside LSCQ. Nothing needs both. Portable
   // picks the CAS2 path, which only the noted ring has.
@@ -146,12 +162,16 @@ class ScqRingT {
     // map(i), cycle 1, safe), Tail capacity past Head, threshold armed.
     for (std::uint64_t j = 0; j < geo_.ring_size(); ++j) {
       const std::uint64_t i = remap_.unmap(j);
-      entries_[j].word.store(full && i < geo_.capacity()
-                                 ? geo_.pack(1, true, i)
-                                 : geo_.pack(0, true, geo_.bot()),
-                             std::memory_order_relaxed);
-      if constexpr (Noted) {
-        entries_[j].note.store(0, std::memory_order_relaxed);
+      const Word e = full && i < geo_.capacity() ? pack(1, true, i)
+                                                 : pack(0, true, bot());
+      if constexpr (Split) {
+        entries_[j].meta.store(e.word, std::memory_order_relaxed);
+        entries_[j].idx.store(e.note, std::memory_order_relaxed);
+      } else {
+        entries_[j].word.store(e, std::memory_order_relaxed);
+        if constexpr (Noted) {
+          entries_[j].note.store(0, std::memory_order_relaxed);
+        }
       }
     }
     head_.store(geo_.ring_size(), std::memory_order_relaxed);
@@ -331,8 +351,6 @@ class ScqRingT {
  private:
   friend struct WcqTestAccess<Portable>;
 
-  using Entry = std::conditional_t<Noted, ring::NotedEntry, ring::PlainEntry>;
-
   static constexpr unsigned kLineBits =
       detail::log2_pow2(detail::kCacheLine / sizeof(Entry));
 
@@ -354,10 +372,66 @@ class ScqRingT {
   static constexpr std::uint64_t kNotedBit =
       Noted ? ring::NotedEntry::kNotedBit : 0;
 
-  // The entry word at j without the noted bit: what Geometry decodes
-  // and what a word CAS expects.
-  std::uint64_t word_at(std::uint64_t j) const {
-    return entries_[j].word.load(std::memory_order_acquire) & ~kNotedBit;
+  // ---- entry codec: every entry read and write of the kernel --------
+  // A plain or noted entry is one word that Geometry packs; a split
+  // entry is the pair {cycle << 1 | safe, idx}, read as a detail::Pair
+  // {meta, idx}. The pure accessors are always inlined, as the ring
+  // operations that call them are (codegen_pinned checks both).
+
+  // An entry as read.
+  using Word = std::conditional_t<Split, detail::Pair, std::uint64_t>;
+
+  [[gnu::always_inline]] Word pack(std::uint64_t cycle, bool safe,
+                                   std::uint64_t idx) const {
+    if constexpr (Split) {
+      return {(cycle << 1) | static_cast<std::uint64_t>(safe), idx};
+    } else {
+      return geo_.pack(cycle, safe, idx);
+    }
+  }
+  [[gnu::always_inline]] std::uint64_t cycle_of(Word e) const {
+    if constexpr (Split) {
+      return e.word >> 1;
+    } else {
+      return geo_.cycle_of_entry(e);
+    }
+  }
+  [[gnu::always_inline]] bool is_safe(Word e) const {
+    if constexpr (Split) {
+      return (e.word & 1u) != 0;
+    } else {
+      return geo_.is_safe(e);
+    }
+  }
+  [[gnu::always_inline]] std::uint64_t idx_of(Word e) const {
+    if constexpr (Split) {
+      return e.note;
+    } else {
+      return geo_.idx_of_entry(e);
+    }
+  }
+  // The "empty" index.
+  [[gnu::always_inline]] std::uint64_t bot() const {
+    if constexpr (Split) {
+      return ~std::uint64_t{0};
+    } else {
+      return geo_.bot();
+    }
+  }
+
+  // The entry at j, without the noted bit: what the accessors decode
+  // and what word_cas expects. A split entry's two words are separate
+  // loads, so the pair may be torn. That is benign: every mutation is a
+  // CAS2 expecting the whole pair, which a torn snapshot fails, and a
+  // decision taken without a CAS depends on meta alone or names a pair
+  // that some real state showed within the read window.
+  [[gnu::always_inline]] Word word_at(std::uint64_t j) const {
+    if constexpr (Split) {
+      return {entries_[j].meta.load(std::memory_order_acquire),
+              entries_[j].idx.load(std::memory_order_acquire)};
+    } else {
+      return entries_[j].word.load(std::memory_order_acquire) & ~kNotedBit;
+    }
   }
 
   // Whether word_cas may be the 8-byte CAS. In the noted ring that
@@ -370,21 +444,27 @@ class ScqRingT {
            (detail::kCas2Hardware && (!Portable || cas2_lock_free_));
   }
 
-  // Word-only CAS from `seen`, a word_at value; on failure `seen` holds
-  // the word found. `seen` has the noted bit clear, so in the noted
+  // The entry CAS from `seen`, a word_at value; on failure `seen` holds
+  // the entry found. A split entry is CASed whole, by CAS2; the others
+  // by their word. `seen` has the noted bit clear, so in the noted
   // ring the CAS fails on every entry a note freezes, exactly as a CAS2
   // expecting note == 0 would. Where the 8-byte CAS would not be atomic
   // against CAS2 (narrow_word_cas), the noted ring keeps that CAS2.
-  bool word_cas(std::uint64_t j, std::uint64_t& seen, std::uint64_t desired) {
-    if constexpr (Noted) {
-      if (!narrow_word_cas()) {
-        if (pair_cas(j, {seen, 0}, {desired, 0})) return true;
-        seen = entries_[j].word.load(std::memory_order_acquire);
-        return false;
+  bool word_cas(std::uint64_t j, Word& seen, Word desired) {
+    if constexpr (Split) {
+      return detail::cas2(reinterpret_cast<detail::Pair*>(&entries_[j]),
+                          &seen, desired);
+    } else {
+      if constexpr (Noted) {
+        if (!narrow_word_cas()) {
+          if (pair_cas(j, {seen, 0}, {desired, 0})) return true;
+          seen = entries_[j].word.load(std::memory_order_acquire);
+          return false;
+        }
       }
+      return entries_[j].word.compare_exchange_strong(
+          seen, desired, std::memory_order_acq_rel, std::memory_order_acquire);
     }
-    return entries_[j].word.compare_exchange_strong(
-        seen, desired, std::memory_order_acq_rel, std::memory_order_acquire);
   }
 
   // CAS2 on the {word, note} pair, and the only writer of the noted
@@ -401,7 +481,7 @@ class ScqRingT {
 
   // After a failed word CAS: a noted bit on the word found means a note
   // freezes the entry; resolve it so the caller's retry can progress.
-  void resolve_note(std::uint64_t j, std::uint64_t seen) {
+  void resolve_note(std::uint64_t j, Word seen) {
     if constexpr (Noted) {
       if ((seen & kNotedBit) != 0) {
         const std::uint64_t n =
@@ -412,12 +492,14 @@ class ScqRingT {
   }
 
   // Mark the entry consumed (index -> BOT) keeping cycle and safe bit.
-  // Returns false, with the word found in `seen`, when the entry moved
+  // Returns false, with the entry found in `seen`, when the entry moved
   // (noted ring: possibly because a note is parked on it) — the caller
   // re-evaluates. The noted ring CASes where SCQ ORs: an OR would write
-  // into a frozen word.
-  bool consume(std::uint64_t j, std::uint64_t& seen) {
-    if constexpr (Noted) {
+  // into a frozen word. The split entry's CAS2 keeps meta as read.
+  bool consume(std::uint64_t j, Word& seen) {
+    if constexpr (Split) {
+      return word_cas(j, seen, {seen.word, bot()});
+    } else if constexpr (Noted) {
       return word_cas(j, seen, seen | geo_.bot());
     } else {
       entries_[j].word.fetch_or(geo_.bot(), std::memory_order_acq_rel);
@@ -435,11 +517,10 @@ class ScqRingT {
     const std::uint64_t tcycle = geo_.cycle_of_pos(t);
     const std::uint64_t j = remap_.map(t);
     for (;;) {
-      std::uint64_t e = word_at(j);
-      if (geo_.cycle_of_entry(e) < tcycle &&
-          geo_.idx_of_entry(e) == geo_.bot() &&
-          (geo_.is_safe(e) || head_.load(std::memory_order_seq_cst) <= t)) {
-        if (!word_cas(j, e, geo_.pack(tcycle, true, eidx))) {
+      Word e = word_at(j);
+      if (cycle_of(e) < tcycle && idx_of(e) == bot() &&
+          (is_safe(e) || head_.load(std::memory_order_seq_cst) <= t)) {
+        if (!word_cas(j, e, pack(tcycle, true, eidx))) {
           resolve_note(j, e);
           continue;  // entry changed under us; re-evaluate
         }
@@ -465,9 +546,9 @@ class ScqRingT {
     const std::uint64_t hcycle = geo_.cycle_of_pos(h);
     const std::uint64_t j = remap_.map(h);
     for (;;) {
-      std::uint64_t e = word_at(j);
-      const std::uint64_t ecycle = geo_.cycle_of_entry(e);
-      if (ecycle == hcycle && geo_.idx_of_entry(e) != geo_.bot()) {
+      Word e = word_at(j);
+      const std::uint64_t ecycle = cycle_of(e);
+      if (ecycle == hcycle && idx_of(e) != bot()) {
         if (!consume(j, e)) {
           // Claimed by a slow-path request sharing this position:
           // help it through; the value goes to the request and the
@@ -475,16 +556,15 @@ class ScqRingT {
           resolve_note(j, e);
           continue;
         }
-        *out = geo_.idx_of_entry(e);
+        *out = idx_of(e);
         return Ticket::value;
       }
       if (ecycle < hcycle) {
         // Either advance an empty entry's cycle or mark a lagging
         // value unsafe so a slow enqueuer cannot resurrect it.
-        const std::uint64_t fresh =
-            geo_.idx_of_entry(e) == geo_.bot()
-                ? geo_.pack(hcycle, geo_.is_safe(e), geo_.bot())
-                : geo_.pack(ecycle, false, geo_.idx_of_entry(e));
+        const Word fresh = idx_of(e) == bot()
+                               ? pack(hcycle, is_safe(e), bot())
+                               : pack(ecycle, false, idx_of(e));
         if (!word_cas(j, e, fresh)) {
           resolve_note(j, e);
           continue;
@@ -497,8 +577,7 @@ class ScqRingT {
       // a value and must not be accounted as failed — in SCQ a
       // value-yielding ticket never decrements threshold.
       if constexpr (Noted) {
-        if (ecycle == hcycle && geo_.idx_of_entry(e) == geo_.bot() &&
-            !geo_.is_safe(e)) {
+        if (ecycle == hcycle && idx_of(e) == bot() && !is_safe(e)) {
           return Ticket::request_took;
         }
       }
@@ -578,8 +657,8 @@ class ScqRingT {
   alignas(detail::kNoFalseSharing) Entry* entries_ = nullptr;
 };
 
-using ScqRing = ScqRingT<false>;
+using ScqRing = ScqRingT<ring::PlainEntry>;
 // LSCQ's segment value ring: plain SCQ plus close()/drain_idx().
-using FinalScqRing = ScqRingT<false, true>;
+using FinalScqRing = ScqRingT<ring::PlainEntry, true>;
 
 }  // namespace wcq

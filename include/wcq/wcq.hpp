@@ -253,7 +253,7 @@ class WcqQueueT {
   friend struct WcqTestAccess<Portable>;
 
   // The wCQ ring, its CAS2s on the portable path iff Portable.
-  using Ring = ScqRingT<true, false, Portable>;
+  using Ring = ScqRingT<ring::NotedEntry, false, Portable>;
 
   // One per handle slot, written only by the thread holding the slot:
   // helpers drive the slot's RingRequest, never its ThreadRec. With one

@@ -16,11 +16,11 @@ cmake_minimum_required(VERSION 3.16)
 # The ring ops: the single-op loops (enqueue_idx/dequeue_idx), the
 # ticket bursts (enqueue_idx_n/dequeue_idx_n) and the ticket bodies
 # they share (enqueue_ticket/dequeue_ticket). Then the small helpers
-# every operation calls: the threshold's spent/arm/spend and wCQ's
-# counter bump. Left to gcc, arm and owner_bump were out of line in six
-# of the eleven figure binaries, so wCQ's try_push called both on every
-# successful push.
-set(_pattern "(enqueue|dequeue)_(idx|idx_n|ticket)\\(|wcq::(Crq|ScqSegment)::(push|pop)\\(|wcq::ring::ScqThreshold::(spent|arm|spend)\\(|wcq::detail::owner_bump\\(")
+# every operation calls: the entry codec's pure accessors, the
+# threshold's spent/arm/spend and wCQ's counter bump. Left to gcc, arm
+# and owner_bump were out of line in six of the eleven figure binaries,
+# so wCQ's try_push called both on every successful push.
+set(_pattern "(enqueue|dequeue)_(idx|idx_n|ticket)\\(|wcq::(Crq|ScqSegment)::(push|pop)\\(|wcq::ScqRingT<[^>]*>::(pack|cycle_of|is_safe|idx_of|bot|word_at)\\(|wcq::ring::ScqThreshold::(spent|arm|spend)\\(|wcq::detail::owner_bump\\(")
 
 string(REPLACE "," ";" _binaries "${BINARIES}")
 set(_found 0)
