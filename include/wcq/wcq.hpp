@@ -52,7 +52,10 @@
 namespace wcq {
 
 // Operation counters, kept per handle slot and summed by stats(). Each
-// slot's counters are written only by the thread holding that handle.
+// pushed or popped value counts once, and so does each full or empty
+// answer: slow iff its push or pop published a ring request, at either
+// stage, and fast otherwise. Each slot's counters are written only by
+// the thread holding that handle.
 // A stats() call racing live handles reads the fields one at a time:
 // every field is monotone across calls, but the snapshot may lag
 // operations still in flight and need not be consistent across
@@ -390,8 +393,11 @@ class WcqQueueT {
     }
     if (rc == Ring::kOk) {
       *v = data_[idx].load(std::memory_order_relaxed);
-      put_idx(rec, /*fq_ring=*/false, idx);
-      detail::owner_bump(rec->fast_deq);
+      // As in push_one, only the index return may need the cooperative
+      // path.
+      detail::owner_bump(put_idx(rec, /*fq_ring=*/false, idx)
+                             ? rec->fast_deq
+                             : rec->slow_deq);
       return true;
     }
 #endif
@@ -448,7 +454,9 @@ class WcqQueueT {
   // answers 0 before the help check, as in try_pop. Every value is read
   // before any index goes back to aq, where a pusher could reuse it.
   // When the burst yields nothing, the single pop gives the answer, so
-  // that 0 stays a definitive empty.
+  // that 0 stays a definitive empty. Values are counted as push_chunk
+  // counts them: slow when the index return went through a published
+  // request.
   std::size_t pop_chunk(ThreadRec* rec, std::uint64_t* out, std::size_t k) {
     if (answered_empty(rec)) return 0;
     maybe_help(rec);
@@ -458,10 +466,15 @@ class WcqQueueT {
     for (std::size_t i = 0; i < got; ++i) {
       out[i] = data_[idx[i]].load(std::memory_order_relaxed);
     }
-    for (std::size_t i = aq_.enqueue_idx_n(idx, got); i < got; ++i) {
-      put_idx(rec, /*fq_ring=*/false, idx[i]);
+    std::size_t fast = aq_.enqueue_idx_n(idx, got);
+    for (std::size_t i = fast; i < got; ++i) {
+      if (put_idx(rec, /*fq_ring=*/false, idx[i])) {
+        ++fast;
+      } else {
+        detail::owner_bump(rec->slow_deq);
+      }
     }
-    detail::owner_bump(rec->fast_deq, got);
+    detail::owner_bump(rec->fast_deq, fast);
     return got;
   }
 

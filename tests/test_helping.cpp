@@ -6,10 +6,11 @@
 // timing alone cannot exercise it — this is the wait-freedom scenario
 // made reproducible. Also pinned here: the help cadence counts the
 // operations that reach a ring, a batch call being one and a pop that
-// the threshold answers empty none, stats() counts batch values, and a
-// stale helper — one that read a request's ctl word, then stepped it
-// after the owner had moved on to its next request — never moves that
-// next request's dequeue scan.
+// the threshold answers empty none, stats() counts batch values, and
+// counts a value slow when either stage of its push or pop went through
+// a published request; and a stale helper — one that read a request's
+// ctl word, then stepped it after the owner had moved on to its next
+// request — never moves that next request's dequeue scan.
 #include <climits>
 #include <cstddef>
 #include <optional>
@@ -335,6 +336,78 @@ void test_stale_step_keeps_to_its_kind(const char* name) {
   std::printf("  ok stale_step        %s\n", name);
 }
 
+// A value counts slow iff its push or pop published a ring request, at
+// either stage. Here a pop's second stage (its index back to aq) and a
+// push's (its index into fq) each miss their one enqueue attempt
+// (enqueue patience 1): a dequeue request that ended DoneEmpty left its
+// scan at the ring's next Tail position, and a helper replaying that
+// request's ctl word advances the entry there without taking its
+// ticket, so the next Tail ticket finds it unusable. The index then
+// goes through a published request, and the operation counts slow.
+template <bool Portable>
+void test_stats_count_published_stage(const char* name) {
+  using Access = wcq::WcqTestAccess<Portable>;
+  using Queue = wcq::WcqQueueT<Portable>;
+  const wcq::options opt =
+      wcq::options{}.order(2).max_threads(2).patience(1, 64).help_delay(
+          UINT_MAX);
+  {
+    // aq: a full queue, whose aq dequeue request ends DoneEmpty.
+    Queue q(opt);
+    auto h = wcq::test::backend_handle(q);
+    for (std::uint64_t v = 0; v < 4; ++v) {
+      WCQ_CHECK(q.try_push(v, h), "%s: push %llu refused", name,
+                (unsigned long long)v);
+    }
+    std::uint64_t idx = UINT64_MAX;
+    const std::uint64_t stale =
+        Access::ring_op(q, h, /*fq=*/false, /*deq=*/true, 0, &idx);
+    WCQ_CHECK(idx == UINT64_MAX, "%s: a full queue's aq gave index %llu",
+              name, (unsigned long long)idx);
+    Access::step(q, h, /*fq=*/false, stale);
+    const wcq::WcqStats before = q.stats();
+    std::uint64_t v = 99;
+    WCQ_CHECK(q.try_pop(&v, h) && v == 0, "%s: pop got %llu, want 0", name,
+              (unsigned long long)v);
+    const wcq::WcqStats after = q.stats();
+    WCQ_CHECK(after.slow_dequeues == before.slow_dequeues + 1 &&
+                  after.fast_dequeues == before.fast_dequeues,
+              "%s: a pop whose aq stage was published counted %llu fast, "
+              "%llu slow",
+              name,
+              (unsigned long long)(after.fast_dequeues - before.fast_dequeues),
+              (unsigned long long)(after.slow_dequeues - before.slow_dequeues));
+  }
+  {
+    // fq: armed by one push and pop, then an fq dequeue request that
+    // ends DoneEmpty.
+    Queue q(opt);
+    auto h = wcq::test::backend_handle(q);
+    std::uint64_t v = 0;
+    WCQ_CHECK(q.try_push(7, h) && q.try_pop(&v, h) && v == 7,
+              "%s: seed push and pop failed", name);
+    std::uint64_t idx = UINT64_MAX;
+    const std::uint64_t stale =
+        Access::ring_op(q, h, /*fq=*/true, /*deq=*/true, 0, &idx);
+    WCQ_CHECK(idx == UINT64_MAX, "%s: an empty queue's fq gave index %llu",
+              name, (unsigned long long)idx);
+    Access::step(q, h, /*fq=*/true, stale);
+    const wcq::WcqStats before = q.stats();
+    WCQ_CHECK(q.try_push(9, h), "%s: push refused", name);
+    const wcq::WcqStats after = q.stats();
+    WCQ_CHECK(after.slow_enqueues == before.slow_enqueues + 1 &&
+                  after.fast_enqueues == before.fast_enqueues,
+              "%s: a push whose fq stage was published counted %llu fast, "
+              "%llu slow",
+              name,
+              (unsigned long long)(after.fast_enqueues - before.fast_enqueues),
+              (unsigned long long)(after.slow_enqueues - before.slow_enqueues));
+    WCQ_CHECK(q.try_pop(&v, h) && v == 9, "%s: pop got %llu, want 9", name,
+              (unsigned long long)v);
+  }
+  std::printf("  ok stats_published   %s\n", name);
+}
+
 }  // namespace
 
 int main() {
@@ -356,5 +429,7 @@ int main() {
   }
   test_stale_step_keeps_to_its_kind<false>("wcq");
   test_stale_step_keeps_to_its_kind<true>("wcq-portable");
+  test_stats_count_published_stage<false>("wcq");
+  test_stats_count_published_stage<true>("wcq-portable");
   return 0;
 }
