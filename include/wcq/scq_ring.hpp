@@ -45,14 +45,14 @@
 //       note changes are CAS2s.
 //   ScqRingT<ring::NotedEntry, false, true>  the same ring with every
 //       CAS2 on the portable __atomic path (WcqPortableQueue, the §4
-//       build): it differs from the native ring only on the slow path where
-//       libatomic reports its 16-byte CAS lock-free; elsewhere its
-//       fast path keeps a CAS2 (see word_cas).
-//   ScqRingT<ring::PlainEntry, true>  ("FinalScqRing")  plain SCQ plus a closed
-//       bit in Tail: once close() is called no new enqueue ticket is
-//       issued, and drain_idx() sweeps the surviving tickets so an
-//       LSCQ segment can be proven sterile before it is retired to
-//       SMR. For non-finalizable instantiations every closed-bit
+//       build): it differs from the native ring only on the slow path
+//       where libatomic reports its 16-byte CAS lock-free; elsewhere
+//       its fast path keeps a CAS2 (see word_cas).
+//   ScqRingT<ring::PlainEntry, true>  ("FinalScqRing")  plain SCQ plus
+//       a closed bit in Tail: once close() is called no new enqueue
+//       ticket is issued, and drain_idx() sweeps the surviving tickets
+//       so an LSCQ segment can be proven sterile before it is retired
+//       to SMR. For non-finalizable instantiations every closed-bit
 //       branch folds away and the generated code is the plain ring's.
 //
 // Word layout (64 bits):   [ cycle | is_safe (1 bit) | index ]
@@ -122,7 +122,8 @@ class ScqRingT {
 
   // The noted ring is the queue-level wCQ ring; segment finalization
   // belongs to plain rings inside LSCQ. Nothing needs both. Portable
-  // picks the CAS2 path, which only the noted ring has.
+  // picks the noted ring's CAS2 path; the split ring's CAS2 is always
+  // detail::cas2.
   static_assert(!(Noted && Finalizable) && (Noted || !Portable));
 
  public:
