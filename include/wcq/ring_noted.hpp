@@ -103,12 +103,26 @@ void ScqRingT<Entry, Finalizable, Portable>::help_note(std::uint64_t j,
   pair_cas(j, {w, n}, {w, 0});
 }
 
-// Apply the committed operation at slot j: one CAS2 flips the
-// phase-A claim to phase-B and performs the word change. Exactly one
-// such CAS2 can succeed; racing helpers fail benignly and re-read.
+// Apply the committed operation at slot j and publish it.
 template <typename Entry, bool Finalizable, bool Portable>
 void ScqRingT<Entry, Finalizable, Portable>::commit(
     RingRequest* r, std::uint64_t j, std::uint64_t n, std::uint64_t w)
+  requires(Noted)
+{
+  std::uint64_t cycle = 0;
+  if (commit_word(r, j, n, w, &cycle)) {
+    publish_commit(detail::note_deq(n), j, cycle);
+  }
+}
+
+// The commit's CAS2: it flips the phase-A claim n to phase-B and
+// performs the word change. Exactly one such CAS2 can succeed; racing
+// helpers fail benignly and re-read. True iff this call's succeeded,
+// with the entry's cycle, now frozen under the phase-B note, in *cycle.
+template <typename Entry, bool Finalizable, bool Portable>
+bool ScqRingT<Entry, Finalizable, Portable>::commit_word(
+    RingRequest* r, std::uint64_t j, std::uint64_t n, std::uint64_t w,
+    std::uint64_t* cycle)
   requires(Noted)
 {
   const std::uint64_t slot = detail::note_slot(n);
@@ -122,12 +136,10 @@ void ScqRingT<Entry, Finalizable, Portable>::commit(
     // ticket maps here must see that its position yielded a value
     // (to the request) and skip the threshold decrement.
     const std::uint64_t x = detail::note_aux(n);
-    if (pair_cas(j, {w, n},
-                 {geo_.pack(wc, false, geo_.bot()),
-                  detail::pack_note(true, true, slot, seq, x)})) {
-      bump(head_, geo_.pos_of(wc, remap_.unmap(j)) + 1);
-    }
-    return;
+    *cycle = wc;
+    return pair_cas(j, {w, n},
+                    {geo_.pack(wc, false, geo_.bot()),
+                     detail::pack_note(true, true, slot, seq, x)});
   }
   // Install: reconstruct the claim's target cycle from its low bits
   // (the claim guaranteed the gap to the frozen word's cycle fits).
@@ -135,18 +147,44 @@ void ScqRingT<Entry, Finalizable, Portable>::commit(
   std::uint64_t tcycle = (wc & ~detail::kNoteAuxMask) | low;
   if (tcycle <= wc) tcycle += detail::kNoteAuxMask + 1;
   const std::uint64_t eidx = r->arg.load(std::memory_order_acquire);
-  if (pair_cas(j, {w, n},
-               {geo_.pack(tcycle, true, eidx),
-                detail::pack_note(true, false, slot, seq, eidx)})) {
-    threshold_.arm();
-    bump(tail_, geo_.pos_of(tcycle, remap_.unmap(j)) + 1);
+  *cycle = tcycle;
+  return pair_cas(j, {w, n},
+                  {geo_.pack(tcycle, true, eidx),
+                   detail::pack_note(true, false, slot, seq, eidx)});
+}
+
+// Publish a commit at slot j whose entry is at `cycle`: a consume moves
+// Head past its position; an install arms the threshold and moves Tail
+// past its position, so that the value sits below Tail as every fast
+// install's does. The CAS2's winner runs it, and so does every
+// finalize() of an install (before DoneOk), because the winner may
+// stall between its CAS2 and this.
+template <typename Entry, bool Finalizable, bool Portable>
+void ScqRingT<Entry, Finalizable, Portable>::publish_commit(
+    bool deq, std::uint64_t j, std::uint64_t cycle)
+  requires(Noted)
+{
+  const std::uint64_t next = geo_.pos_of(cycle, remap_.unmap(j)) + 1;
+  if (deq) {
+    bump(head_, next);
+    return;
   }
+  threshold_.arm();
+  bump(tail_, next);
 }
 
 // Deliver the result and finalize the ctl, then retire the phase-B
 // note. Every step is idempotent-by-CAS; any helper may run it. The
 // result CAS is seq-tagged so a finalizer that stalled here for a
 // whole operation lifetime cannot clobber a successor's result.
+//
+// An install is published before DoneOk: the owner returns once the
+// ctl is terminal, and its value must by then sit below Tail with the
+// threshold armed, or a dequeuer could answer empty past it. While the
+// phase-B note n is parked the entry word is frozen at the committed
+// one, so the word read before a note read that still finds n names
+// the committed cycle. A note found gone may be skipped: a phase-B note
+// is retired only after DoneOk, by which time some finalizer published.
 template <typename Entry, bool Finalizable, bool Portable>
 void ScqRingT<Entry, Finalizable, Portable>::finalize(
     RingRequest* r, std::uint64_t c, std::uint64_t j, std::uint64_t n)
@@ -158,6 +196,12 @@ void ScqRingT<Entry, Finalizable, Portable>::finalize(
     r->result.compare_exchange_strong(
         expr, detail::pack_result(seq, detail::note_aux(n)),
         std::memory_order_acq_rel, std::memory_order_acquire);
+  } else {
+    const std::uint64_t installed =
+        entries_[j].word.load(std::memory_order_acquire);
+    if (entries_[j].note.load(std::memory_order_acquire) == n) {
+      publish_commit(false, j, geo_.cycle_of_entry(installed & ~kNotedBit));
+    }
   }
   // Result is in place (by us or a sibling) before the ctl goes
   // terminal, so the owner can read it with a single load.

@@ -70,10 +70,15 @@
 //             the committing slot j; claims parked anywhere else are
 //             revoked. Any helper then *commits* at j: one CAS2 flips
 //             the phase-A note to phase-B and applies the word change
-//             (install for enqueue, consume for dequeue).
+//             (install for enqueue, consume for dequeue), and its
+//             winner publishes it (Head past a consume; threshold armed
+//             and Tail past an install).
 //   DoneOk    any helper seeing the phase-B note delivers the result
-//             (dequeue: the index rides in the note) and finalizes the
-//             ctl; the note is then retired by one CAS2.
+//             (dequeue: the index rides in the note), publishes an
+//             install again (the winner may have stalled before it), and
+//             only then finalizes the ctl: a push never returns with its
+//             value at or above Tail. The note is then retired by one
+//             CAS2.
 //   DoneEmpty dequeue-only: the threshold ran out first. Outstanding
 //             phase-A claims are revoked lazily by whoever touches
 //             them — a claim never changed the entry word, so revoking
@@ -631,6 +636,11 @@ class ScqRingT {
     requires(Noted);
   void commit(RingRequest* r, std::uint64_t j, std::uint64_t n,
               std::uint64_t w)
+    requires(Noted);
+  bool commit_word(RingRequest* r, std::uint64_t j, std::uint64_t n,
+                   std::uint64_t w, std::uint64_t* cycle)
+    requires(Noted);
+  void publish_commit(bool deq, std::uint64_t j, std::uint64_t cycle)
     requires(Noted);
   void finalize(RingRequest* r, std::uint64_t c, std::uint64_t j,
                 std::uint64_t n)

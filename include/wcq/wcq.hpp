@@ -602,6 +602,42 @@ struct WcqTestAccess {
     return true;
   }
 
+  // Owner popped a value through fq (stage 1, into *v), published its
+  // index's return to aq (stage 2), and stalled before driving it.
+  // False iff fq had no value: nothing is published then.
+  static bool publish_stalled_index_return(Q& q, H& h, std::uint64_t* v) {
+    std::uint64_t idx = 0;
+    if (q.fq_.dequeue_idx(&idx, Q::Ring::kUnbounded) != Q::Ring::kOk) {
+      return false;
+    }
+    *v = q.data_[idx].load(std::memory_order_relaxed);
+    q.publish_ring_op(h.rec_, /*fq_ring=*/false, /*deq=*/false, idx);
+    return true;
+  }
+
+  // A helper drives h's pending ring enqueue through its claim, the
+  // commit decision and the commit's CAS2, then stalls before the
+  // commit is published: the value is installed, but neither Tail nor
+  // the threshold knows it. Only finalize() can publish it now. True
+  // iff the CAS2 succeeded.
+  static bool commit_stalled(Q& q, H& h) {
+    RingRequest* r = q.req_of(h.rec_);
+    std::uint64_t c = r->ctl.load(std::memory_order_acquire);
+    typename Q::Ring& ring = detail::ctl_fq(c) ? q.fq_ : q.aq_;
+    // The first step claims an entry, the next proposes it for commit.
+    while (detail::ctl_state(c) == detail::kReqPending) {
+      ring.step_enqueue(r, c);
+      c = r->ctl.load(std::memory_order_acquire);
+    }
+    const std::uint64_t j = detail::ctl_j(c);
+    const std::uint64_t w = ring.entries_[j].word.load(
+        std::memory_order_acquire);
+    const std::uint64_t n = ring.entries_[j].note.load(
+        std::memory_order_acquire);
+    std::uint64_t cycle = 0;
+    return ring.commit_word(r, j, n, w, &cycle);
+  }
+
   // One ring-level operation of h's owner, published and driven to its
   // end (a dequeue's index in *out). Returns the ctl word it was
   // published with: a helper that read it then and steps now is stale.

@@ -408,6 +408,82 @@ void test_stats_count_published_stage(const char* name) {
   std::printf("  ok stats_published   %s\n", name);
 }
 
+// Where fq's threshold stands when the stalled install commits.
+enum class Budget {
+  spent,      // a fresh queue: no enqueue has armed it
+  one_below,  // armed by a push, then one fruitless ticket spent it by 1
+};
+
+// A slow-path install is published before its request can finish. The
+// commit's CAS2 installs the value; arming the threshold and moving
+// Tail past it come after. Here a helper stalls between the two
+// (WcqTestAccess::commit_stalled), a second one finalizes the request
+// (WcqTestAccess::help), and the owner returns. Its value must be poppable: on a
+// spent threshold, an unarmed ring answers the empty exit; one below
+// armed, the Tail <= Head exit would. Also the mirror on aq: a pop's
+// index return, stalled the same way, must leave room for the next push
+// (a false full otherwise).
+template <bool Portable>
+void test_install_published_before_done(const char* name, Budget budget) {
+  using Access = wcq::WcqTestAccess<Portable>;
+  using Queue = wcq::WcqQueueT<Portable>;
+  const char* how = budget == Budget::spent ? "spent" : "one below armed";
+  {
+    Queue q(wcq::options{}.order(4).max_threads(4).help_delay(UINT_MAX));
+    auto owner = wcq::test::backend_handle(q);
+    auto reader = wcq::test::backend_handle(q);
+    std::uint64_t v = 0;
+    if (budget == Budget::one_below) {
+      WCQ_CHECK(q.try_push(1, reader) && q.try_pop(&v, reader) && v == 1 &&
+                    !q.try_pop(&v, reader),
+                "%s: arming push, pop and empty pop failed", name);
+    }
+    WCQ_CHECK(Access::publish_stalled_push(q, owner, 321),
+              "%s: fresh queue had no free index", name);
+    WCQ_CHECK(Access::commit_stalled(q, owner),
+              "%s (%s): the stalled commit's CAS2 failed", name, how);
+    WCQ_CHECK(!Access::done_ok(q, owner) && Access::help(q, owner) &&
+                  Access::done_ok(q, owner),
+              "%s (%s): the helper did not finalize the push", name, how);
+    WCQ_CHECK(Access::finish_push(q, owner), "%s (%s): stalled push failed",
+              name, how);
+    WCQ_CHECK(q.try_pop(&v, reader) && v == 321,
+              "%s (%s): a finished push's 321 was not popped", name, how);
+    WCQ_CHECK(!q.try_pop(&v, reader), "%s (%s): extra value %llu", name, how,
+              (unsigned long long)v);
+  }
+  if (budget == Budget::one_below) {
+    // aq: a full queue refuses one push, which spends aq's threshold by
+    // one; a pop's index return then stalls after its commit.
+    Queue q(wcq::options{}.order(4).max_threads(4).help_delay(UINT_MAX));
+    auto owner = wcq::test::backend_handle(q);
+    auto writer = wcq::test::backend_handle(q);
+    const std::uint64_t cap = q.capacity();
+    for (std::uint64_t i = 0; i < cap; ++i) {
+      WCQ_CHECK(q.try_push(i, writer), "%s: push %llu refused", name,
+                (unsigned long long)i);
+    }
+    WCQ_CHECK(!q.try_push(cap, writer), "%s: a full queue took a push", name);
+    std::uint64_t v = cap;
+    WCQ_CHECK(Access::publish_stalled_index_return(q, owner, &v) && v == 0,
+              "%s: the stalled pop got %llu, want 0", name,
+              (unsigned long long)v);
+    WCQ_CHECK(Access::commit_stalled(q, owner),
+              "%s (aq): the stalled commit's CAS2 failed", name);
+    WCQ_CHECK(Access::help(q, owner) && Access::done_ok(q, owner) &&
+                  Access::finish_push(q, owner),
+              "%s (aq): the helper did not finalize the index return", name);
+    WCQ_CHECK(q.try_push(cap, writer),
+              "%s (aq): a finished pop's slot refused the next push", name);
+    for (std::uint64_t i = 1; i <= cap; ++i) {
+      WCQ_CHECK(q.try_pop(&v, writer) && v == i,
+                "%s (aq): drained %llu, want %llu", name,
+                (unsigned long long)v, (unsigned long long)i);
+    }
+  }
+  std::printf("  ok install_published %s (%s)\n", name, how);
+}
+
 }  // namespace
 
 int main() {
@@ -431,5 +507,9 @@ int main() {
   test_stale_step_keeps_to_its_kind<true>("wcq-portable");
   test_stats_count_published_stage<false>("wcq");
   test_stats_count_published_stage<true>("wcq-portable");
+  for (const Budget budget : {Budget::spent, Budget::one_below}) {
+    test_install_published_before_done<false>("wcq", budget);
+    test_install_published_before_done<true>("wcq-portable", budget);
+  }
   return 0;
 }
