@@ -25,9 +25,21 @@ class ScqThreshold {
   explicit ScqThreshold(const Geometry& g)
       : init_(static_cast<std::int64_t>(g.ring_size() + g.capacity() - 1)) {}
 
+  /// One read of the budget, for callers that take both of the
+  /// decisions below from it.
+  [[gnu::always_inline]] std::int64_t level() const {
+    return v_.load(std::memory_order_seq_cst);
+  }
+
   /// Definitive-empty check: the budget ran out.
-  [[gnu::always_inline]] bool spent() const {
-    return v_.load(std::memory_order_seq_cst) < 0;
+  [[gnu::always_inline]] static bool spent(std::int64_t level) {
+    return level < 0;
+  }
+  [[gnu::always_inline]] bool spent() const { return spent(level()); }
+
+  /// Whether no ticket has come up fruitless since the last arm().
+  [[gnu::always_inline]] bool armed(std::int64_t level) const {
+    return level == init_;
   }
 
   /// Re-arm after a successful enqueue (a value is live again). The

@@ -134,7 +134,7 @@ class ScqRingT {
  public:
   enum Result : int {
     kOk = 0,
-    kEmpty = 1,      // definitive: queue observed empty (threshold spent)
+    kEmpty = 1,      // definitive: threshold spent or Tail <= Head seen
     kContended = 2,  // patience exhausted; retry or go to a slow path
     kClosed = 3,     // Finalizable only: ring closed, no ticket issued
   };
@@ -224,13 +224,24 @@ class ScqRingT {
     return kContended;
   }
 
-  // Dequeue an index. kEmpty is definitive (threshold exhausted or
-  // tail caught up); kContended means patience ran out first.
+  // Dequeue an index. kEmpty is definitive (threshold exhausted, Tail
+  // seen at or below Head, or Tail caught up); kContended means
+  // patience ran out first.
+  //
+  // Two exits come before the first ticket, both decided by one
+  // threshold read. A spent threshold is the paper's (Figure 11a). A
+  // threshold below its armed value means some ticket came up fruitless
+  // since the last enqueue armed it: the ring is likely empty, so Tail
+  // <= Head (tail_lead) answers without a ticket. An armed threshold
+  // goes straight to the ticket, which keeps the two contended loads
+  // off pops that are likely to find a value.
   [[gnu::always_inline]] Result dequeue_idx(std::uint64_t* out,
                                             std::uint64_t max_iters) {
-    if (spent()) {
+    const std::int64_t budget = threshold_.level();
+    if (ring::ScqThreshold::spent(budget)) {
       return kEmpty;  // the paper's fast empty exit (Figure 11a)
     }
+    if (!threshold_.armed(budget) && tail_lead() == 0) return kEmpty;
     for (std::uint64_t iter = 0; iter < max_iters; ++iter) {
       const std::uint64_t h = head_.fetch_add(1, std::memory_order_seq_cst);
       const Ticket got = dequeue_ticket(h, out);
@@ -274,10 +285,10 @@ class ScqRingT {
 
   // Dequeue up to k indices into out[0..), in ring order; returns how
   // many arrived. 0 is not a definitive empty: dequeue_idx gives that.
-  // k is capped at the observed Tail - Head, so an empty ring costs no
-  // tickets. Every claimed Head ticket is visited, never abandoned: a
-  // ticket left unvisited would strand a value installed at its
-  // position, since Head has passed it.
+  // k is capped at tail_lead(), so an empty ring costs no tickets.
+  // Every claimed Head ticket is visited, never abandoned: a ticket
+  // left unvisited would strand a value installed at its position,
+  // since Head has passed it.
   //
   // A fruitless ticket catches Tail up as dequeue_idx's does, but
   // spends the threshold only when it did catch Tail up. SCQ's 3n-1
@@ -294,10 +305,9 @@ class ScqRingT {
     requires(!Finalizable)
   {
     if (spent()) return 0;
-    const std::uint64_t h = head_.load(std::memory_order_seq_cst);
-    const std::uint64_t t = tail_.load(std::memory_order_seq_cst);
-    if (t <= h) return 0;
-    if (k > t - h) k = t - h;
+    const std::uint64_t lead = tail_lead();
+    if (lead == 0) return 0;
+    if (k > lead) k = lead;
     const std::uint64_t h0 = head_.fetch_add(k, std::memory_order_seq_cst);
     std::size_t got = 0;
     for (std::size_t i = 0; i < k; ++i) {
@@ -589,6 +599,28 @@ class ScqRingT {
       }
       return Ticket::fruitless;
     }
+  }
+
+  // How far Tail leads Head: Head read first, then Tail; 0 when Tail
+  // <= Head. A 0 is a definitive empty at the Tail read, the same fact
+  // catch_tail_up certifies after a fruitless ticket h (Tail <= h + 1):
+  //  - Head and Tail only grow, and Head was read first, so at the Tail
+  //    read Tail <= Head;
+  //  - every value whose enqueue has finished sits below Tail: a fast
+  //    install holds a Tail ticket, and a slow-path install is
+  //    published past Tail before its request can finish (finalize);
+  //  - so its position p < Tail <= Head already has a Head ticket,
+  //    whose holder began before this read and takes the value (no
+  //    install lands at p once that ticket is visited).
+  // No value that finished arriving is queued at that point without a
+  // dequeuer already holding it, and an enqueue still in flight is
+  // ordered after the read. The answer is one the first loop iteration
+  // of dequeue_idx would give, without its ticket, entry CAS, Tail CAS
+  // and threshold decrement.
+  [[gnu::always_inline]] std::uint64_t tail_lead() const {
+    const std::uint64_t h = head_.load(std::memory_order_seq_cst);
+    const std::uint64_t t = tail_pos(tail_.load(std::memory_order_seq_cst));
+    return t > h ? t - h : 0;
   }
 
   // Head ticket h yielded its holder nothing. When Tail is at or below

@@ -662,12 +662,16 @@ struct WcqTestAccess {
     }
   }
 
-  // h's dequeue scan position on the fq (or aq) ring, and that Head.
+  // h's dequeue scan position on the fq (or aq) ring, and that ring's
+  // Head and Tail.
   static std::uint64_t dequeue_scan(Q& q, H& h, bool fq) {
     return q.req_of(h.rec_)->pos[fq][1].load(std::memory_order_acquire);
   }
   static std::uint64_t head(Q& q, bool fq) {
     return (fq ? q.fq_ : q.aq_).head();
+  }
+  static std::uint64_t tail(Q& q, bool fq) {
+    return (fq ? q.fq_ : q.aq_).tail();
   }
 
   // Helper-side single call: drive h's request as maybe_help would.

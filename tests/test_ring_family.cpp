@@ -29,6 +29,10 @@
 //  4. Start-full differential per index ring (SCQ, NCQ, CCQ): a ring
 //     constructed full must be indistinguishable from an empty one
 //     filled by capacity enqueue_idx calls, which is the reference.
+//  5. Empty polls without a ticket, per SCQ-kernel ring (SCQ, CCQ,
+//     LSCQ's closable value ring, and wCQ's fq): once a fruitless
+//     ticket has spent the threshold below armed, a ring whose Tail
+//     is at or below Head answers empty with Head and Tail untouched.
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
@@ -385,6 +389,83 @@ void test_seed_full() {
   std::printf("  ok seed_full         (scq, ncq, ccq; orders 1/4/10)\n");
 }
 
+// ---- 5. empty polls of a ring seen empty take no ticket ----
+
+// After one index in and out, the first empty dequeue takes a ticket
+// (the threshold is armed); the next 1000 answer empty from Tail <= Head
+// and leave both where they were; an index enqueued after them still
+// comes back. At order 10 the threshold's 3n - 1 = 3071 fruitless
+// tickets outlast the 1000 polls, so without this exit every one of
+// them would take a ticket.
+template <typename Ring>
+void empty_exit_takes_no_ticket(const char* name) {
+  Ring ring(10, /*remap=*/true, /*full=*/false);
+  std::uint64_t idx = 0;
+  WCQ_CHECK(ring.enqueue_idx(7, Ring::kUnbounded) == Ring::kOk &&
+                ring.dequeue_idx(&idx, Ring::kUnbounded) == Ring::kOk &&
+                idx == 7,
+            "%s: round trip of index 7 failed", name);
+  const std::uint64_t h0 = ring.head();
+  WCQ_CHECK(ring.dequeue_idx(&idx, Ring::kUnbounded) == Ring::kEmpty &&
+                ring.head() == h0 + 1,
+            "%s: the first empty dequeue moved Head %llu -> %llu, want +1",
+            name, (unsigned long long)h0, (unsigned long long)ring.head());
+  const std::uint64_t h = ring.head();
+  const std::uint64_t t = ring.tail();
+  for (int i = 0; i < 1000; ++i) {
+    WCQ_CHECK(ring.dequeue_idx(&idx, Ring::kUnbounded) == Ring::kEmpty,
+              "%s: empty dequeue %d found index %llu", name, i,
+              (unsigned long long)idx);
+  }
+  WCQ_CHECK(ring.head() == h && ring.tail() == t,
+            "%s: 1000 empty dequeues moved Head/Tail %llu/%llu -> %llu/%llu",
+            name, (unsigned long long)h, (unsigned long long)t,
+            (unsigned long long)ring.head(), (unsigned long long)ring.tail());
+  WCQ_CHECK(ring.enqueue_idx(3, Ring::kUnbounded) == Ring::kOk &&
+                ring.dequeue_idx(&idx, Ring::kUnbounded) == Ring::kOk &&
+                idx == 3,
+            "%s: index 3 enqueued after the empty polls did not come back",
+            name);
+}
+
+// The same through wCQ's try_pop, on its fq ring.
+template <bool Portable>
+void wcq_empty_exit_takes_no_ticket(const char* name) {
+  using Access = WcqTestAccess<Portable>;
+  WcqQueueT<Portable> q(options{}.order(10).max_threads(2));
+  auto hd = test::backend_handle(q);
+  std::uint64_t v = 0;
+  WCQ_CHECK(q.try_push(7, hd) && q.try_pop(&v, hd) && v == 7,
+            "%s: round trip of 7 failed", name);
+  const std::uint64_t h0 = Access::head(q, /*fq=*/true);
+  WCQ_CHECK(!q.try_pop(&v, hd) && Access::head(q, true) == h0 + 1,
+            "%s: the first empty pop moved Head %llu -> %llu, want +1", name,
+            (unsigned long long)h0,
+            (unsigned long long)Access::head(q, true));
+  const std::uint64_t h = Access::head(q, true);
+  const std::uint64_t t = Access::tail(q, true);
+  for (int i = 0; i < 1000; ++i) {
+    WCQ_CHECK(!q.try_pop(&v, hd), "%s: empty pop %d found %llu", name, i,
+              (unsigned long long)v);
+  }
+  WCQ_CHECK(Access::head(q, true) == h && Access::tail(q, true) == t,
+            "%s: 1000 empty pops moved Head/Tail %llu/%llu -> %llu/%llu",
+            name, (unsigned long long)h, (unsigned long long)t,
+            (unsigned long long)Access::head(q, true),
+            (unsigned long long)Access::tail(q, true));
+  WCQ_CHECK(q.try_push(3, hd) && q.try_pop(&v, hd) && v == 3,
+            "%s: 3 pushed after the empty polls did not come back", name);
+}
+
+void test_empty_exit() {
+  empty_exit_takes_no_ticket<ScqRing>("scq");
+  empty_exit_takes_no_ticket<CcqRing>("ccq");
+  empty_exit_takes_no_ticket<FinalScqRing>("lscq's value ring");
+  wcq_empty_exit_takes_no_ticket<false>("wcq");
+  wcq_empty_exit_takes_no_ticket<true>("wcq-portable");
+  std::printf("  ok empty_exit        (scq, ccq, lscq, wcq, wcq-portable)\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -435,6 +516,9 @@ int main(int argc, char** argv) {
   }
   if (argc < 2 || test::selected(argc, argv, "seed")) {
     test_seed_full();
+  }
+  if (argc < 2 || test::selected(argc, argv, "empty_exit")) {
+    test_empty_exit();
   }
   return 0;
 }
