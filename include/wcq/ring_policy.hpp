@@ -7,6 +7,13 @@
 // predates the idea and has no threshold: its only exit is comparing
 // Head against Tail, which a storm of CAS-retrying peers can starve —
 // the livelock the paper's strawman exists to demonstrate.
+//
+// The spent budget is not the only cheap exit. The threshold is
+// *armed* (at 3n−1) from an enqueue until the next fruitless ticket;
+// below armed, a ring is likely empty, and ScqRingT::dequeue_idx then
+// answers empty from Tail <= Head without a ticket, as NCQ does. That
+// exit is one read before the ticket loop, not a loop of its own: a pop
+// that finds Tail > Head takes tickets under the budget as before.
 #pragma once
 
 #include <atomic>

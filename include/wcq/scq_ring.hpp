@@ -5,15 +5,17 @@
 //                     (Cache_Remap / identity position permutation)
 //   ring_entry.hpp    entry shapes (plain word, {word, note} pair,
 //                     CCQ's {meta, idx} pair)
-//   ring_policy.hpp   empty detection (ScqThreshold)
+//   ring_policy.hpp   empty detection's budget (ScqThreshold)
 //   ring_noted.hpp    the wCQ helping/note layer — out-of-line
 //                     definitions of the members declared here under
 //                     requires(Noted); only wcq.hpp includes it
 //
 // A ring of 2n entries backs a queue of capacity n; Head/Tail are
 // FAA'd position counters whose quotient by the ring size is the
-// entry's expected "cycle". The `threshold` counter gives dequeuers a
-// constant-time empty exit, and Cache_Remap spreads consecutive
+// entry's expected "cycle". Dequeuers have two constant-time empty
+// exits ahead of their first Head ticket: a spent `threshold`, and,
+// once the threshold has dropped below armed, Tail <= Head (tail_lead,
+// which carries the argument). Cache_Remap spreads consecutive
 // positions across cache lines.
 //
 // What one ticket does lives in one place: enqueue_ticket and

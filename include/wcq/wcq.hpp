@@ -18,7 +18,8 @@
 // a ring: a push, a pop past the empty exit, or a batch call's chunk
 // of up to kBatchChunk values. A pop that the spent threshold answers
 // empty is not one; as in the paper's Dequeue, it returns before the
-// help check (see try_pop).
+// help check (see try_pop). A pop that fq answers from Tail <= Head
+// (ScqRingT::dequeue_idx) is one: that exit runs after the check.
 //
 // A queue-level operation on the slow path is two ring-level requests
 // driven in order by the owner (enqueue: aq-dequeue a free index,
@@ -176,7 +177,11 @@ class WcqQueueT {
   // empty exit takes no ticket and mutates no entry, so it can delay no
   // pending request, and every operation that can contend with one (it
   // takes a Head or Tail ticket or changes an entry) reaches a ring and
-  // still checks a peer every help_delay such operations.
+  // still checks a peer every help_delay such operations. The ring's
+  // second exit, Tail <= Head while the threshold is below armed
+  // (ScqRingT::dequeue_idx), runs after the help check; it too takes no
+  // ticket and mutates nothing, so a pop it answers still counts
+  // toward help_delay but cannot delay a request either.
   //
   // Everything past the exit is one out-of-line call, pop_from_ring,
   // which try_pop tail-calls. Merely placing the test first leaves

@@ -3,7 +3,10 @@
 // checks; a non-zero exit (or abort) fails ctest.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -116,17 +119,94 @@ void test_full_ring(const char* name) {
   std::printf("  ok full_ring         %s\n", name);
 }
 
+// Stamps for the empty-answer witness, from one monotonic clock.
+inline std::uint64_t stamp_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+// One empty pop's interval: a stamped before the call, b after it
+// returned.
+struct EmptyAnswer {
+  std::uint64_t a;
+  std::uint64_t b;
+};
+
+// A consumer's empty pops, at most kCap of them, sampled evenly over
+// the run: when full it keeps every other interval and from then on
+// records every other empty pop (every 4th after the next halving, and
+// so on).
+class EmptyLog {
+ public:
+  static constexpr std::size_t kCap = std::size_t{1} << 15;
+
+  void add(std::uint64_t a, std::uint64_t b) {
+    if (seen_++ % stride_ != 0) return;
+    if (kept_.size() == kCap) {
+      for (std::size_t i = 0; i < kCap / 2; ++i) kept_[i] = kept_[2 * i];
+      kept_.resize(kCap / 2);
+      stride_ *= 2;
+      if ((seen_ - 1) % stride_ != 0) return;
+    }
+    kept_.push_back({a, b});
+  }
+  const std::vector<EmptyAnswer>& kept() const { return kept_; }
+
+ private:
+  std::vector<EmptyAnswer> kept_;
+  std::uint64_t seen_ = 0;
+  std::uint64_t stride_ = 1;
+};
+
+// The empty-answer pattern of Henzinger, Sezgin & Vafeiadis (CONCUR
+// 2013): an empty pop [a, b] with a value whose push returned before a
+// and whose pop was called after b, or never. That value was queued
+// throughout the interval, so the empty answer has no linearization
+// point. pushed[v] is when v's push returned, popped[v] when the pop
+// that got v was called (UINT64_MAX: never). Returns how many of the
+// empties are unlinearizable.
+inline std::size_t unlinearizable_empties(
+    const std::vector<std::uint64_t>& pushed,
+    const std::vector<std::uint64_t>& popped,
+    const std::vector<EmptyAnswer>& empties) {
+  // Values by push return; latest[i] is the latest pop call among the
+  // first i + 1 of them.
+  std::vector<std::uint64_t> order(pushed.size());
+  for (std::uint64_t v = 0; v < order.size(); ++v) order[v] = v;
+  std::sort(order.begin(), order.end(), [&](std::uint64_t x, std::uint64_t y) {
+    return pushed[x] < pushed[y];
+  });
+  std::vector<std::uint64_t> returned(order.size());
+  std::vector<std::uint64_t> latest(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    returned[i] = pushed[order[i]];
+    latest[i] = std::max(popped[order[i]], i > 0 ? latest[i - 1] : 0);
+  }
+  std::size_t bad = 0;
+  for (const EmptyAnswer& e : empties) {
+    const std::size_t before =
+        std::lower_bound(returned.begin(), returned.end(), e.a) -
+        returned.begin();
+    if (before > 0 && latest[before - 1] > e.b) ++bad;
+  }
+  return bad;
+}
+
 // MPMC no-loss/no-duplication: P producers push tagged values, C
 // consumers pop until everything is accounted for; every value must be
-// seen exactly once and per-producer order must be monotone.
-// check_order=false relaxes the per-producer order assertion for
-// queues whose contract is weaker than global per-producer FIFO —
-// wcq::sharded documents per-shard FIFO with relaxed cross-shard
-// order, so a producer's values spread over shards may legally be
-// observed out of sequence.
+// seen exactly once and per-producer order must be monotone, and no
+// empty answer may miss a value queued throughout it (the witness
+// above; each consumer records up to EmptyLog::kCap of its empties).
+// linearizable=false skips the order check and the witness for queues
+// whose contract is per shard: wcq::sharded documents per-shard FIFO
+// with relaxed cross-shard order, so a producer's values spread over
+// shards may legally be observed out of sequence, and a pop that finds
+// its shards empty may miss a value queued on another.
 template <concepts::Queue Q>
 void test_mpmc(const char* name, unsigned producers, unsigned consumers,
-               std::uint64_t per_producer, bool check_order = true) {
+               std::uint64_t per_producer, bool linearizable = true) {
   // small ring: forces full/empty interleaving
   Q q(options{}.max_threads(producers + consumers + 2).order(10));
 
@@ -135,6 +215,11 @@ void test_mpmc(const char* name, unsigned producers, unsigned consumers,
   for (auto& s : seen) s.store(0, std::memory_order_relaxed);
   std::atomic<std::uint64_t> consumed{0};
   std::atomic<bool> order_ok{true};
+  // Witness stamps: each value's slot is written by one thread (its
+  // producer, its consumer) and read after the joins.
+  std::vector<std::uint64_t> pushed(total, 0);
+  std::vector<std::uint64_t> popped(total, UINT64_MAX);
+  std::vector<EmptyLog> empties(consumers);
 
   std::vector<std::thread> threads;
   threads.reserve(producers + consumers);
@@ -146,24 +231,28 @@ void test_mpmc(const char* name, unsigned producers, unsigned consumers,
         while (!q.try_push(v, h)) {
           std::this_thread::yield();  // full: wait for consumers
         }
+        pushed[v] = stamp_ns();
       }
     });
   }
   for (unsigned c = 0; c < consumers; ++c) {
-    threads.emplace_back([&] {
+    threads.emplace_back([&, c] {
       auto h = q.get_handle();
       std::vector<std::uint64_t> last(producers, 0);
       std::vector<bool> any(producers, false);
       while (consumed.load(std::memory_order_acquire) < total) {
-        const auto popped = q.try_pop(h);
-        if (!popped) {
+        const std::uint64_t a = stamp_ns();
+        const auto popped_v = q.try_pop(h);
+        if (!popped_v) {
+          empties[c].add(a, stamp_ns());
           std::this_thread::yield();
           continue;
         }
-        const std::uint64_t v = *popped;
+        const std::uint64_t v = *popped_v;
         WCQ_CHECK(v < total, "%s: out-of-range value %llu", name,
                   (unsigned long long)v);
         seen[v].fetch_add(1, std::memory_order_relaxed);
+        popped[v] = a;
         consumed.fetch_add(1, std::memory_order_acq_rel);
         // Per-producer FIFO: this consumer must see each producer's
         // values in increasing sequence order.
@@ -186,9 +275,20 @@ void test_mpmc(const char* name, unsigned producers, unsigned consumers,
     WCQ_CHECK(count == 1, "%s: value %llu seen %u times (lost/duplicated)",
               name, (unsigned long long)v, count);
   }
-  WCQ_CHECK(!check_order || order_ok.load(),
+  WCQ_CHECK(!linearizable || order_ok.load(),
             "%s: per-producer FIFO order violated", name);
-  std::printf("  ok mpmc %ux%u        %s\n", producers, consumers, name);
+  std::size_t checked = 0;
+  for (unsigned c = 0; c < consumers && linearizable; ++c) {
+    const std::size_t bad =
+        unlinearizable_empties(pushed, popped, empties[c].kept());
+    WCQ_CHECK(bad == 0,
+              "%s: consumer %u answered empty %zu times while a value was "
+              "queued throughout",
+              name, c, bad);
+    checked += empties[c].kept().size();
+  }
+  std::printf("  ok mpmc %ux%u        %s (%zu empty answers witnessed)\n",
+              producers, consumers, name, checked);
 }
 
 // ---- queue selection shared by the test mains ----

@@ -1,5 +1,6 @@
-// MPMC no-loss/no-duplication under producer/consumer contention, the
-// tier-1 correctness gate (also the TSan target in CI). Sizes shrink
+// MPMC no-loss/no-duplication under producer/consumer contention, with
+// a witness for empty answers, the tier-1 correctness gate (also the
+// TSan target in CI). Sizes shrink
 // automatically on small machines; override with WCQ_TEST_OPS.
 #include "queue_test_common.hpp"
 
@@ -10,14 +11,15 @@ int main(int argc, char** argv) {
   const std::uint64_t per_producer = env_ops(hw >= 4 ? 20000 : 8000);
   auto fn = [&]<typename A>(const char* tag) {
     // Sharded entries promise per-shard FIFO only (cross-shard order
-    // is relaxed by contract), so the per-producer order assertion is
-    // skipped for them; no-loss/no-duplication still applies in full.
-    const bool check_order = std::strncmp(tag, "sharded", 7) != 0;
-    test_mpmc<A>(tag, side, side, per_producer, check_order);
+    // is relaxed by contract), so the per-producer order assertion and
+    // the empty-answer witness are skipped for them;
+    // no-loss/no-duplication still applies in full.
+    const bool linearizable = std::strncmp(tag, "sharded", 7) != 0;
+    test_mpmc<A>(tag, side, side, per_producer, linearizable);
     // Asymmetric shapes stress full-ring (many producers) and
     // empty-queue (many consumers) edges.
-    test_mpmc<A>(tag, 2 * side, 1, per_producer / 2, check_order);
-    test_mpmc<A>(tag, 1, 2 * side, per_producer / 2, check_order);
+    test_mpmc<A>(tag, 2 * side, 1, per_producer / 2, linearizable);
+    test_mpmc<A>(tag, 1, 2 * side, per_producer / 2, linearizable);
   };
   return for_selected_queues(argc, argv, fn);
 }
