@@ -612,8 +612,9 @@ class ScqRingT {
   //    install holds a Tail ticket, and a slow-path install is
   //    published past Tail before its request can finish (finalize);
   //  - so its position p < Tail <= Head already has a Head ticket,
-  //    whose holder began before this read and takes the value (no
-  //    install lands at p once that ticket is visited).
+  //    whose holder began before this read; the value goes to it, or
+  //    to a slow dequeue whose scan reached p, which also began before
+  //    Head passed p (no install lands at p once ticket p is visited).
   // No value that finished arriving is queued at that point without a
   // dequeuer already holding it, and an enqueue still in flight is
   // ordered after the read. The answer is one the first loop iteration

@@ -110,14 +110,15 @@ const char* drive_name(Drive d) {
 // it, so the request stays pending exactly until the helper's first
 // check; help_delay(UINT_MAX) never checks. Before it stalls, the peer
 // pushes and pops one value: that arms fq's threshold, so the helper's
-// pops of the empty queue take a ticket instead of answering at the
-// empty exit (3n - 1 tickets before it is spent again, n = 4096, more
-// than the 1000 calls of the UINT_MAX case). A batch call is one own
-// operation, however many values it moves: an empty try_pop_n whose
-// burst yields nothing falls back to the single pop, which must not
-// check a peer a second time, and a try_push_n of up to 4 values must
-// not count its values, also when wcq::queue's try_push_n makes the
-// call. The help lands before the operation's own ring access; the
+// pops of the empty queue pass try_pop's spent-threshold exit and reach
+// the ring after the help check. Only the first takes a ticket, which
+// leaves the threshold one below armed; fq answers the rest from Tail
+// <= Head (ScqRingT::dequeue_idx), also after the check. A batch call
+// is one own operation, however many values it moves: an empty
+// try_pop_n whose burst yields nothing falls back to the single pop,
+// which must not check a peer a second time, and a try_push_n of up to
+// 4 values must not count its values, also when wcq::queue's try_push_n
+// makes the call. The help lands before the operation's own ring access; the
 // final drain pins where 321 landed among the helper's values.
 //
 // Also the regression for the help-round self-skip bug: when the
