@@ -1,14 +1,19 @@
 // MPMC no-loss/no-duplication under producer/consumer contention, with
 // a witness for empty answers, the tier-1 correctness gate (also the
-// TSan target in CI). Sizes shrink
-// automatically on small machines; override with WCQ_TEST_OPS.
+// TSan target in CI). Sizes shrink automatically on small machines;
+// override with WCQ_TEST_OPS.
 #include "queue_test_common.hpp"
 
 int main(int argc, char** argv) {
   using namespace wcq::test;
   const unsigned hw = std::thread::hardware_concurrency();
   const unsigned side = hw >= 8 ? 4 : 2;  // producers and consumers each
-  const std::uint64_t per_producer = env_ops(hw >= 4 ? 20000 : 8000);
+  // 60000 per producer runs each shape long enough (tens of ms) for
+  // the threads to spread over the CPUs, which the empty-answer witness
+  // needs. On a 4-vCPU Xeon, an empty exit broken on purpose (keyed on
+  // the threshold alone) passed most runs at 20000 and failed 4-7 of 8
+  // per backend at 60000.
+  const std::uint64_t per_producer = env_ops(hw >= 4 ? 60000 : 8000);
   auto fn = [&]<typename A>(const char* tag) {
     // Sharded entries promise per-shard FIFO only (cross-shard order
     // is relaxed by contract), so the per-producer order assertion and
