@@ -635,10 +635,9 @@ struct WcqTestAccess {
       c = r->ctl.load(std::memory_order_acquire);
     }
     const std::uint64_t j = detail::ctl_j(c);
-    const std::uint64_t w = ring.entries_[j].word.load(
-        std::memory_order_acquire);
-    const std::uint64_t n = ring.entries_[j].note.load(
-        std::memory_order_acquire);
+    const auto& entry = ring.entries_[j];
+    const std::uint64_t w = entry.word.load(std::memory_order_acquire);
+    const std::uint64_t n = entry.note.load(std::memory_order_acquire);
     std::uint64_t cycle = 0;
     return ring.commit_word(r, j, n, w, &cycle);
   }

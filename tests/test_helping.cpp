@@ -419,11 +419,11 @@ enum class Budget {
 // commit's CAS2 installs the value; arming the threshold and moving
 // Tail past it come after. Here a helper stalls between the two
 // (WcqTestAccess::commit_stalled), a second one finalizes the request
-// (WcqTestAccess::help), and the owner returns. Its value must be poppable: on a
-// spent threshold, an unarmed ring answers the empty exit; one below
-// armed, the Tail <= Head exit would. Also the mirror on aq: a pop's
-// index return, stalled the same way, must leave room for the next push
-// (a false full otherwise).
+// (WcqTestAccess::help), and the owner returns. Its value must be
+// poppable: on a spent threshold, an unarmed ring answers the empty
+// exit; one below armed, the Tail <= Head exit would. Also the mirror
+// on aq: a pop's index return, stalled the same way, must leave room
+// for the next push (a false full otherwise).
 template <bool Portable>
 void test_install_published_before_done(const char* name, Budget budget) {
   using Access = wcq::WcqTestAccess<Portable>;
@@ -478,8 +478,8 @@ void test_install_published_before_done(const char* name, Budget budget) {
               "%s (aq): a finished pop's slot refused the next push", name);
     for (std::uint64_t i = 1; i <= cap; ++i) {
       WCQ_CHECK(q.try_pop(&v, writer) && v == i,
-                "%s (aq): drained %llu, want %llu", name,
-                (unsigned long long)v, (unsigned long long)i);
+                "%s (aq): drained %llu, want %llu", name, (unsigned long long)v,
+                (unsigned long long)i);
     }
   }
   std::printf("  ok install_published %s (%s)\n", name, how);

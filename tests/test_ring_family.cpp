@@ -440,8 +440,7 @@ void wcq_empty_exit_takes_no_ticket(const char* name) {
   const std::uint64_t h0 = Access::head(q, /*fq=*/true);
   WCQ_CHECK(!q.try_pop(&v, hd) && Access::head(q, true) == h0 + 1,
             "%s: the first empty pop moved Head %llu -> %llu, want +1", name,
-            (unsigned long long)h0,
-            (unsigned long long)Access::head(q, true));
+            (unsigned long long)h0, (unsigned long long)Access::head(q, true));
   const std::uint64_t h = Access::head(q, true);
   const std::uint64_t t = Access::tail(q, true);
   for (int i = 0; i < 1000; ++i) {
@@ -449,8 +448,8 @@ void wcq_empty_exit_takes_no_ticket(const char* name) {
               (unsigned long long)v);
   }
   WCQ_CHECK(Access::head(q, true) == h && Access::tail(q, true) == t,
-            "%s: 1000 empty pops moved Head/Tail %llu/%llu -> %llu/%llu",
-            name, (unsigned long long)h, (unsigned long long)t,
+            "%s: 1000 empty pops moved Head/Tail %llu/%llu -> %llu/%llu", name,
+            (unsigned long long)h, (unsigned long long)t,
             (unsigned long long)Access::head(q, true),
             (unsigned long long)Access::tail(q, true));
   WCQ_CHECK(q.try_push(3, hd) && q.try_pop(&v, hd) && v == 3,
