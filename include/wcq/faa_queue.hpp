@@ -21,7 +21,6 @@
 #include <optional>
 
 #include "wcq/detail.hpp"
-#include "wcq/handle.hpp"
 #include "wcq/mem.hpp"
 #include "wcq/options.hpp"
 #include "wcq/smr.hpp"
@@ -30,14 +29,14 @@ namespace wcq {
 
 class FaaQueue {
  public:
-  using Handle = RegistryHandle<FaaQueue>;
+  using Handle = smr::Domain::Handle;
 
   static constexpr std::uint64_t kEmptyCell = ~std::uint64_t{0};
   static constexpr std::uint64_t kTakenCell = ~std::uint64_t{0} - 1;
 
   // Reads max_threads.
   explicit FaaQueue(const options& opt)
-      : slots_(opt.validate("faa").max_threads()), smr_(slots_.capacity()) {
+      : smr_(opt.validate("faa").max_threads()) {
     Segment* first = new_segment(0);
     first_.store(first, std::memory_order_relaxed);
     head_seg_.store(first, std::memory_order_relaxed);
@@ -45,8 +44,6 @@ class FaaQueue {
   }
 
   ~FaaQueue() {
-    assert(slots_.live() == 0 &&
-           "faa: a Handle is outliving its queue (use-after-free ahead)");
     // Live segments hang off first_; retired ones are freed by the
     // domain's destructor.
     Segment* s = first_.load(std::memory_order_relaxed);
@@ -60,11 +57,7 @@ class FaaQueue {
   FaaQueue(const FaaQueue&) = delete;
   FaaQueue& operator=(const FaaQueue&) = delete;
 
-  std::optional<Handle> try_get_handle() {
-    const unsigned slot = slots_.acquire();
-    if (slot == SlotRegistry::kNone) return std::nullopt;
-    return Handle(this, slot);
-  }
+  std::optional<Handle> try_get_handle() { return smr_.try_get_handle(); }
 
   // Succeeds for every storable value (unbounded). The top two slot
   // patterns are the EMPTY/TAKEN sentinels of the FAA protocol and
@@ -164,16 +157,9 @@ class FaaQueue {
   smr::Stats smr_stats() const { return smr_.stats(); }
 
  private:
-  friend class RegistryHandle<FaaQueue>;
-
   // 2^10 = 1024 slots per segment.
   static constexpr unsigned kSegOrder = 10;
   static constexpr std::uint64_t kSegSlots = std::uint64_t{1} << kSegOrder;
-
-  void release_slot(unsigned slot) {
-    smr_.quiesce(slot);
-    slots_.release(slot);
-  }
 
   bool push_impl(std::uint64_t v) {
     assert(v < kTakenCell && "sentinel values cannot be enqueued");
@@ -322,7 +308,6 @@ class FaaQueue {
   // Oldest still-linked segment: the reclaim loop's unlink anchor and
   // the destructor's walk root.
   alignas(detail::kNoFalseSharing) std::atomic<Segment*> first_{nullptr};
-  SlotRegistry slots_;
   smr::Domain smr_;
 };
 

@@ -1,17 +1,26 @@
 /// \file
-/// Per-thread handle machinery shared by every backend.
+/// Per-thread handle machinery shared by every backend that registers
+/// threads.
 ///
 /// SlotRegistry hands out slot indices in [0, capacity) and takes
-/// them back, so a queue's per-thread records (wCQ's ThreadRec) are a
-/// bound on *concurrent* participants, not on lifetime thread count.
+/// them back, so per-thread state indexed by slot (wCQ's ThreadRec,
+/// the SMR domain's hazard, epoch and retire-list strips) is bounded
+/// by *concurrent* participants, not by lifetime thread count.
 /// Without recycling, any thread-churn workload (a pool that retires
 /// workers, a server spawning a thread per connection wave) exhausts
 /// max_threads even though only a few threads are ever live at once.
 ///
+/// `RegistryHandle<Owner, Slot>` is the one RAII handle over such a
+/// registration: it holds the owner and the calling thread's slot,
+/// and gives the slot back to the owner on destruction. Three owners
+/// hand it out: `WcqQueueT` (the slot is a ThreadRec), `smr::Domain`
+/// (a slot index, for FAA, MSQ, LSCQ and LCRQ) and `shard_set` (a row
+/// of one sub-handle per shard).
+///
 /// The free list is a Treiber stack of indices. ABA on the head is
 /// prevented with a 32-bit tag packed next to the 32-bit index;
 /// `next` links live in a side array so releasing a slot never
-/// touches the queue's own record (which a helper may still be
+/// touches the owner's own record (which a helper may still be
 /// scanning).
 #pragma once
 
@@ -31,27 +40,24 @@ namespace wcq {
 /// facade never special-cases.
 struct TrivialHandle {};
 
-/// RAII handle over any SlotRegistry-backed backend: carries the
-/// owning queue plus the slot index its per-thread state (hazard
-/// pointers, epoch word, retire list — see wcq/smr.hpp) lives at.
-/// Destruction calls Q::release_slot(slot), which quiesces the slot's
-/// SMR state and returns it to the registry, so — exactly like wCQ's
-/// ThreadRec handles — max_threads bounds *concurrent* participants.
-/// A handle must not outlive its queue. MSQ, FAA, LSCQ and LCRQ (the
-/// last two through ring_list.hpp's RingList) all use this one
-/// template instead of hand-rolling identical handles.
-template <typename Q>
+/// RAII registration with an owner: holds the owner and the slot its
+/// per-thread state lives at, and calls `owner->release_slot(slot)` on
+/// destruction. Only the owner makes one. Move-only; a moved-from
+/// handle releases nothing and must not be used, and a handle must not
+/// outlive its owner. slot() is mutable because a `shard_set` row
+/// carries the handle's shard cursors.
+template <typename Owner, typename Slot = unsigned>
 class RegistryHandle {
  public:
   RegistryHandle() = delete;
 
   RegistryHandle(RegistryHandle&& other) noexcept
-      : q_(std::exchange(other.q_, nullptr)), slot_(other.slot_) {}
+      : owner_(std::exchange(other.owner_, nullptr)), slot_(other.slot_) {}
 
   RegistryHandle& operator=(RegistryHandle&& other) noexcept {
     if (this != &other) {
       release();
-      q_ = std::exchange(other.q_, nullptr);
+      owner_ = std::exchange(other.owner_, nullptr);
       slot_ = other.slot_;
     }
     return *this;
@@ -62,24 +68,25 @@ class RegistryHandle {
 
   ~RegistryHandle() { release(); }
 
-  unsigned slot() const { return slot_; }
+  Slot& slot() { return slot_; }
+  const Slot& slot() const { return slot_; }
 
  private:
-  friend Q;
-  RegistryHandle(Q* q, unsigned slot) : q_(q), slot_(slot) {}
+  friend Owner;
+  RegistryHandle(Owner* owner, Slot slot) : owner_(owner), slot_(slot) {}
 
   void release() {
-    if (q_ != nullptr) {
-      q_->release_slot(slot_);
-      q_ = nullptr;
+    if (owner_ != nullptr) {
+      owner_->release_slot(slot_);
+      owner_ = nullptr;
     }
   }
 
-  Q* q_ = nullptr;
-  unsigned slot_ = 0;
+  Owner* owner_ = nullptr;
+  Slot slot_{};
 };
 
-/// Lock-free index allocator behind every backend's handle slots:
+/// Lock-free index allocator behind every registering owner's slots:
 /// acquire() prefers recycled indices (keeping the high-water mark —
 /// and any state scan over it — small), release() pushes them back on
 /// a tagged Treiber stack.

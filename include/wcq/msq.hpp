@@ -8,13 +8,11 @@
 #pragma once
 
 #include <atomic>
-#include <cassert>
 #include <cstdint>
 #include <new>
 #include <optional>
 
 #include "wcq/detail.hpp"
-#include "wcq/handle.hpp"
 #include "wcq/mem.hpp"
 #include "wcq/options.hpp"
 #include "wcq/smr.hpp"
@@ -23,19 +21,17 @@ namespace wcq {
 
 class MsqQueue {
  public:
-  using Handle = RegistryHandle<MsqQueue>;
+  using Handle = smr::Domain::Handle;
 
   // Reads max_threads.
   explicit MsqQueue(const options& opt)
-      : slots_(opt.validate("msq").max_threads()), smr_(slots_.capacity()) {
+      : smr_(opt.validate("msq").max_threads()) {
     Node* dummy = new_node(0);
     head_.store(dummy, std::memory_order_relaxed);
     tail_.store(dummy, std::memory_order_relaxed);
   }
 
   ~MsqQueue() {
-    assert(slots_.live() == 0 &&
-           "msq: a Handle is outliving its queue (use-after-free ahead)");
     Node* n = head_.load(std::memory_order_relaxed);
     while (n != nullptr) {
       Node* next = n->next.load(std::memory_order_relaxed);
@@ -48,11 +44,7 @@ class MsqQueue {
   MsqQueue(const MsqQueue&) = delete;
   MsqQueue& operator=(const MsqQueue&) = delete;
 
-  std::optional<Handle> try_get_handle() {
-    const unsigned slot = slots_.acquire();
-    if (slot == SlotRegistry::kNone) return std::nullopt;
-    return Handle(this, slot);
-  }
+  std::optional<Handle> try_get_handle() { return smr_.try_get_handle(); }
 
   // Always succeeds (unbounded).
   [[gnu::noinline]] bool try_push(std::uint64_t v, Handle& h) {
@@ -67,13 +59,6 @@ class MsqQueue {
   smr::Stats smr_stats() const { return smr_.stats(); }
 
  private:
-  friend class RegistryHandle<MsqQueue>;
-
-  void release_slot(unsigned slot) {
-    smr_.quiesce(slot);
-    slots_.release(slot);
-  }
-
   bool push_impl(std::uint64_t v, unsigned slot) {
     Node* node = new_node(v);
     for (;;) {
@@ -146,7 +131,6 @@ class MsqQueue {
 
   alignas(detail::kNoFalseSharing) std::atomic<Node*> head_{nullptr};
   alignas(detail::kNoFalseSharing) std::atomic<Node*> tail_{nullptr};
-  SlotRegistry slots_;
   smr::Domain smr_;
 };
 

@@ -32,7 +32,6 @@
 #include <optional>
 
 #include "wcq/detail.hpp"
-#include "wcq/handle.hpp"
 #include "wcq/options.hpp"
 #include "wcq/smr.hpp"
 
@@ -41,7 +40,7 @@ namespace wcq {
 template <typename Node>
 class RingList {
  public:
-  using Handle = RegistryHandle<RingList>;
+  using Handle = smr::Domain::Handle;
 
   static constexpr unsigned kMaxOrder = Node::kMaxOrder;
 
@@ -49,16 +48,13 @@ class RingList {
   explicit RingList(const options& opt)
       : order_(opt.validate(Node::kName, kMaxOrder).order()),
         remap_(opt.remap()),
-        slots_(opt.max_threads()),
-        smr_(slots_.capacity()) {
+        smr_(opt.max_threads()) {
     Node* n = Node::make(order_, remap_);
     head_.store(n, std::memory_order_relaxed);
     tail_.store(n, std::memory_order_relaxed);
   }
 
   ~RingList() {
-    assert(slots_.live() == 0 &&
-           "a Handle is outliving its queue (use-after-free ahead)");
     // head_ anchors every live node; retired ones are freed by the
     // domain's destructor.
     Node* n = head_.load(std::memory_order_relaxed);
@@ -72,11 +68,7 @@ class RingList {
   RingList(const RingList&) = delete;
   RingList& operator=(const RingList&) = delete;
 
-  std::optional<Handle> try_get_handle() {
-    const unsigned slot = slots_.acquire();
-    if (slot == SlotRegistry::kNone) return std::nullopt;
-    return Handle(this, slot);
-  }
+  std::optional<Handle> try_get_handle() { return smr_.try_get_handle(); }
 
   // Succeeds for every value the node stores (unbounded: a full or
   // closed node is succeeded by a fresh one); a refused value is
@@ -134,13 +126,6 @@ class RingList {
   smr::Stats smr_stats() const { return smr_.stats(); }
 
  private:
-  friend Handle;
-
-  void release_slot(unsigned slot) {
-    smr_.quiesce(slot);
-    slots_.release(slot);
-  }
-
   static void destroy_erased(void* p, void*) {
     Node::destroy(static_cast<Node*>(p));
   }
@@ -150,7 +135,6 @@ class RingList {
 
   alignas(detail::kNoFalseSharing) std::atomic<Node*> head_{nullptr};
   alignas(detail::kNoFalseSharing) std::atomic<Node*> tail_{nullptr};
-  SlotRegistry slots_;
   smr::Domain smr_;
 };
 

@@ -63,6 +63,7 @@
 
 #include "wcq/concepts.hpp"
 #include "wcq/detail.hpp"
+#include "wcq/handle.hpp"
 #include "wcq/mem.hpp"
 #include "wcq/options.hpp"
 #include "wcq/queue.hpp"
@@ -78,7 +79,24 @@ class shard_set {
                 "Backend must satisfy wcq::concepts::Backend "
                 "(options ctor + Handle + try_push/try_pop over slots)");
 
+  using BH = typename Backend::Handle;  // one shard's
+
+  // A handle's registration: a handle of every shard, so an op can
+  // land anywhere without a registration on its hot path, and the
+  // round_robin cursor / sticky home per direction, both starting at
+  // the handle's id. Masked at use; push and pop start aligned for
+  // single-handle FIFO.
+  struct Row {
+    BH* subs;
+    unsigned push_cur;
+    unsigned pop_cur;
+  };
+
  public:
+  /// RAII registration with every shard; move-only, and it must not
+  /// outlive the shard set.
+  using Handle = RegistryHandle<shard_set, Row>;
+
   explicit shard_set(const options& opt = options{})
       : nshards_(resolve_shards(opt)),
         mask_(nshards_ - 1),
@@ -107,76 +125,20 @@ class shard_set {
   shard_set(const shard_set&) = delete;
   shard_set& operator=(const shard_set&) = delete;
 
-  /// RAII registration with EVERY shard (one backend handle each), so
-  /// an op can land anywhere without a registration on its hot path.
-  /// Move-only; must not outlive the shard set.
-  class Handle {
-   public:
-    Handle(Handle&& o) noexcept
-        : set_(std::exchange(o.set_, nullptr)),
-          subs_(o.subs_),
-          push_cur_(o.push_cur_),
-          pop_cur_(o.pop_cur_) {}
-
-    Handle& operator=(Handle&& o) noexcept {
-      if (this != &o) {
-        release();
-        set_ = std::exchange(o.set_, nullptr);
-        subs_ = o.subs_;
-        push_cur_ = o.push_cur_;
-        pop_cur_ = o.pop_cur_;
-      }
-      return *this;
-    }
-
-    Handle(const Handle&) = delete;
-    Handle& operator=(const Handle&) = delete;
-
-    ~Handle() { release(); }
-
-   private:
-    friend class shard_set;
-    using BackendHandle = typename Backend::Handle;
-
-    Handle(shard_set* set, BackendHandle* subs, unsigned id)
-        : set_(set), subs_(subs), push_cur_(id), pop_cur_(id) {}
-
-    void release() {
-      if (set_ != nullptr) {
-        for (unsigned s = set_->nshards_; s-- > 0;) {
-          subs_[s].~BackendHandle();
-        }
-        mem::free(subs_, set_->nshards_ * sizeof(BackendHandle));
-        set_ = nullptr;
-      }
-    }
-
-    shard_set* set_ = nullptr;
-    BackendHandle* subs_ = nullptr;
-    // round_robin cursor / sticky home, one per direction, starting at
-    // the handle's id. Masked at use; push and pop start aligned for
-    // single-handle FIFO.
-    unsigned push_cur_ = 0;
-    unsigned pop_cur_ = 0;
-  };
-
   /// nullopt iff some shard has all max_threads handle slots live.
   std::optional<Handle> try_get_handle() {
-    using BH = typename Backend::Handle;
-    BH* subs = static_cast<BH*>(mem::alloc(nshards_ * sizeof(BH)));
-    unsigned made = 0;
-    for (; made < nshards_; ++made) {
-      auto sub = shards_[made].try_get_handle();
-      if (!sub) break;
-      new (&subs[made]) BH(std::move(*sub));
+    Row row{static_cast<BH*>(mem::alloc(nshards_ * sizeof(BH))), 0, 0};
+    for (unsigned s = 0; s < nshards_; ++s) {
+      auto sub = shards_[s].try_get_handle();
+      if (!sub) {
+        release_slot(row, s);
+        return std::nullopt;
+      }
+      new (&row.subs[s]) BH(std::move(*sub));
     }
-    if (made < nshards_) {
-      while (made-- > 0) subs[made].~BH();
-      mem::free(subs, nshards_ * sizeof(BH));
-      return std::nullopt;
-    }
-    return Handle(this, subs,
-                  next_handle_.fetch_add(1, std::memory_order_relaxed));
+    row.push_cur = row.pop_cur =
+        next_handle_.fetch_add(1, std::memory_order_relaxed);
+    return Handle(this, row);
   }
 
   // Single-slot ops scan from the handle's cursor and, on success, set
@@ -188,11 +150,12 @@ class shard_set {
   /// False iff no shard accepts (all full, or the backend reserves
   /// the slot's bit pattern — see queue.hpp's sentinel caveat).
   bool try_push(std::uint64_t slot, Handle& h) {
-    const unsigned c = h.push_cur_;
+    Row& row = h.slot();
+    const unsigned c = row.push_cur;
     for (unsigned k = 0; k < nshards_; ++k) {
       const unsigned s = (c + k) & mask_;
-      if (shards_[s].try_push(slot, h.subs_[s])) {
-        h.push_cur_ = c + k + step_;
+      if (shards_[s].try_push(slot, row.subs[s])) {
+        row.push_cur = c + k + step_;
         return true;
       }
     }
@@ -201,11 +164,12 @@ class shard_set {
 
   /// False iff every shard reports empty.
   bool try_pop(std::uint64_t* slot, Handle& h) {
-    const unsigned c = h.pop_cur_;
+    Row& row = h.slot();
+    const unsigned c = row.pop_cur;
     for (unsigned k = 0; k < nshards_; ++k) {
       const unsigned s = (c + k) & mask_;
-      if (shards_[s].try_pop(slot, h.subs_[s])) {
-        h.pop_cur_ = c + k + step_;
+      if (shards_[s].try_pop(slot, row.subs[s])) {
+        row.pop_cur = c + k + step_;
         return true;
       }
     }
@@ -220,11 +184,12 @@ class shard_set {
   /// re-picks. Stops only on a global refusal.
   std::size_t try_push_n(const std::uint64_t* slots, std::size_t n,
                          Handle& h) {
+    Row& row = h.slot();
     std::size_t done = 0;
     while (done < n) {
-      const unsigned s = pick(h.push_cur_);
+      const unsigned s = pick(row.push_cur);
       done += detail::backend_push_n(shards_[s], slots + done, n - done,
-                                     h.subs_[s]);
+                                     row.subs[s]);
       if (done == n) break;
       if (!try_push(slots[done], h)) break;
       ++done;
@@ -236,11 +201,12 @@ class shard_set {
   /// arrived, zero iff every shard is empty. Slots from one shard
   /// arrive in that shard's FIFO order; runs may interleave shards.
   std::size_t try_pop_n(std::uint64_t* slots, std::size_t n, Handle& h) {
+    Row& row = h.slot();
     std::size_t done = 0;
     while (done < n) {
-      const unsigned s = pick(h.pop_cur_);
+      const unsigned s = pick(row.pop_cur);
       done += detail::backend_pop_n(shards_[s], slots + done, n - done,
-                                    h.subs_[s]);
+                                    row.subs[s]);
       if (done == n) break;
       if (!try_pop(&slots[done], h)) break;
       ++done;
@@ -289,6 +255,17 @@ class shard_set {
   }
 
  private:
+  friend Handle;
+
+  // Gives a row back: destroys its first `made` sub-handles (all of
+  // them for a handle, fewer after a registration that failed half-way)
+  // and frees the array.
+  void release_slot(const Row& row, unsigned made) {
+    while (made-- > 0) row.subs[made].~BH();
+    mem::free(row.subs, nshards_ * sizeof(BH));
+  }
+  void release_slot(const Row& row) { release_slot(row, nshards_); }
+
   // The shard count with 0 = auto resolved — a power of two derived
   // from the machine, one shard per ~4 cpus, capped at 8 (the shard
   // sweep in the benches sets its counts explicitly; this default just

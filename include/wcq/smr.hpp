@@ -3,12 +3,15 @@
 /// dynamic-memory backend (MSQ, FAA, LCRQ, LSCQ) routes retired nodes
 /// through.
 ///
-/// One Domain per queue, sized by the queue's max_threads: each
-/// handle slot owns a fixed strip of hazard-pointer words plus one
-/// epoch word, so the reclamation state — like the ThreadRec records
-/// it sits next to — is bounded by *concurrent* participants
-/// (SlotRegistry recycles the slots; quiesce() is the hand-back
-/// hook).
+/// One Domain per queue, sized by the queue's max_threads. The Domain
+/// owns the queue's thread registration: try_get_handle() hands out a
+/// `RegistryHandle<smr::Domain>` whose slot owns a fixed strip of
+/// hazard-pointer words, one epoch word and a retire list, so the
+/// reclamation state is bounded by *concurrent* participants. When
+/// the handle dies, the Domain quiesces the slot (quiesce() clears
+/// its protections and drains its list) and then recycles it through
+/// its SlotRegistry. A backend keeps no registration of its own: its
+/// Handle is the Domain's.
 ///
 /// Two protection idioms, usable together or alone per backend:
 ///
@@ -42,9 +45,11 @@
 #include <cassert>
 #include <cstdint>
 #include <new>
+#include <optional>
 #include <vector>
 
 #include "wcq/detail.hpp"
+#include "wcq/handle.hpp"
 #include "wcq/mem.hpp"
 
 namespace wcq::smr {
@@ -65,9 +70,9 @@ struct Stats {
   }
 };
 
-/// One reclamation domain per queue: hazard-pointer strips + epoch
-/// words per handle slot, slot-local retire lists with an amnesty
-/// bound.
+/// One reclamation domain per queue: the queue's handle slots, with
+/// hazard-pointer strips + epoch words per slot and slot-local retire
+/// lists with an amnesty bound.
 class Domain {
  public:
   /// Hazard words per slot. Two is what the classic algorithms need
@@ -76,28 +81,45 @@ class Domain {
   static constexpr unsigned kHazardsPerSlot = 2;
   static constexpr std::uint64_t kQuiescent = ~std::uint64_t{0};
 
+  /// A registered thread's slot; the handle of every backend that
+  /// reclaims through the Domain.
+  using Handle = RegistryHandle<Domain>;
+
   /// retire_threshold 0 = auto: MAX_GARBAGE(n) = 2n per slot.
   explicit Domain(unsigned max_slots, unsigned retire_threshold = 0)
       : slots_(max_slots),
         threshold_(retire_threshold != 0 ? retire_threshold
                                          : 2 * (max_slots ? max_slots : 1)),
         state_(static_cast<SlotState*>(
-            mem::alloc(slots_ * sizeof(SlotState), alignof(SlotState)))) {
-    for (unsigned i = 0; i < slots_; ++i) new (&state_[i]) SlotState();
+            mem::alloc(max_slots * sizeof(SlotState), alignof(SlotState)))) {
+    for (unsigned i = 0; i < max_slots; ++i) new (&state_[i]) SlotState();
   }
 
-  /// Teardown contract mirrors the queues': no concurrent access.
-  /// Every still-parked node is freed unconditionally.
+  /// Teardown contract mirrors the queues': no concurrent access, and
+  /// every handle died first. Every still-parked node is freed
+  /// unconditionally.
   ~Domain() {
-    for (unsigned i = 0; i < slots_; ++i) {
+    // A surviving handle's destructor would write into freed slot
+    // state. Catch the misuse here, where the guilty queue is known.
+    assert(slots_.live() == 0 &&
+           "a Handle is outliving its queue (use-after-free ahead)");
+    for (unsigned i = 0; i < slots_.capacity(); ++i) {
       for (const Retired& r : state_[i].retired) r.del(r.p, r.ctx);
       state_[i].~SlotState();
     }
-    mem::free(state_, slots_ * sizeof(SlotState), alignof(SlotState));
+    mem::free(state_, slots_.capacity() * sizeof(SlotState),
+              alignof(SlotState));
   }
 
   Domain(const Domain&) = delete;
   Domain& operator=(const Domain&) = delete;
+
+  /// nullopt iff max_slots handles are simultaneously live.
+  std::optional<Handle> try_get_handle() {
+    const unsigned slot = slots_.acquire();
+    if (slot == SlotRegistry::kNone) return std::nullopt;
+    return Handle(this, slot);
+  }
 
   // ---- hazard pointers ----
 
@@ -178,8 +200,8 @@ class Domain {
     // retirees.
     std::uint64_t min_epoch = epoch_.load(std::memory_order_seq_cst);
     std::vector<void*> hazards;
-    hazards.reserve(slots_ * kHazardsPerSlot);
-    for (unsigned i = 0; i < slots_; ++i) {
+    hazards.reserve(slots_.capacity() * kHazardsPerSlot);
+    for (unsigned i = 0; i < slots_.capacity(); ++i) {
       for (unsigned j = 0; j < kHazardsPerSlot; ++j) {
         if (void* h = state_[i].hp[j].load(std::memory_order_seq_cst)) {
           hazards.push_back(h);
@@ -226,7 +248,7 @@ class Domain {
 
   Stats stats() const {
     Stats out;
-    for (unsigned i = 0; i < slots_; ++i) {
+    for (unsigned i = 0; i < slots_.capacity(); ++i) {
       out.retired_nodes +=
           state_[i].retired_count.load(std::memory_order_relaxed);
       out.reclaimed_nodes +=
@@ -239,6 +261,14 @@ class Domain {
   }
 
  private:
+  friend Handle;
+
+  // A handle's release: quiesce, then recycle.
+  void release_slot(unsigned slot) {
+    quiesce(slot);
+    slots_.release(slot);
+  }
+
   struct Retired {
     void* p;
     void (*del)(void*, void*);
@@ -261,7 +291,7 @@ class Domain {
     std::atomic<std::uint64_t> scans{0};
   };
 
-  const unsigned slots_;
+  SlotRegistry slots_;
   const unsigned threshold_;
   SlotState* state_;
   alignas(detail::kNoFalseSharing) std::atomic<std::uint64_t> epoch_{1};

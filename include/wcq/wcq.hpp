@@ -42,7 +42,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <utility>
 
 #include "wcq/detail.hpp"
 #include "wcq/handle.hpp"
@@ -95,8 +94,11 @@ struct WcqTestAccess;
 
 template <bool Portable>
 class WcqQueueT {
+  struct ThreadRec;
+
  public:
-  class Handle;
+  // A thread's registration: its ThreadRec slot, recycled on release.
+  using Handle = RegistryHandle<WcqQueueT, ThreadRec*>;
 
   // Reads order, max_threads, both patience knobs (MAX_PATIENCE),
   // help_delay (HELP_DELAY) and remap. Note words carry ring indices in
@@ -165,8 +167,8 @@ class WcqQueueT {
 
   // False iff the queue is full.
   [[gnu::noinline]] bool try_push(std::uint64_t v, Handle& h) {
-    maybe_help(h.rec_);
-    return push_one(h.rec_, v);
+    maybe_help(h.slot());
+    return push_one(h.slot(), v);
   }
 
   // False iff the queue is empty.
@@ -189,8 +191,8 @@ class WcqQueueT {
   // split keeps the exit a leaf: load the threshold, test, bump
   // fast_deq, return.
   [[gnu::noinline]] bool try_pop(std::uint64_t* v, Handle& h) {
-    if (answered_empty(h.rec_)) return false;
-    return pop_from_ring(h.rec_, v);
+    if (answered_empty(h.slot())) return false;
+    return pop_from_ring(h.slot(), v);
   }
 
   // Batch enqueue: pushes vs[0..n) in order, stopping at the first
@@ -206,7 +208,7 @@ class WcqQueueT {
 #else
     while (done < n) {
       const std::size_t k = std::min(n - done, kBatchChunk);
-      const std::size_t ok = push_chunk(h.rec_, vs + done, k);
+      const std::size_t ok = push_chunk(h.slot(), vs + done, k);
       done += ok;
       if (ok < k) break;
     }
@@ -227,7 +229,7 @@ class WcqQueueT {
 #else
     while (done < n) {
       const std::size_t k = std::min(n - done, kBatchChunk);
-      const std::size_t ok = pop_chunk(h.rec_, out + done, k);
+      const std::size_t ok = pop_chunk(h.slot(), out + done, k);
       done += ok;
       if (ok < k) break;
     }
@@ -259,6 +261,7 @@ class WcqQueueT {
   // publishes a request without the owner driving it, so the
   // helper-completion path gets deterministic coverage.
   friend struct WcqTestAccess<Portable>;
+  friend Handle;
 
   // The wCQ ring, its CAS2s on the portable path iff Portable.
   using Ring = ScqRingT<ring::NotedEntry, false, Portable>;
@@ -289,10 +292,10 @@ class WcqQueueT {
   static_assert(sizeof(ThreadRec) == detail::kNoFalseSharing,
                 "a ThreadRec must stay one false-sharing unit");
 
-  void release_rec(ThreadRec* rec) {
-    // The owner is past its last operation, so its request is Idle and
-    // helpers ignore it; counters intentionally persist so stats()
-    // stays monotone across recycling.
+  // A handle gives its record back. The owner is past its last
+  // operation, so its request is Idle and helpers ignore it; counters
+  // intentionally persist so stats() stays monotone across recycling.
+  void release_slot(ThreadRec* rec) {
     slots_.release(static_cast<unsigned>(rec - recs_));
   }
 
@@ -536,50 +539,6 @@ class WcqQueueT {
   SlotRegistry slots_;
 };
 
-template <bool Portable>
-class WcqQueueT<Portable>::Handle {
- public:
-  // Handles only come from the queue; a default-constructed one would
-  // dereference null on first use.
-  Handle() = delete;
-
-  Handle(Handle&& other) noexcept
-      : q_(std::exchange(other.q_, nullptr)),
-        rec_(std::exchange(other.rec_, nullptr)) {}
-
-  Handle& operator=(Handle&& other) noexcept {
-    if (this != &other) {
-      release();
-      q_ = std::exchange(other.q_, nullptr);
-      rec_ = std::exchange(other.rec_, nullptr);
-    }
-    return *this;
-  }
-
-  Handle(const Handle&) = delete;
-  Handle& operator=(const Handle&) = delete;
-
-  ~Handle() { release(); }
-
-  // True unless moved-from. Using a moved-from handle is UB.
-  explicit operator bool() const { return rec_ != nullptr; }
-
- private:
-  friend class WcqQueueT<Portable>;
-  friend struct WcqTestAccess<Portable>;
-
-  Handle(WcqQueueT* q, ThreadRec* rec) : q_(q), rec_(rec) {}
-
-  void release() {
-    if (q_ != nullptr) q_->release_rec(rec_);
-    q_ = nullptr;
-    rec_ = nullptr;
-  }
-
-  WcqQueueT* q_ = nullptr;
-  ThreadRec* rec_ = nullptr;
-};
-
 // Deterministic slow-path levers for the test suite: publish a request
 // exactly as a stalling owner would, let other handles help it, then
 // resume the owner. Mirrors WcqQueueT's own slow_push/slow_pop split.
@@ -590,7 +549,7 @@ struct WcqTestAccess {
 
   // Owner published a slow pop (stage 1: fq dequeue) and stalled.
   static void publish_stalled_pop(Q& q, H& h) {
-    q.publish_ring_op(h.rec_, /*fq_ring=*/true, /*deq=*/true, 0);
+    q.publish_ring_op(h.slot(), /*fq_ring=*/true, /*deq=*/true, 0);
   }
 
   // Owner got its free index, wrote the value, published the fq
@@ -603,7 +562,7 @@ struct WcqTestAccess {
       return false;
     }
     q.data_[idx].store(v, std::memory_order_relaxed);
-    q.publish_ring_op(h.rec_, /*fq_ring=*/true, /*deq=*/false, idx);
+    q.publish_ring_op(h.slot(), /*fq_ring=*/true, /*deq=*/false, idx);
     return true;
   }
 
@@ -616,7 +575,7 @@ struct WcqTestAccess {
       return false;
     }
     *v = q.data_[idx].load(std::memory_order_relaxed);
-    q.publish_ring_op(h.rec_, /*fq_ring=*/false, /*deq=*/false, idx);
+    q.publish_ring_op(h.slot(), /*fq_ring=*/false, /*deq=*/false, idx);
     return true;
   }
 
@@ -626,7 +585,7 @@ struct WcqTestAccess {
   // the threshold knows it. Only finalize() can publish it now. True
   // iff the CAS2 succeeded.
   static bool commit_stalled(Q& q, H& h) {
-    RingRequest* r = q.req_of(h.rec_);
+    RingRequest* r = q.req_of(h.slot());
     std::uint64_t c = r->ctl.load(std::memory_order_acquire);
     typename Q::Ring& ring = detail::ctl_fq(c) ? q.fq_ : q.aq_;
     // The first step claims an entry, the next proposes it for commit.
@@ -647,10 +606,10 @@ struct WcqTestAccess {
   // published with: a helper that read it then and steps now is stale.
   static std::uint64_t ring_op(Q& q, H& h, bool fq, bool deq,
                                std::uint64_t arg, std::uint64_t* out) {
-    q.publish_ring_op(h.rec_, fq, deq, arg);
+    q.publish_ring_op(h.slot(), fq, deq, arg);
     const std::uint64_t c =
-        q.req_of(h.rec_)->ctl.load(std::memory_order_acquire);
-    q.complete_ring_op(h.rec_, out);
+        q.req_of(h.slot())->ctl.load(std::memory_order_acquire);
+    q.complete_ring_op(h.slot(), out);
     return c;
   }
 
@@ -658,7 +617,7 @@ struct WcqTestAccess {
   // by a helper that read ctl word c earlier.
   static void step(Q& q, H& h, bool fq, std::uint64_t c) {
     typename Q::Ring& ring = fq ? q.fq_ : q.aq_;
-    RingRequest* r = q.req_of(h.rec_);
+    RingRequest* r = q.req_of(h.slot());
     if (detail::ctl_deq(c)) {
       ring.step_dequeue(r, c);
     } else {
@@ -669,7 +628,7 @@ struct WcqTestAccess {
   // h's dequeue scan position on the fq (or aq) ring, and that ring's
   // Head and Tail.
   static std::uint64_t dequeue_scan(Q& q, H& h, bool fq) {
-    return q.req_of(h.rec_)->pos[fq][1].load(std::memory_order_acquire);
+    return q.req_of(h.slot())->pos[fq][1].load(std::memory_order_acquire);
   }
   static std::uint64_t head(Q& q, bool fq) {
     return (fq ? q.fq_ : q.aq_).head();
@@ -679,11 +638,11 @@ struct WcqTestAccess {
   }
 
   // Helper-side single call: drive h's request as maybe_help would.
-  static bool help(Q& q, H& h) { return q.help_request(q.req_of(h.rec_)); }
+  static bool help(Q& q, H& h) { return q.help_request(q.req_of(h.slot())); }
 
   static bool done_ok(Q& q, H& h) {
     const std::uint64_t c =
-        q.req_of(h.rec_)->ctl.load(std::memory_order_acquire);
+        q.req_of(h.slot())->ctl.load(std::memory_order_acquire);
     return detail::ctl_state(c) == detail::kReqDoneOk;
   }
 
@@ -691,20 +650,20 @@ struct WcqTestAccess {
   // by helpers), then run stage 2 (return the index to aq).
   static bool finish_pop(Q& q, H& h, std::uint64_t* v) {
     std::uint64_t idx = 0;
-    if (!q.complete_ring_op(h.rec_, &idx)) return false;
+    if (!q.complete_ring_op(h.slot(), &idx)) return false;
     *v = q.data_[idx].load(std::memory_order_relaxed);
-    q.publish_ring_op(h.rec_, /*fq_ring=*/false, /*deq=*/false, idx);
-    q.complete_ring_op(h.rec_, nullptr);
+    q.publish_ring_op(h.slot(), /*fq_ring=*/false, /*deq=*/false, idx);
+    q.complete_ring_op(h.slot(), nullptr);
     return true;
   }
 
   // Owner resumes a stalled push: its stage 2 is the whole remainder.
   static bool finish_push(Q& q, H& h) {
-    return q.complete_ring_op(h.rec_, nullptr);
+    return q.complete_ring_op(h.slot(), nullptr);
   }
 
   static std::uint64_t helps(H& h) {
-    return h.rec_->helps.load(std::memory_order_relaxed);
+    return h.slot()->helps.load(std::memory_order_relaxed);
   }
 
   // Whether the aq (fq = false) or fq ring's fast path mutates entries

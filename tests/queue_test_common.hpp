@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -194,21 +195,37 @@ inline std::size_t unlinearizable_empties(
   return bad;
 }
 
+// What a test_mpmc run does beyond its shape.
+template <typename Q>
+struct MpmcRun {
+  // The queue's options; test_mpmc sets max_threads. A small ring
+  // forces full/empty interleaving.
+  options opt = options{}.order(10);
+  // false skips the order check and the witness for queues whose
+  // contract is per shard: wcq::sharded documents per-shard FIFO with
+  // relaxed cross-shard order, so a producer's values spread over
+  // shards may legally be observed out of sequence, and a pop that
+  // finds its shards empty may miss a value queued on another.
+  bool linearizable = true;
+  // Push with try_push_n and pop with try_pop_n, 1-64 values per call.
+  bool bursts = false;
+  // Runs on its own thread beside the workers, until `done`.
+  std::function<void(Q&, const std::atomic<bool>& done)> beside;
+  // Runs after the workers joined and the ledger passed.
+  std::function<void(Q&)> after;
+};
+
 // MPMC no-loss/no-duplication: P producers push tagged values, C
 // consumers pop until everything is accounted for; every value must be
 // seen exactly once and per-producer order must be monotone, and no
 // empty answer may miss a value queued throughout it (the witness
 // above; each consumer records up to EmptyLog::kCap of its empties).
-// linearizable=false skips the order check and the witness for queues
-// whose contract is per shard: wcq::sharded documents per-shard FIFO
-// with relaxed cross-shard order, so a producer's values spread over
-// shards may legally be observed out of sequence, and a pop that finds
-// its shards empty may miss a value queued on another.
+// In bursts a try_pop_n that returns 0 is the empty answer, and a
+// value's push returns when its try_push_n does.
 template <concepts::Queue Q>
 void test_mpmc(const char* name, unsigned producers, unsigned consumers,
-               std::uint64_t per_producer, bool linearizable = true) {
-  // small ring: forces full/empty interleaving
-  Q q(options{}.max_threads(producers + consumers + 2).order(10));
+               std::uint64_t per_producer, const MpmcRun<Q>& run = {}) {
+  Q q(options{run.opt}.max_threads(producers + consumers + 2));
 
   const std::uint64_t total = per_producer * producers;
   std::vector<std::atomic<std::uint32_t>> seen(total);
@@ -221,17 +238,34 @@ void test_mpmc(const char* name, unsigned producers, unsigned consumers,
   std::vector<std::uint64_t> popped(total, UINT64_MAX);
   std::vector<EmptyLog> empties(consumers);
 
+  std::atomic<bool> workers_done{false};
+  std::thread beside;
+  if (run.beside) beside = std::thread([&] { run.beside(q, workers_done); });
+
   std::vector<std::thread> threads;
   threads.reserve(producers + consumers);
   for (unsigned p = 0; p < producers; ++p) {
     threads.emplace_back([&, p] {
       auto h = q.get_handle();
-      for (std::uint64_t i = 0; i < per_producer; ++i) {
-        const std::uint64_t v = p * per_producer + i;
-        while (!q.try_push(v, h)) {
-          std::this_thread::yield();  // full: wait for consumers
+      std::uint64_t vs[kBatchChunk];
+      for (std::uint64_t i = 0; i < per_producer;) {
+        // Burst sizes cycle through 1..64 from a per-producer offset.
+        std::uint64_t n = 1;
+        if (run.bursts) {
+          n = std::min<std::uint64_t>(1 + (i + p * 29) % kBatchChunk,
+                                      per_producer - i);
         }
-        pushed[v] = stamp_ns();
+        for (std::uint64_t k = 0; k < n; ++k) vs[k] = p * per_producer + i + k;
+        std::size_t ok = 0;
+        if (run.bursts) {
+          ok = q.try_push_n(vs, n, h);
+        } else if (q.try_push(vs[0], h)) {
+          ok = 1;
+        }
+        const std::uint64_t at = stamp_ns();
+        for (std::size_t k = 0; k < ok; ++k) pushed[vs[k]] = at;
+        i += ok;
+        if (ok < n) std::this_thread::yield();  // full: wait for consumers
       }
     });
   }
@@ -240,33 +274,45 @@ void test_mpmc(const char* name, unsigned producers, unsigned consumers,
       auto h = q.get_handle();
       std::vector<std::uint64_t> last(producers, 0);
       std::vector<bool> any(producers, false);
-      while (consumed.load(std::memory_order_acquire) < total) {
+      std::uint64_t vs[kBatchChunk];
+      for (std::uint64_t call = c;
+           consumed.load(std::memory_order_acquire) < total; ++call) {
         const std::uint64_t a = stamp_ns();
-        const auto popped_v = q.try_pop(h);
-        if (!popped_v) {
+        std::size_t got = 0;
+        if (run.bursts) {
+          got = q.try_pop_n(vs, 1 + call * 37 % kBatchChunk, h);
+        } else if (const auto v = q.try_pop(h)) {
+          vs[0] = *v;
+          got = 1;
+        }
+        if (got == 0) {
           empties[c].add(a, stamp_ns());
           std::this_thread::yield();
           continue;
         }
-        const std::uint64_t v = *popped_v;
-        WCQ_CHECK(v < total, "%s: out-of-range value %llu", name,
-                  (unsigned long long)v);
-        seen[v].fetch_add(1, std::memory_order_relaxed);
-        popped[v] = a;
-        consumed.fetch_add(1, std::memory_order_acq_rel);
-        // Per-producer FIFO: this consumer must see each producer's
-        // values in increasing sequence order.
-        const std::uint64_t p = v / per_producer;
-        const std::uint64_t seq = v % per_producer;
-        if (any[p] && seq <= last[p]) {
-          order_ok.store(false, std::memory_order_relaxed);
+        for (std::size_t k = 0; k < got; ++k) {
+          const std::uint64_t v = vs[k];
+          WCQ_CHECK(v < total, "%s: out-of-range value %llu", name,
+                    (unsigned long long)v);
+          seen[v].fetch_add(1, std::memory_order_relaxed);
+          popped[v] = a;
+          // Per-producer FIFO: this consumer must see each producer's
+          // values in increasing sequence order.
+          const std::uint64_t p = v / per_producer;
+          const std::uint64_t seq = v % per_producer;
+          if (any[p] && seq <= last[p]) {
+            order_ok.store(false, std::memory_order_relaxed);
+          }
+          last[p] = seq;
+          any[p] = true;
         }
-        last[p] = seq;
-        any[p] = true;
+        consumed.fetch_add(got, std::memory_order_acq_rel);
       }
     });
   }
   for (auto& t : threads) t.join();
+  workers_done.store(true, std::memory_order_release);
+  if (beside.joinable()) beside.join();
 
   WCQ_CHECK(consumed.load() == total, "%s: consumed %llu of %llu", name,
             (unsigned long long)consumed.load(), (unsigned long long)total);
@@ -275,19 +321,21 @@ void test_mpmc(const char* name, unsigned producers, unsigned consumers,
     WCQ_CHECK(count == 1, "%s: value %llu seen %u times (lost/duplicated)",
               name, (unsigned long long)v, count);
   }
-  WCQ_CHECK(!linearizable || order_ok.load(),
+  WCQ_CHECK(!run.linearizable || order_ok.load(),
             "%s: per-producer FIFO order violated", name);
   std::vector<EmptyAnswer> answers;
   for (const EmptyLog& log : empties) {
     answers.insert(answers.end(), log.kept().begin(), log.kept().end());
   }
   const std::size_t bad =
-      linearizable ? unlinearizable_empties(pushed, popped, answers) : 0;
+      run.linearizable ? unlinearizable_empties(pushed, popped, answers) : 0;
   WCQ_CHECK(bad == 0,
             "%s: %zu of %zu empty answers missed a value queued throughout",
             name, bad, answers.size());
-  std::printf("  ok mpmc %ux%u        %s (%zu empty answers witnessed)\n",
-              producers, consumers, name, linearizable ? answers.size() : 0);
+  if (run.after) run.after(q);
+  std::printf("  ok mpmc %ux%u%s %s (%zu empty answers witnessed)\n",
+              producers, consumers, run.bursts ? " burst " : "       ", name,
+              run.linearizable ? answers.size() : 0);
 }
 
 // ---- queue selection shared by the test mains ----

@@ -19,12 +19,13 @@ int main(int argc, char** argv) {
     // is relaxed by contract), so the per-producer order assertion and
     // the empty-answer witness are skipped for them;
     // no-loss/no-duplication still applies in full.
-    const bool linearizable = std::strncmp(tag, "sharded", 7) != 0;
-    test_mpmc<A>(tag, side, side, per_producer, linearizable);
+    MpmcRun<A> run;
+    run.linearizable = std::strncmp(tag, "sharded", 7) != 0;
+    test_mpmc<A>(tag, side, side, per_producer, run);
     // Asymmetric shapes stress full-ring (many producers) and
     // empty-queue (many consumers) edges.
-    test_mpmc<A>(tag, 2 * side, 1, per_producer / 2, linearizable);
-    test_mpmc<A>(tag, 1, 2 * side, per_producer / 2, linearizable);
+    test_mpmc<A>(tag, 2 * side, 1, per_producer / 2, run);
+    test_mpmc<A>(tag, 1, 2 * side, per_producer / 2, run);
   };
   return for_selected_queues(argc, argv, fn);
 }

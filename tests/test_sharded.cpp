@@ -3,8 +3,9 @@
 // shard), both picker policies,
 // the batch API's edge cases (partial fills, zero spans, boxed
 // payloads and their accounting, a throwing copy mid-chunk, sentinel
-// refusal, chunking), constructor validation, and
-// handle churn over recycled sub-handle rows. The shared battery
+// refusal, chunking), constructor validation,
+// handle churn over recycled sub-handle rows, and a registration that
+// fails half-way through the shards. The shared battery
 // (fifo/empty_full/mpmc/churn) also runs the sharded adapters; this
 // file covers what those generic checks cannot see.
 #include <atomic>
@@ -18,6 +19,8 @@
 #include "boxed_batch_checks.hpp"
 #include "queue_test_common.hpp"
 #include "wcq/faa_queue.hpp"
+#include "wcq/lcrq.hpp"
+#include "wcq/mem.hpp"
 #include "wcq/sharded.hpp"
 
 namespace {
@@ -359,6 +362,31 @@ void test_handle_churn() {
               kMaxThreads);
 }
 
+// A registration that fails half-way: with one sharded handle held and
+// shard 3's last slot taken directly, try_get_handle takes slots on
+// shards 0-2 and then fails. It must give those back and free its row:
+// mem's live bytes return to their value from before the call, and
+// once shard 3's slot is free a new sharded handle succeeds, which it
+// cannot if shards 0-2 kept the failed call's slots.
+template <typename Backend>
+void test_partial_registration(const char* name) {
+  using Q = sharded<std::uint64_t, Backend>;
+  Q q(options{}.order(8).shards(4).max_threads(2));
+  auto held = q.get_handle();
+  {
+    auto last = test::backend_handle(q.backend().shard(3));
+    const std::uint64_t live = mem::stats().live_bytes;
+    WCQ_CHECK(!q.try_get_handle().has_value(),
+              "%s: registration succeeded with shard 3 full", name);
+    WCQ_CHECK(mem::stats().live_bytes == live,
+              "%s: failed registration leaked %lld bytes", name,
+              (long long)(mem::stats().live_bytes - live));
+  }
+  WCQ_CHECK(q.try_get_handle().has_value(),
+            "%s: a failed registration kept slots on shards 0-2", name);
+  std::printf("  ok sharded_partial   %s\n", name);
+}
+
 }  // namespace
 
 int main() {
@@ -376,5 +404,7 @@ int main() {
   test_batch_sentinel_refusal();
   test_validation_throws();
   test_handle_churn();
+  test_partial_registration<WcqQueue>("wcq");
+  test_partial_registration<LcrqQueue>("lcrq");
   return 0;
 }

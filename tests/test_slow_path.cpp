@@ -5,10 +5,11 @@
 // entirely, so literally every operation runs claim/commit/finalize.
 //
 // Covered: single-thread FIFO and empty/full through the slow path,
-// MPMC no-loss/no-duplication with per-producer order (watched for the
-// noted-bit invariant on every entry of both rings), once with single
-// ops and once with try_push_n/try_pop_n bursts racing the parked
-// notes (per-value slow ops in the all-slow build), and two helpers
+// the shared MPMC battery (no loss, no duplication, per-producer order
+// and the empty-answer witness; watched for the noted-bit invariant on
+// every entry of both rings), once with single ops and once with
+// try_push_n/try_pop_n bursts racing the parked notes (per-value slow
+// ops in the all-slow build), and two helpers
 // stepping the SAME pending request in turn, with the operation
 // completing exactly once. Also the bounded-memory invariant: after
 // construction and handle registration, wCQ (both builds), SCQ, NCQ
@@ -149,111 +150,56 @@ void test_word_cas_width(const char* name) {
               want ? "8-byte CAS" : "CAS2");
 }
 
-// `bursts`: producers push with try_push_n and consumers pop with
-// try_pop_n, of 1-64 values each (a seeded size per call).
+// The shared MPMC battery (test::test_mpmc: ledger, per-producer
+// order, empty-answer witness) on a patience-1 queue, with the
+// NotedBitWatcher beside the workers. `bursts`: producers push with
+// try_push_n and consumers pop with try_pop_n, of 1-64 values each.
+//
+// Values per producer: at patience 1 the witness needs runs long
+// enough for the threads to spread over the CPUs. On a 4-vCPU Xeon an
+// empty exit broken on purpose (keyed on the threshold alone) failed
+// 4 of 30 executions at 5000, 40 of 60 at 20000 and 56 of 60 at 40000.
+// The all-slow build never reaches the rings' empty exits (every
+// operation is a published request), so it keeps 5000, which also
+// bounds its TSan time.
+#if defined(WCQ_ALL_SLOW)
+constexpr std::uint64_t kMpmcPerProducer = 5000;
+#else
+constexpr std::uint64_t kMpmcPerProducer = 40000;
+#endif
+
 template <bool Portable>
 void test_slow_mpmc(const char* name, unsigned producers, unsigned consumers,
-                    bool bursts = false) {
-  const std::uint64_t per_producer = test::env_ops(5000);
-  WcqQueueT<Portable> q(slow_opts(8, producers + consumers + 2));
-
-  const std::uint64_t total = per_producer * producers;
-  std::vector<std::atomic<std::uint32_t>> seen(total);
-  for (auto& s : seen) s.store(0, std::memory_order_relaxed);
-  std::atomic<std::uint64_t> consumed{0};
-  std::atomic<bool> order_ok{true};
-
-  std::atomic<bool> workers_done{false};
+                    bool bursts) {
+  using Q = queue<std::uint64_t, WcqQueueT<Portable>>;
   NotedBitWatcher<Portable> watch;
-  std::thread watcher([&] { watch.run(q, workers_done, name); });
-
-  std::vector<std::thread> threads;
-  threads.reserve(producers + consumers);
-  for (unsigned p = 0; p < producers; ++p) {
-    threads.emplace_back([&, p] {
-      auto h = test::backend_handle(q);
-      std::uint64_t vs[kBatchChunk];
-      for (std::uint64_t i = 0; i < per_producer;) {
-        // Burst sizes cycle through 1..64 from a per-producer offset.
-        std::uint64_t n = 1;
-        if (bursts) {
-          n = std::min<std::uint64_t>(1 + (i + p * 29) % kBatchChunk,
-                                      per_producer - i);
-        }
-        for (std::uint64_t k = 0; k < n; ++k) vs[k] = p * per_producer + i + k;
-        std::size_t ok = 0;
-        if (bursts) {
-          ok = q.try_push_n(vs, n, h);
-        } else if (q.try_push(vs[0], h)) {
-          ok = 1;
-        }
-        i += ok;
-        if (ok < n) std::this_thread::yield();
-      }
-    });
-  }
-  for (unsigned c = 0; c < consumers; ++c) {
-    threads.emplace_back([&, c] {
-      auto h = test::backend_handle(q);
-      std::vector<std::uint64_t> last(producers, 0);
-      std::vector<bool> any(producers, false);
-      std::uint64_t vs[kBatchChunk];
-      for (std::uint64_t call = c;
-           consumed.load(std::memory_order_acquire) < total; ++call) {
-        std::size_t got = 0;
-        if (bursts) {
-          got = q.try_pop_n(vs, 1 + call * 37 % kBatchChunk, h);
-        } else if (q.try_pop(&vs[0], h)) {
-          got = 1;
-        }
-        if (got == 0) {
-          std::this_thread::yield();
-          continue;
-        }
-        for (std::size_t k = 0; k < got; ++k) {
-          const std::uint64_t v = vs[k];
-          WCQ_CHECK(v < total, "%s: out-of-range value %llu", name,
-                    (unsigned long long)v);
-          seen[v].fetch_add(1, std::memory_order_relaxed);
-          const std::uint64_t p = v / per_producer;
-          const std::uint64_t seq = v % per_producer;
-          if (any[p] && seq <= last[p]) {
-            order_ok.store(false, std::memory_order_relaxed);
-          }
-          last[p] = seq;
-          any[p] = true;
-        }
-        consumed.fetch_add(got, std::memory_order_acq_rel);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  workers_done.store(true, std::memory_order_release);
-  watcher.join();
-
-  for (std::uint64_t v = 0; v < total; ++v) {
-    const std::uint32_t count = seen[v].load(std::memory_order_relaxed);
-    WCQ_CHECK(count == 1, "%s: value %llu seen %u times (lost/duplicated)",
-              name, (unsigned long long)v, count);
-  }
-  WCQ_CHECK(order_ok.load(), "%s: per-producer FIFO order violated", name);
-
-  // Under ALL_SLOW every operation is structurally a slow op, so the
-  // counter check is deterministic. With patience=1 it depends on real
-  // CAS contention, which a single-core scheduler may never produce —
-  // there the deterministic slow-path coverage comes from the
-  // stalled-owner tests below, and we only report the observed rate.
-  const WcqStats st = q.stats();
+  test::MpmcRun<Q> run;
+  run.opt = slow_opts(8, /*max_threads=*/0);  // test_mpmc sets it
+  run.bursts = bursts;
+  run.beside = [&](Q& q, const std::atomic<bool>& done) {
+    watch.run(q.backend(), done, name);
+  };
+  run.after = [&](Q& q) {
+    // Under ALL_SLOW every operation is structurally a slow op, so the
+    // counter check is deterministic. With patience=1 it depends on
+    // real CAS contention, which a single-core scheduler may never
+    // produce — there the deterministic slow-path coverage comes from
+    // the stalled-owner tests below, and we only report the observed
+    // rate.
+    const WcqStats st = q.stats();
 #if defined(WCQ_ALL_SLOW)
-  WCQ_CHECK(st.slow_enqueues + st.slow_dequeues > 0,
-            "%s: all-slow build never took the slow path", name);
+    WCQ_CHECK(st.slow_enqueues + st.slow_dequeues > 0,
+              "%s: all-slow build never took the slow path", name);
 #endif
-  std::printf(
-      "  ok slow_mpmc %ux%u%s %s (%llu slow ops; %llu parked notes seen "
-      "in %llu scans)\n",
-      producers, consumers, bursts ? " burst" : "      ", name,
-      (unsigned long long)(st.slow_enqueues + st.slow_dequeues),
-      (unsigned long long)watch.parked, (unsigned long long)watch.scans);
+    std::printf("  .. slow_mpmc %ux%u%s %s: %llu slow ops; %llu parked "
+                "notes seen in %llu scans\n",
+                producers, consumers, bursts ? " burst" : "", name,
+                (unsigned long long)(st.slow_enqueues + st.slow_dequeues),
+                (unsigned long long)watch.parked,
+                (unsigned long long)watch.scans);
+  };
+  test::test_mpmc<Q>(name, producers, consumers,
+                     test::env_ops(kMpmcPerProducer), run);
 }
 
 // Regression for slow-path threshold accounting. Threshold decrements
@@ -426,8 +372,8 @@ int main() {
   test_slow_fifo<true>("wcq-portable");
   test_slow_empty_full<false>("wcq");
   test_slow_empty_full<true>("wcq-portable");
-  test_slow_mpmc<false>("wcq", 3, 3);
-  test_slow_mpmc<true>("wcq-portable", 2, 2);
+  test_slow_mpmc<false>("wcq", 3, 3, /*bursts=*/false);
+  test_slow_mpmc<true>("wcq-portable", 2, 2, /*bursts=*/false);
   test_slow_mpmc<false>("wcq", 3, 3, /*bursts=*/true);
   test_slow_mpmc<true>("wcq-portable", 2, 2, /*bursts=*/true);
   test_no_premature_empty<false>("wcq");
