@@ -49,8 +49,9 @@ concept Queue =
 
 /// Queue over a backend that reclaims memory through the shared SMR
 /// layer (wcq/smr.hpp): smr_stats() exposes the domain's retire/scan
-/// counters. The memory bench and the SMR tests constrain on this to
-/// assert bounded parked garbage without reaching into backend guts.
+/// counters, which the tests read through the facade to assert bounded
+/// parked garbage. No template is constrained on it; static_asserts in
+/// the harness pin which lineup entries satisfy it.
 template <typename Q>
 concept ReclaimingQueue =
     Queue<Q> && requires(const Q& q) {
@@ -61,9 +62,9 @@ concept ReclaimingQueue =
     };
 
 /// Queue with slow-path observability: stats() exposing fast/slow op
-/// and help counters. The ablation benches constrain on this instead
-/// of reaching into backend internals, so any future backend that
-/// reports the same counters slots into those drivers unchanged.
+/// and help counters, which the ablation benches read through the
+/// facade. No template is constrained on it; static_asserts in the
+/// harness pin which lineup entries satisfy it.
 template <typename Q>
 concept ObservableQueue =
     Queue<Q> && requires(const Q& q) {

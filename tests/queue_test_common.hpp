@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "harness/driver.hpp"
 #include "harness/queue_adapters.hpp"
 #include "wcq/concepts.hpp"
 #include "wcq/options.hpp"
@@ -44,11 +45,18 @@ typename B::Handle backend_handle(B& b) {
   return std::move(*h);
 }
 
+// Caps on the tests' environment variables, each read through
+// harness::env_count: a value that is not an integer in [1, cap] exits
+// 2 naming the variable. WCQ_TEST_OPS is per producer, and an MPMC
+// run's ledger takes 20 bytes a value.
+inline constexpr std::uint64_t kMaxTestOps = 1'000'000;
+inline constexpr std::uint64_t kMaxSoakSeconds = 86'400;
+inline constexpr std::uint64_t kMaxSoakThreads = 256;
+inline constexpr std::uint64_t kMaxSoakStallMs = 3'600'000;
+
+// Operations per thread: WCQ_TEST_OPS, else `dflt`.
 inline std::uint64_t env_ops(std::uint64_t dflt) {
-  if (const char* v = std::getenv("WCQ_TEST_OPS"); v && *v) {
-    return std::strtoull(v, nullptr, 10);
-  }
-  return dflt;
+  return harness::env_count("WCQ_TEST_OPS", dflt, kMaxTestOps);
 }
 
 // Single-thread FIFO: dequeue order must equal enqueue order.
@@ -198,8 +206,9 @@ inline std::size_t unlinearizable_empties(
 // What a test_mpmc run does beyond its shape.
 template <typename Q>
 struct MpmcRun {
-  // The queue's options; test_mpmc sets max_threads. A small ring
-  // forces full/empty interleaving.
+  // The options of the queue test_mpmc builds (it sets max_threads);
+  // unused when the caller owns the queue. A small ring forces
+  // full/empty interleaving.
   options opt = options{}.order(10);
   // false skips the order check and the witness for queues whose
   // contract is per shard: wcq::sharded documents per-shard FIFO with
@@ -215,28 +224,60 @@ struct MpmcRun {
   std::function<void(Q&)> after;
 };
 
-// MPMC no-loss/no-duplication: P producers push tagged values, C
-// consumers pop until everything is accounted for; every value must be
-// seen exactly once and per-producer order must be monotone, and no
-// empty answer may miss a value queued throughout it (the witness
-// above; each consumer records up to EmptyLog::kCap of its empties).
-// In bursts a try_pop_n that returns 0 is the empty answer, and a
-// value's push returns when its try_push_n does.
-template <concepts::Queue Q>
-void test_mpmc(const char* name, unsigned producers, unsigned consumers,
-               std::uint64_t per_producer, const MpmcRun<Q>& run = {}) {
-  Q q(options{run.opt}.max_threads(producers + consumers + 2));
+// The calls a test_mpmc run made: try_push (try_push_n in bursts),
+// refused ones included, and try_pop (try_pop_n), empty ones included.
+struct MpmcCalls {
+  std::uint64_t pushes = 0;
+  std::uint64_t pops = 0;
+};
 
+// A lost value or a permanent false empty (or full) would spin
+// test_mpmc's workers until ctest's timeout; instead a worker whose
+// call moved nothing fails the run once no value has been consumed for
+// this long. A minute without progress is a hang on any machine.
+inline constexpr std::uint64_t kStallNs = 60'000'000'000;
+
+// MPMC no-loss/no-duplication on a queue the caller owns, which must
+// be empty and have a handle slot for every worker: P producers push
+// tagged values, C consumers pop until everything is accounted for;
+// every value must be seen exactly once and per-producer order must be
+// monotone, and no empty answer may miss a value queued throughout it
+// (the witness above; each consumer records up to EmptyLog::kCap of
+// its empties). In bursts a try_pop_n that returns 0 is the empty
+// answer, and a value's push returns when its try_push_n does.
+template <concepts::Queue Q>
+MpmcCalls test_mpmc(Q& q, const char* name, unsigned producers,
+                    unsigned consumers, std::uint64_t per_producer,
+                    const MpmcRun<Q>& run = {}) {
   const std::uint64_t total = per_producer * producers;
   std::vector<std::atomic<std::uint32_t>> seen(total);
   for (auto& s : seen) s.store(0, std::memory_order_relaxed);
   std::atomic<std::uint64_t> consumed{0};
   std::atomic<bool> order_ok{true};
+  std::atomic<std::uint64_t> push_calls{0};
+  std::atomic<std::uint64_t> pop_calls{0};
   // Witness stamps: each value's slot is written by one thread (its
   // producer, its consumer) and read after the joins.
   std::vector<std::uint64_t> pushed(total, 0);
   std::vector<std::uint64_t> popped(total, UINT64_MAX);
   std::vector<EmptyLog> empties(consumers);
+
+  // A worker's view of progress: the consumed count it last saw, and
+  // when it first saw it.
+  struct Progress {
+    std::uint64_t consumed = 0;
+    std::uint64_t since = stamp_ns();
+  };
+  const auto check_progress = [&](Progress& p, std::uint64_t now) {
+    const std::uint64_t c = consumed.load(std::memory_order_relaxed);
+    if (c != p.consumed) {
+      p.consumed = c;
+      p.since = now;
+    }
+    WCQ_CHECK(now - p.since < kStallNs,
+              "%s: consumed %llu of %llu, none in the last 60 s", name,
+              (unsigned long long)c, (unsigned long long)total);
+  };
 
   std::atomic<bool> workers_done{false};
   std::thread beside;
@@ -247,8 +288,10 @@ void test_mpmc(const char* name, unsigned producers, unsigned consumers,
   for (unsigned p = 0; p < producers; ++p) {
     threads.emplace_back([&, p] {
       auto h = q.get_handle();
+      Progress progress;
+      std::uint64_t calls = 0;
       std::uint64_t vs[kBatchChunk];
-      for (std::uint64_t i = 0; i < per_producer;) {
+      for (std::uint64_t i = 0; i < per_producer; ++calls) {
         // Burst sizes cycle through 1..64 from a per-producer offset.
         std::uint64_t n = 1;
         if (run.bursts) {
@@ -265,18 +308,23 @@ void test_mpmc(const char* name, unsigned producers, unsigned consumers,
         const std::uint64_t at = stamp_ns();
         for (std::size_t k = 0; k < ok; ++k) pushed[vs[k]] = at;
         i += ok;
-        if (ok < n) std::this_thread::yield();  // full: wait for consumers
+        if (ok < n) {  // full: wait for consumers
+          check_progress(progress, at);
+          std::this_thread::yield();
+        }
       }
+      push_calls.fetch_add(calls, std::memory_order_relaxed);
     });
   }
   for (unsigned c = 0; c < consumers; ++c) {
     threads.emplace_back([&, c] {
       auto h = q.get_handle();
+      Progress progress;
       std::vector<std::uint64_t> last(producers, 0);
       std::vector<bool> any(producers, false);
       std::uint64_t vs[kBatchChunk];
-      for (std::uint64_t call = c;
-           consumed.load(std::memory_order_acquire) < total; ++call) {
+      std::uint64_t call = c;
+      for (; consumed.load(std::memory_order_acquire) < total; ++call) {
         const std::uint64_t a = stamp_ns();
         std::size_t got = 0;
         if (run.bursts) {
@@ -286,7 +334,9 @@ void test_mpmc(const char* name, unsigned producers, unsigned consumers,
           got = 1;
         }
         if (got == 0) {
-          empties[c].add(a, stamp_ns());
+          const std::uint64_t b = stamp_ns();
+          empties[c].add(a, b);
+          check_progress(progress, b);
           std::this_thread::yield();
           continue;
         }
@@ -308,6 +358,7 @@ void test_mpmc(const char* name, unsigned producers, unsigned consumers,
         }
         consumed.fetch_add(got, std::memory_order_acq_rel);
       }
+      pop_calls.fetch_add(call - c, std::memory_order_relaxed);
     });
   }
   for (auto& t : threads) t.join();
@@ -336,6 +387,16 @@ void test_mpmc(const char* name, unsigned producers, unsigned consumers,
   std::printf("  ok mpmc %ux%u%s %s (%zu empty answers witnessed)\n",
               producers, consumers, run.bursts ? " burst " : "       ", name,
               run.linearizable ? answers.size() : 0);
+  return {push_calls.load(), pop_calls.load()};
+}
+
+// The same on a queue built from run.opt, with a handle slot for every
+// worker and two to spare.
+template <concepts::Queue Q>
+void test_mpmc(const char* name, unsigned producers, unsigned consumers,
+               std::uint64_t per_producer, const MpmcRun<Q>& run = {}) {
+  Q q(options{run.opt}.max_threads(producers + consumers + 2));
+  test_mpmc(q, name, producers, consumers, per_producer, run);
 }
 
 // ---- queue selection shared by the test mains ----

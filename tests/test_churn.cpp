@@ -9,8 +9,10 @@
 // error on genuine exhaustion.
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -42,10 +44,11 @@ std::vector<std::uint64_t> monotone_counters(const Q& q) {
   return c;
 }
 
-// Waves of producer/consumer threads over ONE queue. Each wave fully
-// joins (releasing its handles) before the next starts; cumulative
-// thread count is far above max_threads, which the old surface would
-// have abort()ed on at wave 2.
+// Waves of producer/consumer threads over ONE queue, each a
+// test::test_mpmc run (ledger, per-producer order, empty-answer
+// witness). Each wave fully joins (releasing its handles) before the
+// next starts; cumulative thread count is far above max_threads, which
+// the old surface would have abort()ed on at wave 2.
 template <concepts::Queue Q>
 void test_churn_waves(const char* name) {
   constexpr unsigned kMaxThreads = 8;
@@ -59,80 +62,33 @@ void test_churn_waves(const char* name) {
   const std::uint64_t per_producer = test::env_ops(4000);
   Q q(options{}.max_threads(kMaxThreads).order(8));
 
-  const std::uint64_t wave_total = per_producer * kProducers;
-  std::atomic<std::uint64_t> push_attempts{0};
-  std::atomic<std::uint64_t> pop_attempts{0};
-
+  std::string wave_name;
+  test::MpmcRun<Q> run;
+  run.linearizable = std::strncmp(name, "sharded", 7) != 0;
+  // A reader polling the counters while the wave's handles bump them:
+  // every field must be monotone between polls. Under TSan this is the
+  // race net for the owner-only counter bump.
+  run.beside = [&](Q& q, const std::atomic<bool>& done) {
+    std::vector<std::uint64_t> last = monotone_counters(q);
+    do {
+      const std::vector<std::uint64_t> now = monotone_counters(q);
+      for (std::size_t i = 0; i < now.size(); ++i) {
+        WCQ_CHECK(now[i] >= last[i],
+                  "%s: counter %zu went back from %llu to %llu",
+                  wave_name.c_str(), i, (unsigned long long)last[i],
+                  (unsigned long long)now[i]);
+      }
+      last = now;
+      std::this_thread::yield();
+    } while (!done.load(std::memory_order_acquire));
+  };
+  test::MpmcCalls calls;
   for (unsigned wave = 0; wave < kWaves; ++wave) {
-    std::vector<std::atomic<std::uint32_t>> seen(wave_total);
-    for (auto& s : seen) s.store(0, std::memory_order_relaxed);
-    std::atomic<std::uint64_t> consumed{0};
-
-    // A reader polling the counters while the wave's handles bump
-    // them: every field must be monotone between polls. Under TSan
-    // this is the race net for the owner-only counter bump.
-    std::atomic<bool> wave_done{false};
-    std::thread poller([&] {
-      std::vector<std::uint64_t> last = monotone_counters(q);
-      do {
-        const std::vector<std::uint64_t> now = monotone_counters(q);
-        for (std::size_t i = 0; i < now.size(); ++i) {
-          WCQ_CHECK(now[i] >= last[i],
-                    "%s: wave %u counter %zu went back from %llu to %llu",
-                    name, wave, i, (unsigned long long)last[i],
-                    (unsigned long long)now[i]);
-        }
-        last = now;
-        std::this_thread::yield();
-      } while (!wave_done.load(std::memory_order_acquire));
-    });
-
-    std::vector<std::thread> threads;
-    threads.reserve(kProducers + kConsumers);
-    for (unsigned p = 0; p < kProducers; ++p) {
-      threads.emplace_back([&, p] {
-        auto h = q.get_handle();  // fresh registration every wave
-        std::uint64_t attempts = 0;
-        for (std::uint64_t i = 0; i < per_producer; ++i) {
-          const std::uint64_t v = p * per_producer + i;
-          ++attempts;
-          while (!q.try_push(v, h)) {
-            ++attempts;
-            std::this_thread::yield();
-          }
-        }
-        push_attempts.fetch_add(attempts, std::memory_order_relaxed);
-      });
-    }
-    for (unsigned c = 0; c < kConsumers; ++c) {
-      threads.emplace_back([&] {
-        auto h = q.get_handle();
-        std::uint64_t attempts = 0;
-        while (consumed.load(std::memory_order_acquire) < wave_total) {
-          ++attempts;
-          const auto v = q.try_pop(h);
-          if (!v) {
-            std::this_thread::yield();
-            continue;
-          }
-          WCQ_CHECK(*v < wave_total, "%s: wave %u out-of-range value %llu",
-                    name, wave, (unsigned long long)*v);
-          seen[*v].fetch_add(1, std::memory_order_relaxed);
-          consumed.fetch_add(1, std::memory_order_acq_rel);
-        }
-        pop_attempts.fetch_add(attempts, std::memory_order_relaxed);
-      });
-    }
-    for (auto& t : threads) t.join();
-    wave_done.store(true, std::memory_order_release);
-    poller.join();
-
-    for (std::uint64_t v = 0; v < wave_total; ++v) {
-      const std::uint32_t count = seen[v].load(std::memory_order_relaxed);
-      WCQ_CHECK(count == 1,
-                "%s: wave %u value %llu seen %u times (lost/duplicated)",
-                name, wave, (unsigned long long)v, count);
-    }
+    wave_name = std::string(name) + " wave " + std::to_string(wave);
+    const test::MpmcCalls c = test::test_mpmc(
+        q, wave_name.c_str(), kProducers, kConsumers, per_producer, run);
+    calls.pushes += c.pushes;
+    calls.pops += c.pops;
   }
 
   // Stats must stay consistent across recycled slots: every push/pop
@@ -140,16 +96,14 @@ void test_churn_waves(const char* name) {
   // regardless of which (reused) ThreadRec slot recorded it.
   if constexpr (requires { q.stats(); }) {
     const auto st = q.stats();
-    WCQ_CHECK(st.fast_enqueues + st.slow_enqueues ==
-                  push_attempts.load(std::memory_order_relaxed),
+    WCQ_CHECK(st.fast_enqueues + st.slow_enqueues == calls.pushes,
               "%s: stats enqueues %llu != attempts %llu", name,
               (unsigned long long)(st.fast_enqueues + st.slow_enqueues),
-              (unsigned long long)push_attempts.load());
-    WCQ_CHECK(st.fast_dequeues + st.slow_dequeues ==
-                  pop_attempts.load(std::memory_order_relaxed),
+              (unsigned long long)calls.pushes);
+    WCQ_CHECK(st.fast_dequeues + st.slow_dequeues == calls.pops,
               "%s: stats dequeues %llu != attempts %llu", name,
               (unsigned long long)(st.fast_dequeues + st.slow_dequeues),
-              (unsigned long long)pop_attempts.load());
+              (unsigned long long)calls.pops);
   }
   std::printf("  ok churn_waves       %s (%u threads over max_threads=%u)\n",
               name, kWaves * (kProducers + kConsumers), kMaxThreads);
@@ -164,68 +118,29 @@ void test_churn_waves(const char* name) {
 void test_lscq_segment_retirement() {
   constexpr unsigned kProducers = 3;
   constexpr unsigned kConsumers = 3;
-  const std::uint64_t per_producer = test::env_ops(8000);
-  const std::uint64_t total = per_producer * kProducers;
-
   const auto mem_before = mem::stats().live_bytes;
   std::uint64_t retire_calls = 0;
   {
-    harness::LscqAdapter q(
-        options{}.max_threads(kProducers + kConsumers).order(4));
-
-    std::vector<std::atomic<std::uint32_t>> seen(total);
-    for (auto& s : seen) s.store(0, std::memory_order_relaxed);
-    std::atomic<std::uint64_t> consumed{0};
-
-    std::vector<std::thread> threads;
-    threads.reserve(kProducers + kConsumers);
-    for (unsigned p = 0; p < kProducers; ++p) {
-      threads.emplace_back([&, p] {
-        auto h = q.get_handle();
-        for (std::uint64_t i = 0; i < per_producer; ++i) {
-          const std::uint64_t v = p * per_producer + i;
-          while (!q.try_push(v, h)) std::this_thread::yield();
-        }
-      });
-    }
-    for (unsigned c = 0; c < kConsumers; ++c) {
-      threads.emplace_back([&] {
-        auto h = q.get_handle();
-        while (consumed.load(std::memory_order_acquire) < total) {
-          const auto v = q.try_pop(h);
-          if (!v) {
-            std::this_thread::yield();
-            continue;
-          }
-          WCQ_CHECK(*v < total, "lscq: out-of-range value %llu",
-                    (unsigned long long)*v);
-          seen[*v].fetch_add(1, std::memory_order_relaxed);
-          consumed.fetch_add(1, std::memory_order_acq_rel);
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-
-    for (std::uint64_t v = 0; v < total; ++v) {
-      const std::uint32_t count = seen[v].load(std::memory_order_relaxed);
-      WCQ_CHECK(count == 1,
-                "lscq: value %llu seen %u times (lost/duplicated)",
-                (unsigned long long)v, count);
-    }
-
-    const auto st = q.smr_stats();
-    retire_calls = st.retire_calls;
-    WCQ_CHECK(st.retire_calls > 0,
-              "lscq churn never retired a segment (drain path untested)");
-    WCQ_CHECK(st.reclaimed_nodes > 0,
-              "lscq churn reclaimed nothing (%llu retires parked forever?)",
-              (unsigned long long)st.retire_calls);
-    // Bound: every handle slot can park at most threshold segments,
-    // plus one hazard-held segment per slot that scans could not free.
-    const std::uint64_t slots = kProducers + kConsumers;
-    WCQ_CHECK(st.retired_nodes <= slots * (2 * slots) + slots,
-              "parked segments exceed the amnesty bound: %llu",
-              (unsigned long long)st.retired_nodes);
+    using Q = harness::LscqAdapter;
+    Q q(options{}.max_threads(kProducers + kConsumers).order(4));
+    test::MpmcRun<Q> run;
+    run.after = [&](Q& q) {
+      const auto st = q.smr_stats();
+      retire_calls = st.retire_calls;
+      WCQ_CHECK(st.retire_calls > 0,
+                "lscq churn never retired a segment (drain path untested)");
+      WCQ_CHECK(st.reclaimed_nodes > 0,
+                "lscq churn reclaimed nothing (%llu retires parked forever?)",
+                (unsigned long long)st.retire_calls);
+      // Bound: every handle slot can park at most threshold segments,
+      // plus one hazard-held segment per slot that scans could not free.
+      const std::uint64_t slots = kProducers + kConsumers;
+      WCQ_CHECK(st.retired_nodes <= slots * (2 * slots) + slots,
+                "parked segments exceed the amnesty bound: %llu",
+                (unsigned long long)st.retired_nodes);
+    };
+    test::test_mpmc(q, "lscq order 4", kProducers, kConsumers,
+                    test::env_ops(8000), run);
   }
   WCQ_CHECK(mem::stats().live_bytes == mem_before,
             "LSCQ leaked %llu bytes of segments",

@@ -1,5 +1,6 @@
 // Single-thread FIFO order for every queue (optionally filtered by
-// argv: wcq wcq-portable scq faa msq).
+// argv: wcq wcq-portable scq ncq ccq lscq faa msq lcrq sharded-wcq
+// sharded-lcrq).
 #include "queue_test_common.hpp"
 
 int main(int argc, char** argv) {

@@ -1,8 +1,8 @@
 // Unit checks for the measurement harness itself: the result table's
 // three printers, RNG distribution sanity, the counting allocator
 // (serially and from concurrent threads), repeat_measure actually
-// running setup/body the advertised number of times, and the
-// WCQ_BENCH_* value parser.
+// running setup/body the advertised number of times, and the one
+// parser of the WCQ_BENCH_*, WCQ_TEST_OPS and WCQ_SOAK_* values.
 #include <algorithm>
 #include <optional>
 #include <sstream>
@@ -185,6 +185,7 @@ void test_repeat_measure() {
 
 // WCQ_BENCH_* values: a complete list of in-range positive integers is
 // accepted; anything else is refused (the knob reader then exits 2).
+// The tests' own variables go through the same reader with their caps.
 void test_sweep_parse() {
   using V = std::vector<std::uint64_t>;
   const struct {
@@ -206,6 +207,14 @@ void test_sweep_parse() {
       {"1,2,", 1u << 16, std::nullopt},
       {"-1", 1u << 16, std::nullopt},
       {"+1", 1u << 16, std::nullopt},
+      // WCQ_TEST_OPS and WCQ_SOAK_*: the nightly soak's 300 s and 8
+      // threads parse; a soak runs whole seconds.
+      {"1000001", test::kMaxTestOps, std::nullopt},
+      {"300", test::kMaxSoakSeconds, V{300}},
+      {"2.5", test::kMaxSoakSeconds, std::nullopt},
+      {"8", test::kMaxSoakThreads, V{8}},
+      {"257", test::kMaxSoakThreads, std::nullopt},
+      {"3600001", test::kMaxSoakStallMs, std::nullopt},
   };
   for (const auto& c : cases) {
     const auto got = harness::parse_counts(c.text, c.max);
@@ -221,6 +230,10 @@ void test_sweep_parse() {
   WCQ_CHECK(harness::sweep_thread_counts() ==
                 (std::vector<unsigned>{1, 2, 4, 8}),
             "unset WCQ_BENCH_THREADS must give the default sweep");
+  setenv("WCQ_TEST_OPS", "20000", 1);
+  WCQ_CHECK(test::env_ops(5) == 20000, "WCQ_TEST_OPS=20000 misread");
+  unsetenv("WCQ_TEST_OPS");
+  WCQ_CHECK(test::env_ops(5) == 5, "unset WCQ_TEST_OPS must give the default");
 #endif
   std::printf("  ok sweep_parse\n");
 }

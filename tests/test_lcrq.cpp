@@ -5,11 +5,8 @@
 // of drained rings through the shared SMR layer (bounded, non-zero
 // reclamation), the reserved all-ones sentinel, and heavy MPMC churn
 // over a ring small enough that every few hundred ops closes one.
-#include <atomic>
 #include <cstdint>
 #include <stdexcept>
-#include <thread>
-#include <vector>
 
 #include "queue_test_common.hpp"
 #include "wcq/mem.hpp"
@@ -19,7 +16,6 @@ namespace {
 
 using namespace wcq;
 using harness::LcrqAdapter;
-using wcq::test::env_ops;
 
 // Order-4 ring (16 cells), thousands of values: every 16 pushes close
 // the ring and link a fresh one, so FIFO order must survive dozens of
@@ -71,73 +67,35 @@ void test_sentinel_refused() {
   std::printf("  ok lcrq_sentinel_refused\n");
 }
 
-// MPMC over an order-5 ring: producers outrun the ring constantly, so
-// closes, fix_state repairs, and concurrent ring retirement all happen
-// under contention. No loss, no duplication; afterwards the SMR
-// counters must show real bounded reclamation, and queue teardown must
-// return every ring to the counting allocator.
+// MPMC over an order-5 ring, as a test::test_mpmc run (ledger,
+// per-producer order, empty-answer witness): producers outrun the ring
+// constantly, so closes, fix_state repairs, and concurrent ring
+// retirement all happen under contention. Afterwards the SMR counters
+// must show real bounded reclamation, and queue teardown must return
+// every ring to the counting allocator.
 void test_mpmc_ring_churn() {
   constexpr unsigned kProducers = 4;
   constexpr unsigned kConsumers = 4;
-  const std::uint64_t per_producer = env_ops(20000);
-  const std::uint64_t total = per_producer * kProducers;
-
   const auto mem_before = mem::stats().live_bytes;
   std::uint64_t retire_calls = 0;
   {
-    LcrqAdapter q(
-        options{}.max_threads(kProducers + kConsumers).order(5));
-
-    std::vector<std::atomic<std::uint32_t>> seen(total);
-    for (auto& s : seen) s.store(0, std::memory_order_relaxed);
-    std::atomic<std::uint64_t> consumed{0};
-
-    std::vector<std::thread> threads;
-    threads.reserve(kProducers + kConsumers);
-    for (unsigned p = 0; p < kProducers; ++p) {
-      threads.emplace_back([&, p] {
-        auto h = q.get_handle();
-        for (std::uint64_t i = 0; i < per_producer; ++i) {
-          const std::uint64_t v = p * per_producer + i;
-          while (!q.try_push(v, h)) std::this_thread::yield();
-        }
-      });
-    }
-    for (unsigned c = 0; c < kConsumers; ++c) {
-      threads.emplace_back([&] {
-        auto h = q.get_handle();
-        while (consumed.load(std::memory_order_acquire) < total) {
-          const auto v = q.try_pop(h);
-          if (!v) {
-            std::this_thread::yield();
-            continue;
-          }
-          WCQ_CHECK(*v < total, "out-of-range value %llu",
-                    (unsigned long long)*v);
-          seen[*v].fetch_add(1, std::memory_order_relaxed);
-          consumed.fetch_add(1, std::memory_order_acq_rel);
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-
-    for (std::uint64_t v = 0; v < total; ++v) {
-      const std::uint32_t count = seen[v].load(std::memory_order_relaxed);
-      WCQ_CHECK(count == 1, "value %llu seen %u times (lost/duplicated)",
-                (unsigned long long)v, count);
-    }
-
-    const auto st = q.smr_stats();
-    retire_calls = st.retire_calls;
-    WCQ_CHECK(st.reclaimed_nodes > 0,
-              "MPMC churn reclaimed nothing (%llu retires parked forever?)",
-              (unsigned long long)st.retire_calls);
-    // Bound: every handle slot can park at most threshold rings, plus
-    // one hazard-held ring per slot that scans could not free.
-    const std::uint64_t slots = kProducers + kConsumers;
-    WCQ_CHECK(st.retired_nodes <= slots * (2 * slots) + slots,
-              "parked rings exceed the amnesty bound: %llu",
-              (unsigned long long)st.retired_nodes);
+    LcrqAdapter q(options{}.max_threads(kProducers + kConsumers).order(5));
+    test::MpmcRun<LcrqAdapter> run;
+    run.after = [&](LcrqAdapter& q) {
+      const auto st = q.smr_stats();
+      retire_calls = st.retire_calls;
+      WCQ_CHECK(st.reclaimed_nodes > 0,
+                "MPMC churn reclaimed nothing (%llu retires parked forever?)",
+                (unsigned long long)st.retire_calls);
+      // Bound: every handle slot can park at most threshold rings, plus
+      // one hazard-held ring per slot that scans could not free.
+      const std::uint64_t slots = kProducers + kConsumers;
+      WCQ_CHECK(st.retired_nodes <= slots * (2 * slots) + slots,
+                "parked rings exceed the amnesty bound: %llu",
+                (unsigned long long)st.retired_nodes);
+    };
+    test::test_mpmc(q, "lcrq order 5", kProducers, kConsumers,
+                    test::env_ops(20000), run);
   }
   WCQ_CHECK(mem::stats().live_bytes == mem_before,
             "LCRQ leaked %llu bytes of rings",

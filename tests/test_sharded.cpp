@@ -8,7 +8,6 @@
 // fails half-way through the shards. The shared battery
 // (fifo/empty_full/mpmc/churn) also runs the sharded adapters; this
 // file covers what those generic checks cannot see.
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
@@ -50,57 +49,17 @@ std::vector<std::vector<std::uint64_t>> drain_shards(
   return held;
 }
 
-// MPMC no-loss/no-duplication across shards, every policy. Producers
-// tag values; consumers account for every one exactly once. Order is
-// deliberately unchecked — cross-shard order is relaxed by contract.
+// MPMC no-loss/no-duplication across shards, every policy, as
+// test::test_mpmc runs. Order and the empty-answer witness are
+// deliberately unchecked: cross-shard order is relaxed by contract.
 void test_mpmc_all_policies() {
-  const std::uint64_t per_producer = test::env_ops(8000);
+  using Q = sharded<std::uint64_t>;
   for (const auto pol : kAllPolicies) {
-    constexpr unsigned kProducers = 3;
-    constexpr unsigned kConsumers = 3;
-    sharded<std::uint64_t> q(options{}
-                                 .order(10)
-                                 .shards(4)
-                                 .shard_policy(pol)
-                                 .max_threads(kProducers + kConsumers + 2));
-    const std::uint64_t total = per_producer * kProducers;
-    std::vector<std::atomic<std::uint32_t>> seen(total);
-    for (auto& s : seen) s.store(0, std::memory_order_relaxed);
-    std::atomic<std::uint64_t> consumed{0};
-
-    std::vector<std::thread> threads;
-    for (unsigned p = 0; p < kProducers; ++p) {
-      threads.emplace_back([&, p] {
-        auto h = q.get_handle();
-        for (std::uint64_t i = 0; i < per_producer; ++i) {
-          while (!q.try_push(p * per_producer + i, h)) {
-            std::this_thread::yield();
-          }
-        }
-      });
-    }
-    for (unsigned c = 0; c < kConsumers; ++c) {
-      threads.emplace_back([&] {
-        auto h = q.get_handle();
-        while (consumed.load(std::memory_order_acquire) < total) {
-          const auto v = q.try_pop(h);
-          if (!v) {
-            std::this_thread::yield();
-            continue;
-          }
-          WCQ_CHECK(*v < total, "sharded/%s: out-of-range %llu",
-                    policy_name(pol), (unsigned long long)*v);
-          seen[*v].fetch_add(1, std::memory_order_relaxed);
-          consumed.fetch_add(1, std::memory_order_acq_rel);
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-    for (std::uint64_t v = 0; v < total; ++v) {
-      WCQ_CHECK(seen[v].load() == 1, "sharded/%s: value %llu seen %u times",
-                policy_name(pol), (unsigned long long)v, seen[v].load());
-    }
-    std::printf("  ok sharded_mpmc      %s\n", policy_name(pol));
+    test::MpmcRun<Q> run;
+    run.opt = options{}.order(10).shards(4).shard_policy(pol);
+    run.linearizable = false;
+    const std::string name = std::string("sharded/") + policy_name(pol);
+    test::test_mpmc<Q>(name.c_str(), 3, 3, test::env_ops(8000), run);
   }
 }
 

@@ -20,21 +20,25 @@
 // re-armed thresholds most often (a burst that spent the threshold on
 // each fruitless ticket left values behind a false empty there).
 //
-// Sized for ctest by default; the nightly TSan lane turns the knobs:
-//   WCQ_SOAK_SECONDS   total soak wall-clock across phases (def 2)
-//   WCQ_SOAK_THREADS   workers per phase (def 4)
-//   WCQ_SOAK_STALL_MS  per-op in-flight bound (def 10000)
+// Sized for ctest by default; the nightly TSan lane turns the knobs,
+// each a whole number read by harness::env_count (exit 2 naming the
+// variable unless it is an integer in [1, cap]; caps in
+// queue_test_common.hpp):
+//   WCQ_SOAK_SECONDS   total soak wall-clock across phases, in whole
+//                      seconds (def 2, nightly 300; cap one day)
+//   WCQ_SOAK_THREADS   workers per phase (def 4, nightly 8; cap 256)
+//   WCQ_SOAK_STALL_MS  per-op in-flight bound (def 10000; cap one hour)
 #include <atomic>
 #include <barrier>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/spin.hpp"
+#include "harness/driver.hpp"
 #include "harness/latency.hpp"
 #include "harness/watchdog.hpp"
 #include "queue_test_common.hpp"
@@ -42,20 +46,6 @@
 namespace {
 
 using namespace wcq;
-
-double env_double(const char* name, double dflt) {
-  if (const char* v = std::getenv(name); v && *v) {
-    return std::strtod(v, nullptr);
-  }
-  return dflt;
-}
-
-unsigned env_unsigned(const char* name, unsigned dflt) {
-  if (const char* v = std::getenv(name); v && *v) {
-    return static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-  }
-  return dflt;
-}
 
 // `batch`: half the ops are try_push_n/try_pop_n of 1-64 values.
 //
@@ -157,11 +147,13 @@ void soak_phase(const char* tag, const options& opts, unsigned threads,
 }  // namespace
 
 int main() {
-  const double total_s = env_double("WCQ_SOAK_SECONDS", 2.0);
-  const unsigned threads = env_unsigned("WCQ_SOAK_THREADS", 4);
-  const auto stall_ms =
-      static_cast<std::uint64_t>(env_unsigned("WCQ_SOAK_STALL_MS", 10000));
-  const double per_phase = total_s / 4.0;
+  const std::uint64_t total_s =
+      harness::env_count("WCQ_SOAK_SECONDS", 2, test::kMaxSoakSeconds);
+  const auto threads = static_cast<unsigned>(
+      harness::env_count("WCQ_SOAK_THREADS", 4, test::kMaxSoakThreads));
+  const std::uint64_t stall_ms =
+      harness::env_count("WCQ_SOAK_STALL_MS", 10000, test::kMaxSoakStallMs);
+  const double per_phase = static_cast<double>(total_s) / 4.0;
 
   // Phase 1: defaults — fast path dominant, ring small enough that
   // full/empty edges and the threshold logic stay hot.
