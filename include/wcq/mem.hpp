@@ -47,16 +47,12 @@ inline Stripe& my_stripe() {
   return s;
 }
 
-// One accounting event for n blocks of `bytes` each: one stripe
-// update, one RMW on the shared live line and one peak update, however
-// large n is. The n blocks enter the live/peak history together.
-inline void on_alloc(std::size_t n, std::size_t bytes) {
+inline void on_alloc(std::size_t bytes) {
   Stripe& s = my_stripe();
-  s.allocs.fetch_add(n, std::memory_order_relaxed);
-  s.total.fetch_add(n * bytes, std::memory_order_relaxed);
+  s.allocs.fetch_add(1, std::memory_order_relaxed);
+  s.total.fetch_add(bytes, std::memory_order_relaxed);
   const std::uint64_t now =
-      counters.live.fetch_add(n * bytes, std::memory_order_relaxed) +
-      n * bytes;
+      counters.live.fetch_add(bytes, std::memory_order_relaxed) + bytes;
   std::uint64_t p = counters.peak.load(std::memory_order_relaxed);
   while (p < now && !counters.peak.compare_exchange_weak(
                         p, now, std::memory_order_relaxed)) {
@@ -64,51 +60,21 @@ inline void on_alloc(std::size_t n, std::size_t bytes) {
 }
 }  // namespace detail
 
-// n aligned allocations of `bytes` each into out[0..n), counted as one
-// request (see detail::on_alloc). All-or-nothing: if one allocation
-// throws, those already made are released uncounted and the exception
-// propagates. Each block may later be freed alone (mem::free) or with
-// others of its size (mem::free_n).
-inline void alloc_n(void** out, std::size_t n, std::size_t bytes,
-                    std::size_t align = wcq::detail::kNoFalseSharing) {
-  if (n == 0) return;
-  std::size_t made = 0;
-  try {
-    for (; made < n; ++made) {
-      out[made] = ::operator new(bytes, std::align_val_t{align});
-    }
-  } catch (...) {
-    while (made-- > 0) {
-      ::operator delete(out[made], bytes, std::align_val_t{align});
-    }
-    throw;
-  }
-  detail::on_alloc(n, bytes);
-}
-
-// Frees n non-null blocks of `bytes` each with one RMW on the live
-// line; the blocks leave the live history together.
-inline void free_n(void* const* ps, std::size_t n, std::size_t bytes,
-                   std::size_t align = wcq::detail::kNoFalseSharing) {
-  if (n == 0) return;
-  for (std::size_t i = 0; i < n; ++i) {
-    ::operator delete(ps[i], bytes, std::align_val_t{align});
-  }
-  detail::counters.live.fetch_sub(n * bytes, std::memory_order_relaxed);
-}
-
-// Aligned, counted allocation. Pair with mem::free (sized).
+// Aligned, counted allocation. Pair with mem::free (sized). Counted
+// once the allocation succeeded, so a throwing request leaves the
+// counters as they were.
 inline void* alloc(std::size_t bytes,
                    std::size_t align = wcq::detail::kNoFalseSharing) {
-  void* p = nullptr;
-  alloc_n(&p, 1, bytes, align);
+  void* p = ::operator new(bytes, std::align_val_t{align});
+  detail::on_alloc(bytes);
   return p;
 }
 
 inline void free(void* p, std::size_t bytes,
                  std::size_t align = wcq::detail::kNoFalseSharing) {
   if (p == nullptr) return;
-  free_n(&p, 1, bytes, align);
+  ::operator delete(p, bytes, std::align_val_t{align});
+  detail::counters.live.fetch_sub(bytes, std::memory_order_relaxed);
 }
 
 // Zero all counters (call between benchmark runs, with no queues live).

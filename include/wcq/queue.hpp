@@ -8,8 +8,8 @@
 /// copyable T of at most 8 bytes directly in the slot (zero overhead —
 /// for T = std::uint64_t the encode/decode compile away entirely) and
 /// falls back to pointer indirection for anything larger, boxing the
-/// value through the counting allocator so Figure 10's memory
-/// accounting still sees it.
+/// value (a batch chunk into one slab) through the counting allocator
+/// so Figure 10's memory accounting still sees it.
 ///
 /// Handles are RAII: get_handle() registers the calling thread with
 /// the backend (a ThreadRec slot for wCQ, an SMR slot for
@@ -29,6 +29,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -78,66 +79,74 @@ struct slot_codec<T, true> {
   static void drop(std::uint64_t) {}
 };
 
-/// Boxed storage: the slot carries a pointer to a heap copy. Goes
-/// through mem::alloc so boxed traffic shows up in the Figure 10
-/// memory accounting like every other queue allocation. The `_n`
-/// forms box or unbox a batch chunk (at most kBatchChunk values) as one
-/// mem request, so a chunk costs one RMW on the shared live line
-/// instead of one per value.
+/// Boxed storage: the slot carries a pointer to a heap cell {slab, T}.
+/// Goes through mem::alloc so boxed traffic shows up in the Figure 10
+/// memory accounting like every other queue allocation.
+///
+/// encode boxes a value alone: one allocation of one cell whose slab
+/// is null, 8 + sizeof(T) bytes rounded up to the cell's alignment
+/// (40 B for a 32-byte T). encode_n boxes a batch chunk into one slab:
+/// one allocation of an 8-byte header {refs, cells} and n cells that
+/// point back at it, 8 + n * 40 B for n 32-byte values. Every slot is
+/// still a plain pointer to its cell, so it never collides with a
+/// backend's sentinels. A slab's refs count its values not yet decoded
+/// or dropped; whoever gives back the last frees the slab.
+///
+/// Memory bound: a slab stays allocated until the last of its values
+/// leaves the queue or is dropped, so in the worst case one live value
+/// holds a whole slab, 8 + kBatchChunk cells (2,568 B for a 32-byte T).
+/// Nothing is pooled or reused across chunks.
 template <typename T>
 struct slot_codec<T, false> {
   static constexpr bool kBoxed = true;
 
   static std::uint64_t encode(T v) {
-    void* raw = mem::alloc(sizeof(T), alignof(T));
-    T* p = new (raw) T(std::move(v));
-    return reinterpret_cast<std::uint64_t>(p);
+    void* raw = mem::alloc(sizeof(Cell), alignof(Cell));
+    return reinterpret_cast<std::uint64_t>(new (raw)
+                                               Cell{nullptr, std::move(v)});
   }
 
   static T decode(std::uint64_t slot) {
-    T* p = reinterpret_cast<T*>(slot);
-    T v = std::move(*p);
-    p->~T();
-    mem::free(p, sizeof(T), alignof(T));
+    T v = std::move(cell(slot)->value);
+    drop(slot);
     return v;
   }
 
-  static void drop(std::uint64_t slot) {
-    T* p = reinterpret_cast<T*>(slot);
-    p->~T();
-    mem::free(p, sizeof(T), alignof(T));
-  }
+  static void drop(std::uint64_t slot) { drop_n(&slot, 1); }
 
   /// The `_n` forms take one chunk: n <= kBatchChunk, else they throw
   /// std::length_error before touching anything.
   ///
-  /// Boxes copies of vs[0..n) into slots[0..n). All-or-nothing: if
-  /// copying a value throws, the boxes made so far are destroyed, the
-  /// chunk's memory is freed and the exception propagates.
+  /// Boxes copies of vs[0..n) into one slab, slots[0..n) pointing at its
+  /// cells. All-or-nothing: if copying a value throws, the cells made so
+  /// far are destroyed, the slab is freed and the exception propagates.
   static void encode_n(const T* vs, std::size_t n, std::uint64_t* slots) {
     check_chunk(n);
-    void* raw[kBatchChunk];
-    mem::alloc_n(raw, n, sizeof(T), alignof(T));
+    if (n == 0) return;
+    const std::size_t bytes = slab_bytes(n);
+    Slab* s = new (mem::alloc(bytes, kSlabAlign))
+        Slab{static_cast<std::uint32_t>(n), static_cast<std::uint32_t>(n)};
+    Cell* cells = cells_of(s);
     std::size_t made = 0;
     try {
       for (; made < n; ++made) {
-        T* p = new (raw[made]) T(vs[made]);
-        slots[made] = reinterpret_cast<std::uint64_t>(p);
+        slots[made] = reinterpret_cast<std::uint64_t>(
+            new (&cells[made]) Cell{s, vs[made]});
       }
     } catch (...) {
-      while (made-- > 0) reinterpret_cast<T*>(slots[made])->~T();
-      mem::free_n(raw, n, sizeof(T), alignof(T));
+      while (made-- > 0) cells[made].~Cell();
+      mem::free(s, bytes, kSlabAlign);
       throw;
     }
   }
 
-  /// Moves the values out of slots[0..n) into out[0..n), then frees
-  /// every box, also when a move throws.
+  /// Moves the values out of slots[0..n) into out[0..n), then gives
+  /// every box back, also when a move throws.
   static void decode_n(const std::uint64_t* slots, std::size_t n, T* out) {
     check_chunk(n);
     try {
       for (std::size_t i = 0; i < n; ++i) {
-        out[i] = std::move(*reinterpret_cast<T*>(slots[i]));
+        out[i] = std::move(cell(slots[i])->value);
       }
     } catch (...) {
       drop_n(slots, n);
@@ -146,19 +155,71 @@ struct slot_codec<T, false> {
     drop_n(slots, n);
   }
 
-  /// Destroys and frees the boxes in slots[0..n).
+  /// Destroys the values in slots[0..n) and gives their boxes back: a
+  /// lone cell is freed, and each run of slots from one slab gives back
+  /// its references at once.
   static void drop_n(const std::uint64_t* slots, std::size_t n) {
     check_chunk(n);
-    void* raw[kBatchChunk];
+    Slab* run = nullptr;
+    std::uint32_t held = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      T* p = reinterpret_cast<T*>(slots[i]);
-      p->~T();
-      raw[i] = p;
+      Cell* c = cell(slots[i]);
+      Slab* s = c->slab;
+      c->~Cell();
+      if (s == nullptr) {
+        mem::free(c, sizeof(Cell), alignof(Cell));
+        continue;
+      }
+      if (s != run) {
+        if (held != 0) give_back(run, held);
+        run = s;
+        held = 0;
+      }
+      ++held;
     }
-    mem::free_n(raw, n, sizeof(T), alignof(T));
+    if (held != 0) give_back(run, held);
   }
 
  private:
+  struct Slab {
+    std::atomic<std::uint32_t> refs;
+    std::uint32_t cells;
+  };
+  struct Cell {
+    Slab* slab;  // null: boxed alone
+    T value;
+  };
+  // The cells follow the header at their own alignment.
+  static constexpr std::size_t kCellsAt =
+      (sizeof(Slab) + alignof(Cell) - 1) / alignof(Cell) * alignof(Cell);
+  static constexpr std::size_t kSlabAlign =
+      std::max(alignof(Slab), alignof(Cell));
+
+  static constexpr std::size_t slab_bytes(std::size_t n) {
+    return kCellsAt + n * sizeof(Cell);
+  }
+  static Cell* cells_of(Slab* s) {
+    return reinterpret_cast<Cell*>(reinterpret_cast<std::byte*>(s) +
+                                   kCellsAt);
+  }
+  static Cell* cell(std::uint64_t slot) {
+    return reinterpret_cast<Cell*>(slot);
+  }
+
+  // Gives back k of s's references; whoever gives back the last frees
+  // s. refs never rises, so a holder that reads it equal to its own k
+  // holds every reference left and frees without an RMW: a chunk popped
+  // whole by one thread costs no atomic RMW at all. The acquire (load
+  // or fetch_sub) orders the other holders' reads of their cells before
+  // the free.
+  static void give_back(Slab* s, std::uint32_t k) {
+    if (s->refs.load(std::memory_order_acquire) != k &&
+        s->refs.fetch_sub(k, std::memory_order_acq_rel) != k) {
+      return;
+    }
+    mem::free(s, slab_bytes(s->cells), kSlabAlign);
+  }
+
   static void check_chunk(std::size_t n) {
     if (n > kBatchChunk) {
       throw std::length_error("slot_codec: a batch chunk holds at most "
@@ -340,11 +401,12 @@ class queue {
   /// Batch enqueue: pushes vs[0..n) in order, stopping at the first
   /// refusal (queue full, or a backend-reserved sentinel pattern);
   /// returns how many were accepted. Works in kBatchChunk chunks: a
-  /// chunk is encoded (boxed values as one mem request), pushed as one
-  /// burst where the backend has its own (wCQ, FaaQueue, shard_set),
-  /// else one value at a time, and the refused tail's boxes are
-  /// dropped. If copying a value throws, that chunk is pushed not at
-  /// all and the exception propagates; earlier chunks stay queued.
+  /// chunk is encoded (boxed values into one slab), pushed as one burst
+  /// where the backend has its own (wCQ, FaaQueue, shard_set), else one
+  /// value at a time, and the refused tail is dropped (a chunk refused
+  /// whole makes one allocation and frees it). If copying a value
+  /// throws, that chunk is pushed not at all and the exception
+  /// propagates; earlier chunks stay queued.
   std::size_t try_push_n(const T* vs, std::size_t n, handle& h) {
     std::uint64_t slots[kBatchChunk];
     std::size_t pushed = 0;
@@ -366,7 +428,8 @@ class queue {
   /// (zero iff the queue is empty), in queue order. Works in
   /// kBatchChunk chunks as try_push_n: a chunk is popped as one burst
   /// where the backend has its own, else one value at a time, and
-  /// decoded (boxed values freed as one mem request).
+  /// decoded (each run of values from one slab gives its references
+  /// back at once).
   std::size_t try_pop_n(T* out, std::size_t n, handle& h) {
     std::uint64_t slots[kBatchChunk];
     std::size_t got = 0;
