@@ -127,7 +127,9 @@ static_assert(concepts::ObservableQueue<WcqAdapter>);
 static_assert(concepts::ObservableQueue<WcqPortableAdapter>);
 
 // The dynamic-memory backends reclaim through the shared SMR layer;
-// the memory bench and SMR tests read its counters through the facade.
+// test_churn, test_lcrq and the bench suite's layer ladder read its
+// counters (smr_stats()) through the facade. The memory bench reads
+// only mem::stats().
 static_assert(concepts::ReclaimingQueue<MsqAdapter>);
 static_assert(concepts::ReclaimingQueue<FaaAdapter>);
 static_assert(concepts::ReclaimingQueue<LcrqAdapter>);

@@ -1,14 +1,16 @@
 // Batch checks for boxed payloads, shared by test_typed_facade
 // (wcq::queue) and test_sharded (wcq::sharded, the same facade over a
-// shard_set): a chunk's boxes are accounted as one mem request but
-// must leave mem's counters exactly where per-value boxing leaves them,
-// and a copy that throws mid-chunk must leak no box.
+// shard_set): a chunk is boxed into one slab, one allocation, freed
+// exactly once when its last value leaves or is dropped, a chunk
+// refused whole costs one allocation, and a copy that throws mid-chunk
+// must leak no box.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <new>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "queue_test_common.hpp"
@@ -76,20 +78,44 @@ struct slot_codec<test::PerValueMsg40> {
 
 namespace wcq::test {
 
+// The default boxed codec's bytes for a value of at most 8-byte
+// alignment (queue.hpp): a cell is {slab pointer, value}; a slab of n
+// cells is an 8-byte header {refs, cells} and the cells; a value boxed
+// alone is one cell.
+template <typename M>
+constexpr std::uint64_t cell_bytes() {
+  static_assert(alignof(M) <= 8 && sizeof(M) % 8 == 0);
+  return 8 + sizeof(M);
+}
+template <typename M>
+constexpr std::uint64_t slab_bytes(std::uint64_t n) {
+  return 8 + n * cell_bytes<M>();
+}
+
+// mem's counters around one batch round, from a reset with nothing
+// live: idle with the facade and a handle built, queued while both
+// pushed chunks are partly popped, end after teardown.
+struct BoxRound {
+  std::uint64_t idle = 0;
+  std::uint64_t queued = 0;
+  mem::Stats end;
+};
+
 // One batch round on a fresh facade of capacity 64 over `opt`: 40
 // pushed, then 60 offered of which 24 fit (a refused tail of 36),
-// everything popped back in two batches and checked, then 10 pushed
-// and left for teardown. Returns mem's counters for the round, from
-// a reset with nothing live.
+// everything popped back in two batches of 30 and 34 and checked, then
+// 10 pushed and left for teardown.
 template <typename Q>
-mem::Stats batch_box_round(const char* name, const options& opt) {
+BoxRound batch_box_round(const char* name, const options& opt) {
   using M = typename Q::value_type;
   WCQ_CHECK(mem::stats().live_bytes == 0, "%s: mem not idle before reset",
             name);
   mem::reset();
+  BoxRound r;
   {
     Q q(options{opt}.order(6).max_threads(2));
     auto h = q.get_handle();
+    r.idle = mem::stats().live_bytes;
     std::vector<M> in(110);
     for (std::uint64_t i = 0; i < in.size(); ++i) in[i].v.fill(i);
     WCQ_CHECK(q.try_push_n(in.data(), 40, h) == 40, "%s: push_n 40", name);
@@ -97,6 +123,7 @@ mem::Stats batch_box_round(const char* name, const options& opt) {
               "%s: push_n into 24 free slots", name);
     std::vector<M> out(64);
     WCQ_CHECK(q.try_pop_n(out.data(), 30, h) == 30, "%s: pop_n 30", name);
+    r.queued = mem::stats().live_bytes;
     WCQ_CHECK(q.try_pop_n(out.data() + 30, 64, h) == 34, "%s: pop_n rest",
               name);
     std::vector<bool> seen(64, false);
@@ -109,50 +136,156 @@ mem::Stats batch_box_round(const char* name, const options& opt) {
     WCQ_CHECK(q.try_push_n(in.data() + 100, 10, h) == 10, "%s: push_n 10",
               name);
   }
-  return mem::stats();
+  r.end = mem::stats();
+  return r;
 }
 
-// The _n path against the per-value path for the same values, counter
-// by counter, and the number of 40-byte boxes the round makes: 110,
-// since the facade boxes a whole chunk before pushing it (the refused
-// tail of 36 included).
+// The round's boxes, counted exactly. The default codec boxes each
+// chunk into one slab, so the round makes 3 allocations: 40 values,
+// 60 (36 of them refused and dropped, the slab kept by the 24 queued)
+// and 10. After 30 pops both of the first two slabs are partly popped
+// and still allocated whole. The per-value codec makes 110 boxes of
+// 40 B, since the facade boxes a whole chunk before pushing it.
 template <typename Q, typename QPerValue>
 void test_batch_box_accounting(const char* name, const options& opt) {
-  constexpr std::uint64_t boxes = 110;
-  const mem::Stats a = batch_box_round<Q>(name, opt);
-  const mem::Stats b = batch_box_round<QPerValue>(name, opt);
-  WCQ_CHECK(a.total_allocs == b.total_allocs,
-            "%s: %llu allocations batched vs %llu per value", name,
-            (unsigned long long)a.total_allocs,
-            (unsigned long long)b.total_allocs);
-  WCQ_CHECK(a.total_bytes == b.total_bytes,
-            "%s: %llu bytes batched vs %llu per value", name,
-            (unsigned long long)a.total_bytes,
-            (unsigned long long)b.total_bytes);
-  WCQ_CHECK(a.live_bytes == 0 && b.live_bytes == 0,
-            "%s: live bytes %llu batched, %llu per value after teardown",
-            name, (unsigned long long)a.live_bytes,
-            (unsigned long long)b.live_bytes);
-  WCQ_CHECK(a.peak_bytes == b.peak_bytes,
-            "%s: peak %llu batched vs %llu per value", name,
-            (unsigned long long)a.peak_bytes,
-            (unsigned long long)b.peak_bytes);
-  // The facade's own allocations are the same on both sides.
+  // The facade's own allocations, the same on both sides.
   mem::reset();
   {
     Q q(options{opt}.order(6).max_threads(2));
     auto h = q.get_handle();
   }
   const mem::Stats base = mem::stats();
-  WCQ_CHECK(a.total_allocs - base.total_allocs == boxes &&
-                a.total_bytes - base.total_bytes == boxes * sizeof(Msg40),
-            "%s: %llu boxes of %llu bytes, want %llu of 40", name,
-            (unsigned long long)(a.total_allocs - base.total_allocs),
-            (unsigned long long)(a.total_bytes - base.total_bytes),
-            (unsigned long long)boxes);
-  std::printf("  ok batch_box_accounting %s (%llu allocs, peak %llu B)\n",
-              name, (unsigned long long)a.total_allocs,
-              (unsigned long long)a.peak_bytes);
+  const BoxRound a = batch_box_round<Q>(name, opt);
+  const BoxRound b = batch_box_round<QPerValue>(name, opt);
+  const auto count = [&](const BoxRound& r) {
+    return (unsigned long long)(r.end.total_allocs - base.total_allocs);
+  };
+  const auto bytes = [&](const BoxRound& r) {
+    return (unsigned long long)(r.end.total_bytes - base.total_bytes);
+  };
+  const std::uint64_t slabs = slab_bytes<Msg40>(40) +
+                              slab_bytes<Msg40>(60) + slab_bytes<Msg40>(10);
+  WCQ_CHECK(count(a) == 3 && bytes(a) == slabs,
+            "%s: %llu boxes of %llu bytes in all, want 3 slabs of %llu",
+            name, count(a), bytes(a), (unsigned long long)slabs);
+  WCQ_CHECK(a.queued - a.idle ==
+                slab_bytes<Msg40>(40) + slab_bytes<Msg40>(60),
+            "%s: %llu bytes live with two slabs partly popped, want %llu",
+            name, (unsigned long long)(a.queued - a.idle),
+            (unsigned long long)(slab_bytes<Msg40>(40) +
+                                 slab_bytes<Msg40>(60)));
+  WCQ_CHECK(count(b) == 110 && bytes(b) == 110 * sizeof(Msg40),
+            "%s: %llu per-value boxes of %llu bytes in all, want 110 of 40",
+            name, count(b), bytes(b));
+  WCQ_CHECK(b.queued - b.idle == 34 * sizeof(Msg40),
+            "%s: %llu bytes live with 34 per-value boxes queued", name,
+            (unsigned long long)(b.queued - b.idle));
+  WCQ_CHECK(a.end.live_bytes == 0 && b.end.live_bytes == 0,
+            "%s: live bytes %llu batched, %llu per value after teardown",
+            name, (unsigned long long)a.end.live_bytes,
+            (unsigned long long)b.end.live_bytes);
+  std::printf("  ok batch_box_accounting %s (%llu slabs, peak %llu B)\n",
+              name, count(a), (unsigned long long)a.end.peak_bytes);
+}
+
+// A chunk refused whole by a full facade: one allocation (its slab),
+// freed before try_push_n returns, so live bytes stay where they were.
+template <typename Q>
+void test_batch_refused_chunk(const char* name, const options& opt) {
+  using M = typename Q::value_type;
+  Q q(options{opt}.order(6).max_threads(2));
+  auto h = q.get_handle();
+  std::vector<M> in(64);
+  WCQ_CHECK(q.try_push_n(in.data(), 64, h) == 64, "%s: fill", name);
+  const mem::Stats before = mem::stats();
+  WCQ_CHECK(q.try_push_n(in.data(), 64, h) == 0,
+            "%s: a full facade took a chunk", name);
+  const mem::Stats after = mem::stats();
+  WCQ_CHECK(after.total_allocs - before.total_allocs == 1 &&
+                after.live_bytes == before.live_bytes,
+            "%s: a refused chunk made %llu allocations and left %lld bytes",
+            name, (unsigned long long)(after.total_allocs - before.total_allocs),
+            (long long)(after.live_bytes - before.live_bytes));
+  std::printf("  ok batch_refused     %s (1 allocation)\n", name);
+}
+
+// One try_pop_n that returns values boxed alone by try_push and boxed
+// in slabs by try_push_n, interleaved: 3 in a slab, 1 alone, 4 in a
+// slab, 1 alone. Each box is given back exactly once.
+template <typename Q>
+void test_batch_pop_mixed_boxes(const char* name, const options& opt) {
+  using M = typename Q::value_type;
+  Q q(options{opt}.order(6).max_threads(2));
+  auto h = q.get_handle();
+  const mem::Stats before = mem::stats();
+  std::vector<M> in(9);
+  for (std::uint64_t i = 0; i < in.size(); ++i) in[i].v.fill(i);
+  WCQ_CHECK(q.try_push_n(in.data(), 3, h) == 3 && q.try_push(in[3], h) &&
+                q.try_push_n(in.data() + 4, 4, h) == 4 && q.try_push(in[8], h),
+            "%s: pushes refused", name);
+  const mem::Stats pushed = mem::stats();
+  const std::uint64_t boxes = slab_bytes<M>(3) + slab_bytes<M>(4) +
+                              2 * cell_bytes<M>();
+  WCQ_CHECK(pushed.total_allocs - before.total_allocs == 4 &&
+                pushed.live_bytes - before.live_bytes == boxes,
+            "%s: %llu allocations, %llu live bytes for 2 slabs and 2 cells",
+            name, (unsigned long long)(pushed.total_allocs - before.total_allocs),
+            (unsigned long long)(pushed.live_bytes - before.live_bytes));
+  std::vector<M> out(16);
+  WCQ_CHECK(q.try_pop_n(out.data(), out.size(), h) == 9, "%s: pop_n", name);
+  std::vector<bool> seen(9, false);
+  for (std::size_t i = 0; i < 9; ++i) {
+    const M& m = out[i];
+    WCQ_CHECK(m.v[0] < 9 && !seen[m.v[0]] && m.v[4] == m.v[0],
+              "%s: value %llu lost, duplicated or torn", name,
+              (unsigned long long)m.v[0]);
+    seen[m.v[0]] = true;
+  }
+  WCQ_CHECK(mem::stats().live_bytes == before.live_bytes,
+            "%s: %lld bytes live after the pop", name,
+            (long long)(mem::stats().live_bytes - before.live_bytes));
+  std::printf("  ok batch_pop_mixed   %s\n", name);
+}
+
+// A chunk's values leave through two handles on two threads, 20 then
+// 44: the slab stays allocated until the second pop and is freed
+// exactly once.
+template <typename Q>
+void test_batch_slab_two_handles(const char* name, const options& opt) {
+  using M = typename Q::value_type;
+  Q q(options{opt}.order(8).max_threads(3));
+  auto h = q.get_handle();
+  const std::uint64_t idle = mem::stats().live_bytes;
+  std::vector<M> in(64);
+  for (std::uint64_t i = 0; i < in.size(); ++i) in[i].v.fill(i);
+  WCQ_CHECK(q.try_push_n(in.data(), 64, h) == 64, "%s: push_n", name);
+  std::vector<M> out(64);
+  std::size_t got = 0;
+  std::uint64_t live_between = 0;
+  for (const std::size_t n : {std::size_t{20}, std::size_t{44}}) {
+    std::thread([&] {
+      auto mine = q.get_handle();
+      got += q.try_pop_n(out.data() + got, n, mine);
+    }).join();
+    if (got == 20) live_between = mem::stats().live_bytes;
+  }
+  WCQ_CHECK(got == 64, "%s: popped %zu of 64", name, got);
+  WCQ_CHECK(live_between - idle == slab_bytes<M>(64),
+            "%s: %llu bytes live with 44 of the slab's values queued, want "
+            "%llu",
+            name, (unsigned long long)(live_between - idle),
+            (unsigned long long)slab_bytes<M>(64));
+  WCQ_CHECK(mem::stats().live_bytes == idle,
+            "%s: %lld bytes live once both handles popped", name,
+            (long long)(mem::stats().live_bytes - idle));
+  std::vector<bool> seen(64, false);
+  for (const M& m : out) {
+    WCQ_CHECK(m.v[0] < 64 && !seen[m.v[0]] && m.v[4] == m.v[0],
+              "%s: value %llu lost, duplicated or torn", name,
+              (unsigned long long)m.v[0]);
+    seen[m.v[0]] = true;
+  }
+  std::printf("  ok batch_two_handles %s\n", name);
 }
 
 // A copy that throws inside a batch push: once in the first chunk (its
@@ -160,8 +293,8 @@ void test_batch_box_accounting(const char* name, const options& opt) {
 // 5th copy, after a whole chunk of 64). The facade boxes a whole chunk
 // before pushing it, so a throw pushes none of its chunk: 0 values
 // land, then chunk 1's 64. No box may leak: live bytes rise by exactly
-// the landed values' boxes, those values pop back intact, and teardown
-// returns to the baseline.
+// the landed chunk's slab (the throwing chunk's is freed), those values
+// pop back intact, and teardown returns to the baseline.
 template <typename Q>
 void test_batch_throwing_copy(const char* name, const options& opt) {
   const std::uint64_t baseline = mem::stats().live_bytes;
@@ -190,10 +323,12 @@ void test_batch_throwing_copy(const char* name, const options& opt) {
                  q.try_pop_n(out.data() + got, out.size() - got, h)) {
         got += k;
       }
-      WCQ_CHECK(after - before == got * sizeof(ThrowingMsg),
+      const std::uint64_t slab = got == 0 ? 0 : slab_bytes<ThrowingMsg>(got);
+      WCQ_CHECK(after - before == slab,
                 "%s: a copy throwing after %d copies left %lld live bytes "
-                "for %zu landed values",
-                name, copies, (long long)(after - before), got);
+                "for %zu landed values, want their slab's %llu",
+                name, copies, (long long)(after - before), got,
+                (unsigned long long)slab);
       std::vector<bool> seen(got, false);
       for (std::size_t i = 0; i < got; ++i) {
         const ThrowingMsg& m = out[i];

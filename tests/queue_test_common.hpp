@@ -203,6 +203,28 @@ inline std::size_t unlinearizable_empties(
   return bad;
 }
 
+// A value too large for a slot, so wcq::queue boxes it: test_mpmc's
+// tag and three words derived from it (32 bytes, as the bench suite's
+// boxed messages), so a torn or stale box reads as an out-of-range tag.
+struct BoxedTag {
+  std::uint64_t tag = 0;
+  std::uint64_t check[3] = {};
+
+  BoxedTag() = default;
+  explicit BoxedTag(std::uint64_t t)
+      : tag(t), check{~t, t * 0x9e3779b97f4a7c15ull, t ^ (t >> 7)} {}
+};
+
+// The tag a test_mpmc value carries: the value itself, or a BoxedTag's
+// tag (UINT64_MAX when its check words do not match it).
+inline std::uint64_t tag_of(std::uint64_t v) { return v; }
+inline std::uint64_t tag_of(const BoxedTag& b) {
+  const BoxedTag want(b.tag);
+  return std::memcmp(b.check, want.check, sizeof want.check) == 0
+             ? b.tag
+             : UINT64_MAX;
+}
+
 // What a test_mpmc run does beyond its shape.
 template <typename Q>
 struct MpmcRun {
@@ -239,7 +261,8 @@ inline constexpr std::uint64_t kStallNs = 60'000'000'000;
 
 // MPMC no-loss/no-duplication on a queue the caller owns, which must
 // be empty and have a handle slot for every worker: P producers push
-// tagged values, C consumers pop until everything is accounted for;
+// tagged values (std::uint64_t tags, or BoxedTags through the boxed
+// codec), C consumers pop until everything is accounted for;
 // every value must be seen exactly once and per-producer order must be
 // monotone, and no empty answer may miss a value queued throughout it
 // (the witness above; each consumer records up to EmptyLog::kCap of
@@ -249,6 +272,7 @@ template <concepts::Queue Q>
 MpmcCalls test_mpmc(Q& q, const char* name, unsigned producers,
                     unsigned consumers, std::uint64_t per_producer,
                     const MpmcRun<Q>& run = {}) {
+  using V = typename Q::value_type;
   const std::uint64_t total = per_producer * producers;
   std::vector<std::atomic<std::uint32_t>> seen(total);
   for (auto& s : seen) s.store(0, std::memory_order_relaxed);
@@ -290,7 +314,7 @@ MpmcCalls test_mpmc(Q& q, const char* name, unsigned producers,
       auto h = q.get_handle();
       Progress progress;
       std::uint64_t calls = 0;
-      std::uint64_t vs[kBatchChunk];
+      V vs[kBatchChunk];
       for (std::uint64_t i = 0; i < per_producer; ++calls) {
         // Burst sizes cycle through 1..64 from a per-producer offset.
         std::uint64_t n = 1;
@@ -298,7 +322,8 @@ MpmcCalls test_mpmc(Q& q, const char* name, unsigned producers,
           n = std::min<std::uint64_t>(1 + (i + p * 29) % kBatchChunk,
                                       per_producer - i);
         }
-        for (std::uint64_t k = 0; k < n; ++k) vs[k] = p * per_producer + i + k;
+        const std::uint64_t first = p * per_producer + i;
+        for (std::uint64_t k = 0; k < n; ++k) vs[k] = V(first + k);
         std::size_t ok = 0;
         if (run.bursts) {
           ok = q.try_push_n(vs, n, h);
@@ -306,7 +331,7 @@ MpmcCalls test_mpmc(Q& q, const char* name, unsigned producers,
           ok = 1;
         }
         const std::uint64_t at = stamp_ns();
-        for (std::size_t k = 0; k < ok; ++k) pushed[vs[k]] = at;
+        for (std::size_t k = 0; k < ok; ++k) pushed[first + k] = at;
         i += ok;
         if (ok < n) {  // full: wait for consumers
           check_progress(progress, at);
@@ -322,15 +347,15 @@ MpmcCalls test_mpmc(Q& q, const char* name, unsigned producers,
       Progress progress;
       std::vector<std::uint64_t> last(producers, 0);
       std::vector<bool> any(producers, false);
-      std::uint64_t vs[kBatchChunk];
+      V vs[kBatchChunk];
       std::uint64_t call = c;
       for (; consumed.load(std::memory_order_acquire) < total; ++call) {
         const std::uint64_t a = stamp_ns();
         std::size_t got = 0;
         if (run.bursts) {
           got = q.try_pop_n(vs, 1 + call * 37 % kBatchChunk, h);
-        } else if (const auto v = q.try_pop(h)) {
-          vs[0] = *v;
+        } else if (auto v = q.try_pop(h)) {
+          vs[0] = std::move(*v);
           got = 1;
         }
         if (got == 0) {
@@ -341,7 +366,7 @@ MpmcCalls test_mpmc(Q& q, const char* name, unsigned producers,
           continue;
         }
         for (std::size_t k = 0; k < got; ++k) {
-          const std::uint64_t v = vs[k];
+          const std::uint64_t v = tag_of(vs[k]);
           WCQ_CHECK(v < total, "%s: out-of-range value %llu", name,
                     (unsigned long long)v);
           seen[v].fetch_add(1, std::memory_order_relaxed);

@@ -358,6 +358,12 @@ int main() {
   test::test_batch_box_accounting<sharded<test::Msg40>,
                                   sharded<test::PerValueMsg40>>(
       "sharded", options{}.shards(2));
+  test::test_batch_refused_chunk<sharded<test::Msg40>>("sharded",
+                                                       options{}.shards(2));
+  test::test_batch_pop_mixed_boxes<sharded<test::Msg40>>("sharded",
+                                                         options{}.shards(2));
+  test::test_batch_slab_two_handles<sharded<test::Msg40>>(
+      "sharded", options{}.shards(2));
   test::test_batch_throwing_copy<sharded<test::ThrowingMsg>>(
       "sharded", options{}.shards(2));
   test_batch_sentinel_refusal();

@@ -1,10 +1,11 @@
 // Typed wcq::queue<T> facade coverage: inline slot_codec for small
 // trivially copyable T (must be bit-exact and allocation-free), the
 // boxed pointer-indirection codec for anything larger (no leaks on
-// failed pushes or on teardown with values still queued; batch boxing
-// accounted exactly as per-value boxing, and leak-free when a copy
-// throws), the concept surface working over a non-default backend,
-// and the one options refusal rule across the whole lineup.
+// failed pushes or on teardown with values still queued; one slab per
+// batch chunk, counted exactly, freed once however its values leave,
+// leak-free when a copy throws; boxed MPMC through test_mpmc), the
+// concept surface working over a non-default backend, and the one
+// options refusal rule across the whole lineup.
 #include <climits>
 #include <cstdint>
 #include <stdexcept>
@@ -208,6 +209,24 @@ void test_refusals(const char* name, unsigned max_order, const char* who) {
   std::printf("  ok refusals          %s (%zu rows)\n", name, rows.size());
 }
 
+// Boxed values through the one MPMC checker, in bursts, with more
+// consumers than producers: chunks split across consumers, so a slab's
+// references are given back on several threads. Over sharded only the
+// ledger applies (per-shard contract). Every slab is freed by the end.
+template <typename Q>
+void test_boxed_mpmc(const char* name, const options& opt,
+                     bool linearizable) {
+  const std::uint64_t live_before = mem::stats().live_bytes;
+  test::MpmcRun<Q> run;
+  run.opt = opt;
+  run.bursts = true;
+  run.linearizable = linearizable;
+  test::test_mpmc<Q>(name, 2, 4, test::env_ops(100000), run);
+  WCQ_CHECK(mem::stats().live_bytes == live_before,
+            "%s: %lld bytes live after the run", name,
+            (long long)(mem::stats().live_bytes - live_before));
+}
+
 }  // namespace
 
 int main() {
@@ -218,10 +237,17 @@ int main() {
   test::test_batch_box_accounting<queue<test::Msg40>,
                                   queue<test::PerValueMsg40>>("queue",
                                                               options{});
+  test::test_batch_refused_chunk<queue<test::Msg40>>("queue", options{});
+  test::test_batch_pop_mixed_boxes<queue<test::Msg40>>("queue", options{});
+  test::test_batch_slab_two_handles<queue<test::Msg40>>("queue", options{});
   test::test_batch_throwing_copy<queue<test::ThrowingMsg>>("queue",
                                                            options{});
   test::test_batch_throwing_copy<queue<test::ThrowingMsg, FaaQueue>>(
       "queue<faa>", options{});
+  test_boxed_mpmc<queue<test::BoxedTag>>("boxed wcq", options{}.order(8),
+                                         true);
+  test_boxed_mpmc<sharded<test::BoxedTag>>(
+      "boxed sharded", options{}.order(8).shards(2), false);
   test_faa_reserved_values_refused();
   test_non_default_backend();
   test_refusals<harness::WcqAdapter>("wcq", detail::kMaxNoteOrder, "wcq");
