@@ -124,7 +124,7 @@ struct slot_codec<T, false> {
     check_chunk(n);
     if (n == 0) return;
     const std::size_t bytes = slab_bytes(n);
-    Slab* s = new (mem::alloc(bytes, kSlabAlign))
+    Slab* s = new (mem::alloc(bytes, alignof(Cell)))
         Slab{static_cast<std::uint32_t>(n), static_cast<std::uint32_t>(n)};
     Cell* cells = cells_of(s);
     std::size_t made = 0;
@@ -135,7 +135,7 @@ struct slot_codec<T, false> {
       }
     } catch (...) {
       while (made-- > 0) cells[made].~Cell();
-      mem::free(s, bytes, kSlabAlign);
+      mem::free(s, bytes, alignof(Cell));
       throw;
     }
   }
@@ -189,11 +189,11 @@ struct slot_codec<T, false> {
     Slab* slab;  // null: boxed alone
     T value;
   };
-  // The cells follow the header at their own alignment.
-  static constexpr std::size_t kCellsAt =
-      (sizeof(Slab) + alignof(Cell) - 1) / alignof(Cell) * alignof(Cell);
-  static constexpr std::size_t kSlabAlign =
-      std::max(alignof(Slab), alignof(Cell));
+  // A slab is aligned for its cells, which follow the header at their
+  // own alignment: at least 8, the header's size (a cell holds a
+  // pointer).
+  static constexpr std::size_t kCellsAt = alignof(Cell);
+  static_assert(sizeof(Slab) <= kCellsAt);
 
   static constexpr std::size_t slab_bytes(std::size_t n) {
     return kCellsAt + n * sizeof(Cell);
@@ -217,7 +217,7 @@ struct slot_codec<T, false> {
         s->refs.fetch_sub(k, std::memory_order_acq_rel) != k) {
       return;
     }
-    mem::free(s, slab_bytes(s->cells), kSlabAlign);
+    mem::free(s, slab_bytes(s->cells), alignof(Cell));
   }
 
   static void check_chunk(std::size_t n) {

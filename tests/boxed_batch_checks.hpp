@@ -143,9 +143,11 @@ BoxRound batch_box_round(const char* name, const options& opt) {
 // The round's boxes, counted exactly. The default codec boxes each
 // chunk into one slab, so the round makes 3 allocations: 40 values,
 // 60 (36 of them refused and dropped, the slab kept by the 24 queued)
-// and 10. After 30 pops both of the first two slabs are partly popped
-// and still allocated whole. The per-value codec makes 110 boxes of
-// 40 B, since the facade boxes a whole chunk before pushing it.
+// and 10. Both of the first two slabs stay allocated whole from the
+// second push until the second pop, so they are live after 30 pops
+// and they make the peak. The per-value codec makes 110 boxes of 40 B,
+// since the facade boxes a whole chunk before pushing it; its peak is
+// the 100 boxes live before the refused tail is dropped.
 template <typename Q, typename QPerValue>
 void test_batch_box_accounting(const char* name, const options& opt) {
   // The facade's own allocations, the same on both sides.
@@ -163,23 +165,28 @@ void test_batch_box_accounting(const char* name, const options& opt) {
   const auto bytes = [&](const BoxRound& r) {
     return (unsigned long long)(r.end.total_bytes - base.total_bytes);
   };
-  const std::uint64_t slabs = slab_bytes<Msg40>(40) +
-                              slab_bytes<Msg40>(60) + slab_bytes<Msg40>(10);
+  const auto over_idle = [](const BoxRound& r, std::uint64_t live) {
+    return (unsigned long long)(live - r.idle);
+  };
+  const std::uint64_t two = slab_bytes<Msg40>(40) + slab_bytes<Msg40>(60);
+  const std::uint64_t slabs = two + slab_bytes<Msg40>(10);
   WCQ_CHECK(count(a) == 3 && bytes(a) == slabs,
             "%s: %llu boxes of %llu bytes in all, want 3 slabs of %llu",
             name, count(a), bytes(a), (unsigned long long)slabs);
-  WCQ_CHECK(a.queued - a.idle ==
-                slab_bytes<Msg40>(40) + slab_bytes<Msg40>(60),
-            "%s: %llu bytes live with two slabs partly popped, want %llu",
-            name, (unsigned long long)(a.queued - a.idle),
-            (unsigned long long)(slab_bytes<Msg40>(40) +
-                                 slab_bytes<Msg40>(60)));
+  WCQ_CHECK(over_idle(a, a.queued) == two &&
+                over_idle(a, a.end.peak_bytes) == two,
+            "%s: %llu bytes live with two slabs partly popped and a peak "
+            "of %llu, want %llu",
+            name, over_idle(a, a.queued), over_idle(a, a.end.peak_bytes),
+            (unsigned long long)two);
   WCQ_CHECK(count(b) == 110 && bytes(b) == 110 * sizeof(Msg40),
             "%s: %llu per-value boxes of %llu bytes in all, want 110 of 40",
             name, count(b), bytes(b));
-  WCQ_CHECK(b.queued - b.idle == 34 * sizeof(Msg40),
-            "%s: %llu bytes live with 34 per-value boxes queued", name,
-            (unsigned long long)(b.queued - b.idle));
+  WCQ_CHECK(over_idle(b, b.queued) == 34 * sizeof(Msg40) &&
+                over_idle(b, b.end.peak_bytes) == 100 * sizeof(Msg40),
+            "%s: %llu bytes live with 34 per-value boxes queued and a peak "
+            "of %llu",
+            name, over_idle(b, b.queued), over_idle(b, b.end.peak_bytes));
   WCQ_CHECK(a.end.live_bytes == 0 && b.end.live_bytes == 0,
             "%s: live bytes %llu batched, %llu per value after teardown",
             name, (unsigned long long)a.end.live_bytes,
@@ -201,10 +208,10 @@ void test_batch_refused_chunk(const char* name, const options& opt) {
   WCQ_CHECK(q.try_push_n(in.data(), 64, h) == 0,
             "%s: a full facade took a chunk", name);
   const mem::Stats after = mem::stats();
-  WCQ_CHECK(after.total_allocs - before.total_allocs == 1 &&
-                after.live_bytes == before.live_bytes,
+  const std::uint64_t allocs = after.total_allocs - before.total_allocs;
+  WCQ_CHECK(allocs == 1 && after.live_bytes == before.live_bytes,
             "%s: a refused chunk made %llu allocations and left %lld bytes",
-            name, (unsigned long long)(after.total_allocs - before.total_allocs),
+            name, (unsigned long long)allocs,
             (long long)(after.live_bytes - before.live_bytes));
   std::printf("  ok batch_refused     %s (1 allocation)\n", name);
 }
@@ -224,13 +231,13 @@ void test_batch_pop_mixed_boxes(const char* name, const options& opt) {
                 q.try_push_n(in.data() + 4, 4, h) == 4 && q.try_push(in[8], h),
             "%s: pushes refused", name);
   const mem::Stats pushed = mem::stats();
+  const std::uint64_t allocs = pushed.total_allocs - before.total_allocs;
+  const std::uint64_t live = pushed.live_bytes - before.live_bytes;
   const std::uint64_t boxes = slab_bytes<M>(3) + slab_bytes<M>(4) +
                               2 * cell_bytes<M>();
-  WCQ_CHECK(pushed.total_allocs - before.total_allocs == 4 &&
-                pushed.live_bytes - before.live_bytes == boxes,
+  WCQ_CHECK(allocs == 4 && live == boxes,
             "%s: %llu allocations, %llu live bytes for 2 slabs and 2 cells",
-            name, (unsigned long long)(pushed.total_allocs - before.total_allocs),
-            (unsigned long long)(pushed.live_bytes - before.live_bytes));
+            name, (unsigned long long)allocs, (unsigned long long)live);
   std::vector<M> out(16);
   WCQ_CHECK(q.try_pop_n(out.data(), out.size(), h) == 9, "%s: pop_n", name);
   std::vector<bool> seen(9, false);
