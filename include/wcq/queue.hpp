@@ -101,9 +101,9 @@ struct slot_codec<T, false> {
   static constexpr bool kBoxed = true;
 
   static std::uint64_t encode(T v) {
-    void* raw = mem::alloc(sizeof(Cell), alignof(Cell));
-    return reinterpret_cast<std::uint64_t>(new (raw)
-                                               Cell{nullptr, std::move(v)});
+    Cell* c = new (mem::alloc(sizeof(Cell), alignof(Cell)))
+        Cell{nullptr, std::move(v)};
+    return reinterpret_cast<std::uint64_t>(c);
   }
 
   static T decode(std::uint64_t slot) {
