@@ -1,4 +1,5 @@
-// Low-level shared bits: cache-line constants, cpu_pause, CAS2 (the
+// Low-level shared bits: cache-line constants, cpu_pause, the entry
+// prefetch (prefetch_for_write) and a ring's no-op data access, CAS2 (the
 // double-width compare-and-swap wCQ's note protocol rides on), and the
 // packed note/request-control layouts of the cooperative slow path.
 #pragma once
@@ -27,6 +28,26 @@ inline void cpu_pause() {
   asm volatile("" ::: "memory");
 #endif
 }
+
+// Fetch the line at p for writing: a hint with no memory-model effect.
+// A ring ticket loads its entry and then CASes it; asking for the line
+// exclusive first makes the pair one coherence transaction instead of
+// a shared fill plus an upgrade. On x86-64, __builtin_prefetch emits
+// prefetchw only under -mprfchw (else the read prefetch prefetcht0), so
+// the instruction is spelled out; parts without the PRFCHW feature
+// decode its 0F 0D opcode as a NOP. AArch64's builtin is prfm pstl1keep.
+[[gnu::always_inline]] inline void prefetch_for_write(const void* p) {
+#if defined(__x86_64__)
+  asm volatile("prefetchw %0" : : "m"(*static_cast<const char*>(p)));
+#else
+  __builtin_prefetch(p, 1, 3);
+#endif
+}
+
+// The default data access of a ring's enqueue_idx: none.
+struct NoAccess {
+  [[gnu::always_inline]] void operator()() const {}
+};
 
 // Bump a counter that only one thread ever writes: the holder of the
 // per-slot record it lives in (wCQ's ThreadRec, the SMR SlotState).

@@ -70,8 +70,12 @@ class ScqSegment {
     if (aq_.dequeue_idx(&idx, ScqRing::kUnbounded) == ScqRing::kEmpty) {
       return false;  // no free slots: full
     }
-    data()[idx].store(v, std::memory_order_relaxed);
-    if (fq_.enqueue_idx(idx, FinalScqRing::kUnbounded) ==
+    // The store runs inside fq's enqueue, after its first Tail ticket
+    // (scq.hpp), so a closed fq may skip it.
+    const auto store = [&] [[gnu::always_inline]] {
+      data()[idx].store(v, std::memory_order_relaxed);
+    };
+    if (fq_.enqueue_idx(idx, FinalScqRing::kUnbounded, store) ==
         FinalScqRing::kClosed) {
       // The value was never visible; the index dies with the segment.
       return false;
@@ -85,8 +89,9 @@ class ScqSegment {
         FinalScqRing::kEmpty) {
       return false;
     }
-    *v = data()[idx].load(std::memory_order_relaxed);
-    aq_.enqueue_idx(idx, ScqRing::kUnbounded);
+    aq_.enqueue_idx(idx, ScqRing::kUnbounded, [&] [[gnu::always_inline]] {
+      *v = data()[idx].load(std::memory_order_relaxed);
+    });
     return true;
   }
 

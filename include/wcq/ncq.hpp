@@ -13,6 +13,10 @@
 //    on a near-empty queue. Entries are never cleared on dequeue —
 //    consumption is tracked by Head position alone.
 //
+// Nor does it prefetch its entries for writing, as the kernel's ticket
+// bodies and LCRQ's cells do: a dequeue here never writes its entry,
+// and the strawman stays the algorithm as published.
+//
 // The queue is scq.hpp's TwoRingQueue (aq free indices, fq filled),
 // which also supplies the invariant that makes the naive ring sound
 // here: at most `capacity` indices are live per ring, so an
@@ -76,9 +80,14 @@ class NcqRing {
 
   // Install an index at Tail. No ticket is reserved up front: everyone
   // races a CAS on the entry at the *current* Tail position, and Tail
-  // moves only after the install is visible.
+  // moves only after the install is visible. `access`, the stage's data
+  // access (scq.hpp), runs first, since there is no ticket to run it
+  // after.
+  template <typename Access = detail::NoAccess>
   [[gnu::always_inline]] Result enqueue_idx(std::uint64_t eidx,
-                                            std::uint64_t max_iters) {
+                                            std::uint64_t max_iters,
+                                            Access access = {}) {
+    access();
     for (std::uint64_t iter = 0; iter < max_iters; ++iter) {
       std::uint64_t t = tail_.load(std::memory_order_seq_cst);
       const std::uint64_t tcycle = geo_.cycle_of_pos(t);

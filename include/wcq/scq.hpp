@@ -4,6 +4,28 @@
 // The data array is synchronised by the rings' release/acquire entry
 // CASes.
 //
+// A stage 2 (fq enqueue in a push, aq enqueue in a pop) hands its data
+// access to the ring: enqueue_idx runs it once, after its first Tail
+// F&A and before any install, so the slot's miss overlaps the entry's
+// fetch. That order is as safe as access-then-F&A:
+//  - A Tail ticket publishes nothing; only an install does.
+//  - A push's value store comes before the acq_rel install CAS that
+//    publishes its index in fq, so the popper that consumes the index
+//    reads the value.
+//  - A pop's value load comes before the install that returns its index
+//    to aq, the only point from which a pusher can reuse the index and
+//    overwrite the slot.
+//  - If the first ticket is lost (its position is unusable and the
+//    install fails), the access has already run and is not repeated.
+//  - wCQ: if patience runs out, the request it publishes installs an
+//    index whose slot was already written or read. Patience is at least
+//    1 (options::validate), so the access always runs.
+//  - LSCQ: when the segment's fq answers kClosed, at the pre-check or
+//    at the F&A, the store may be skipped. The value was never visible,
+//    and the index dies with the segment.
+// The data accesses stay relaxed. The slow path (wCQ's slow_push and
+// slow_pop) and the bursts' chunks still access the data first.
+//
 // TwoRingQueue<Ring> writes the construction once; SCQ (here), NCQ
 // (ncq.hpp) and CCQ (ccq.hpp) are it over their own ring. wCQ
 // (wcq.hpp) and the LSCQ segment (lscq.hpp) keep their own two-ring
@@ -25,7 +47,8 @@ namespace wcq {
 
 // Ring is any index ring with the kernel's shape: an (order, remap,
 // full) constructor, enqueue_idx/dequeue_idx taking an iteration
-// budget, and kEmpty/kUnbounded. Positions and cycles follow Geometry,
+// budget (enqueue_idx also the stage's data access), and
+// kEmpty/kUnbounded. Positions and cycles follow Geometry,
 // so every such ring shares ring::kMaxOrder as its ceiling.
 template <typename Ring>
 class TwoRingQueue {
@@ -52,8 +75,9 @@ class TwoRingQueue {
     if (aq_.dequeue_idx(&idx, Ring::kUnbounded) == Ring::kEmpty) {
       return false;  // no free slots: full
     }
-    data_[idx].store(v, std::memory_order_relaxed);
-    fq_.enqueue_idx(idx, Ring::kUnbounded);
+    fq_.enqueue_idx(idx, Ring::kUnbounded, [&] [[gnu::always_inline]] {
+      data_[idx].store(v, std::memory_order_relaxed);
+    });
     return true;
   }
 
@@ -63,8 +87,9 @@ class TwoRingQueue {
     if (fq_.dequeue_idx(&idx, Ring::kUnbounded) == Ring::kEmpty) {
       return false;
     }
-    *v = data_[idx].load(std::memory_order_relaxed);
-    aq_.enqueue_idx(idx, Ring::kUnbounded);
+    aq_.enqueue_idx(idx, Ring::kUnbounded, [&] [[gnu::always_inline]] {
+      *v = data_[idx].load(std::memory_order_relaxed);
+    });
     return true;
   }
 

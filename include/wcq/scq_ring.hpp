@@ -22,7 +22,10 @@
 // dequeue_ticket. The single-op loops (enqueue_idx/dequeue_idx), the
 // non-finalizable rings' ticket bursts (enqueue_idx_n/dequeue_idx_n:
 // one F&A claims up to k tickets, each then visited in order) and
-// LSCQ's drain_idx all call them.
+// LSCQ's drain_idx all call them. Each takes its entry's line for
+// writing (detail::prefetch_for_write) before it loads the entry.
+// enqueue_idx also runs a two-ring stage 2's data access right after
+// its first Tail ticket (see there and scq.hpp).
 //
 // The entry type is the first template parameter, and every entry read
 // and write goes through one small codec (pack, cycle_of, is_safe,
@@ -208,8 +211,19 @@ class ScqRingT {
   // indices are live the ring always has room, so the only non-kOk
   // outcome is kContended when `max_iters` attempts are spent (or
   // kClosed once a finalizable ring is closed).
+  //
+  // `access` is a two-ring stage 2's data access for eidx: a push's
+  // value store or a pop's value load. It runs exactly once, right
+  // after the first Tail ticket and before any install, so the data
+  // slot's miss overlaps the entry's fetch instead of holding back the
+  // F&A (a locked RMW waits for every earlier load and store). A ring
+  // that answers kClosed on its first attempt never runs it. The ticket
+  // publishes nothing, and the install that publishes eidx is an
+  // acq_rel CAS after the access; scq.hpp has the whole argument.
+  template <typename Access = detail::NoAccess>
   [[gnu::always_inline]] Result enqueue_idx(std::uint64_t eidx,
-                                            std::uint64_t max_iters) {
+                                            std::uint64_t max_iters,
+                                            Access access = {}) {
     for (std::uint64_t iter = 0; iter < max_iters; ++iter) {
       if constexpr (Finalizable) {
         // Cheap pre-check; the FAA below is the authoritative one.
@@ -221,6 +235,7 @@ class ScqRingT {
       if constexpr (Finalizable) {
         if (t & kClosedBit) return kClosed;
       }
+      if (iter == 0) access();
       if (enqueue_ticket(t, eidx)) return kOk;
     }
     return kContended;
@@ -526,7 +541,10 @@ class ScqRingT {
   }
 
   // ---- ticket bodies: what one ticket does, whoever claimed it ------
-  // The single-op loops, the bursts and drain_idx all call these.
+  // The single-op loops, the bursts and drain_idx all call these. Each
+  // prefetches its entry for writing as soon as it knows where it is:
+  // the load and the CAS (or SCQ's fetch_or) that follow then cost one
+  // coherence transaction, not a shared fill and then an upgrade.
 
   // Tail ticket t: install eidx at t's position, or report the
   // position unusable (true iff installed).
@@ -534,6 +552,7 @@ class ScqRingT {
                                              std::uint64_t eidx) {
     const std::uint64_t tcycle = geo_.cycle_of_pos(t);
     const std::uint64_t j = remap_.map(t);
+    detail::prefetch_for_write(&entries_[j]);
     for (;;) {
       Word e = word_at(j);
       if (cycle_of(e) < tcycle && idx_of(e) == bot() &&
@@ -563,6 +582,7 @@ class ScqRingT {
                                                std::uint64_t* out) {
     const std::uint64_t hcycle = geo_.cycle_of_pos(h);
     const std::uint64_t j = remap_.map(h);
+    detail::prefetch_for_write(&entries_[j]);
     for (;;) {
       Word e = word_at(j);
       const std::uint64_t ecycle = cycle_of(e);

@@ -24,7 +24,9 @@
 // A queue-level operation on the slow path is two ring-level requests
 // driven in order by the owner (enqueue: aq-dequeue a free index,
 // write data, fq-enqueue the index; dequeue mirrors it), each of which
-// is helpable by everyone while it is pending.
+// is helpable by everyone while it is pending. A fast-path push or pop
+// instead runs its data access inside the second stage, right after
+// that ring's first Tail ticket (put_idx).
 //
 // try_push_n/try_pop_n are native bursts: per chunk, one F&A on each
 // ring's Tail or Head claims the chunk's tickets (ScqRingT's
@@ -357,11 +359,14 @@ class WcqQueueT {
       return false;  // full: definitive, no slow path needed
     }
     if (rc == Ring::kOk) {
-      data_[idx].store(v, std::memory_order_relaxed);
       // We already own the free index; only the second stage may need
-      // the cooperative path.
-      detail::owner_bump(put_idx(rec, /*fq_ring=*/true, idx) ? rec->fast_enq
-                                                            : rec->slow_enq);
+      // the cooperative path. The value store rides in it, after fq's
+      // first Tail ticket (put_idx).
+      const bool fast =
+          put_idx(rec, /*fq_ring=*/true, idx, [&] [[gnu::always_inline]] {
+            data_[idx].store(v, std::memory_order_relaxed);
+          });
+      detail::owner_bump(fast ? rec->fast_enq : rec->slow_enq);
       return true;
     }
 #endif
@@ -400,12 +405,14 @@ class WcqQueueT {
       return false;
     }
     if (rc == Ring::kOk) {
-      *v = data_[idx].load(std::memory_order_relaxed);
       // As in push_one, only the index return may need the cooperative
-      // path.
-      detail::owner_bump(put_idx(rec, /*fq_ring=*/false, idx)
-                             ? rec->fast_deq
-                             : rec->slow_deq);
+      // path, and the value load rides in it, after aq's first Tail
+      // ticket.
+      const bool fast =
+          put_idx(rec, /*fq_ring=*/false, idx, [&] [[gnu::always_inline]] {
+            *v = data_[idx].load(std::memory_order_relaxed);
+          });
+      detail::owner_bump(fast ? rec->fast_deq : rec->slow_deq);
       return true;
     }
 #endif
@@ -417,9 +424,22 @@ class WcqQueueT {
   // this thread owns, within enqueue patience, else as a helpable
   // request. A ring enqueue cannot fail, only contend. True iff the
   // fast path placed it.
+  //
+  // `access` is the stage's data access: push_one's value store or
+  // pop_one's value load. The ring runs it once, right after its first
+  // Tail F&A, so the slot's miss overlaps the entry's fetch (scq.hpp
+  // has the argument). A ticket publishes nothing; the value store
+  // still precedes the install CAS that publishes idx in fq, and the
+  // value load the install that returns idx to aq. A lost first ticket
+  // does not repeat the access. When patience runs out the request
+  // below installs an index whose slot was already written or read;
+  // options refuses a patience of 0, so the access has always run by
+  // then. A burst's leftovers pass no access: their chunk already
+  // stored or loaded every slot.
+  template <typename Access = detail::NoAccess>
   [[gnu::always_inline]] bool put_idx(ThreadRec* rec, bool fq_ring,
-                                      std::uint64_t idx) {
-    if ((fq_ring ? fq_ : aq_).enqueue_idx(idx, enqueue_patience_) ==
+                                      std::uint64_t idx, Access access = {}) {
+    if ((fq_ring ? fq_ : aq_).enqueue_idx(idx, enqueue_patience_, access) ==
         Ring::kOk) {
       return true;
     }

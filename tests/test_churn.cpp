@@ -115,38 +115,54 @@ void test_churn_waves(const char* name) {
 // TSan this is the race net for the whole finalization path. The
 // parked-segment count must stay under the SMR amnesty bound and the
 // teardown must return every segment to the counting allocator.
-void test_lscq_segment_retirement() {
-  constexpr unsigned kProducers = 3;
-  constexpr unsigned kConsumers = 3;
+//
+// Two shapes, each on a fresh queue: 3 producers with 3 consumers,
+// and 1 producer with 3 consumers. The second keeps the queue near
+// empty, so the witness gets many empty answers to judge, and a
+// segment's push and pop (whose data access runs inside the second
+// ring's enqueue) race each other there rather than a full segment.
+// Only the 3x3 run must retire a segment: with one producer, whether
+// a segment ever fills is up to the scheduler.
+void lscq_segment_retirement(unsigned producers, unsigned consumers,
+                             std::uint64_t per_producer) {
+  const std::string name = "lscq order 4 " + std::to_string(producers) +
+                           "x" + std::to_string(consumers);
+  const bool must_retire = producers > 1;
   const auto mem_before = mem::stats().live_bytes;
   std::uint64_t retire_calls = 0;
   {
     using Q = harness::LscqAdapter;
-    Q q(options{}.max_threads(kProducers + kConsumers).order(4));
+    Q q(options{}.max_threads(producers + consumers).order(4));
     test::MpmcRun<Q> run;
     run.after = [&](Q& q) {
       const auto st = q.smr_stats();
       retire_calls = st.retire_calls;
-      WCQ_CHECK(st.retire_calls > 0,
-                "lscq churn never retired a segment (drain path untested)");
-      WCQ_CHECK(st.reclaimed_nodes > 0,
-                "lscq churn reclaimed nothing (%llu retires parked forever?)",
-                (unsigned long long)st.retire_calls);
+      WCQ_CHECK(!must_retire || st.retire_calls > 0,
+                "%s never retired a segment (drain path untested)",
+                name.c_str());
+      WCQ_CHECK(!must_retire || st.reclaimed_nodes > 0,
+                "%s reclaimed nothing (%llu retires parked forever?)",
+                name.c_str(), (unsigned long long)st.retire_calls);
       // Bound: every handle slot can park at most threshold segments,
       // plus one hazard-held segment per slot that scans could not free.
-      const std::uint64_t slots = kProducers + kConsumers;
+      const std::uint64_t slots = producers + consumers;
       WCQ_CHECK(st.retired_nodes <= slots * (2 * slots) + slots,
-                "parked segments exceed the amnesty bound: %llu",
-                (unsigned long long)st.retired_nodes);
+                "%s: parked segments exceed the amnesty bound: %llu",
+                name.c_str(), (unsigned long long)st.retired_nodes);
     };
-    test::test_mpmc(q, "lscq order 4", kProducers, kConsumers,
-                    test::env_ops(8000), run);
+    test::test_mpmc(q, name.c_str(), producers, consumers, per_producer,
+                    run);
   }
   WCQ_CHECK(mem::stats().live_bytes == mem_before,
-            "LSCQ leaked %llu bytes of segments",
+            "%s leaked %llu bytes of segments", name.c_str(),
             (unsigned long long)(mem::stats().live_bytes - mem_before));
-  std::printf("  ok churn_lscq_retire (%llu segment retires)\n",
-              (unsigned long long)retire_calls);
+  std::printf("  ok churn_lscq_retire %s (%llu segment retires)\n",
+              name.c_str(), (unsigned long long)retire_calls);
+}
+
+void test_lscq_segment_retirement() {
+  lscq_segment_retirement(3, 3, test::env_ops(8000));
+  lscq_segment_retirement(1, 3, test::env_ops(8000));
 }
 
 // Genuine exhaustion (max_threads handles simultaneously live) must be

@@ -33,6 +33,10 @@
 //     LSCQ's closable value ring, and wCQ's fq): once a fruitless
 //     ticket has spent the threshold below armed, a ring whose Tail
 //     is at or below Head answers empty with Head and Tail untouched.
+//  6. A stage 2's data access, per plain SCQ-kernel ring (SCQ, CCQ,
+//     LSCQ's value ring): enqueue_idx runs it exactly once, after its
+//     first Tail ticket and before any install, and a closed ring
+//     never runs it.
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
@@ -41,6 +45,7 @@
 #include <numeric>
 #include <optional>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "queue_test_common.hpp"
@@ -456,6 +461,68 @@ void wcq_empty_exit_takes_no_ticket(const char* name) {
             "%s: 3 pushed after the empty polls did not come back", name);
 }
 
+// ---- 6. a stage 2's data access ----
+
+// The access counts its calls, checks that Tail has moved past its
+// ticket, and dequeues on the same ring. With the threshold armed that
+// dequeue takes a Head ticket at the enqueue's position, before the
+// install, so it must answer empty; the enqueue then places its index
+// through a second ticket.
+template <typename Ring>
+void stage2_access_after_first_ticket(const char* name) {
+  Ring ring(10, /*remap=*/true, /*full=*/false);
+  std::uint64_t idx = 0;
+  // One index in and out arms the threshold.
+  WCQ_CHECK(ring.enqueue_idx(7, Ring::kUnbounded) == Ring::kOk &&
+                ring.dequeue_idx(&idx, Ring::kUnbounded) == Ring::kOk &&
+                idx == 7,
+            "%s: round trip of index 7 failed", name);
+  unsigned calls = 0;
+  std::uint64_t t0 = 0;
+  const auto access = [&] {
+    ++calls;
+    WCQ_CHECK(ring.tail() == t0 + 1,
+              "%s: the access ran at Tail %llu, not after its ticket %llu",
+              name, (unsigned long long)ring.tail(), (unsigned long long)t0);
+    std::uint64_t got = 0;
+    WCQ_CHECK(ring.dequeue_idx(&got, Ring::kUnbounded) == Ring::kEmpty,
+              "%s: the access's dequeue found index %llu: the install ran "
+              "first",
+              name, (unsigned long long)got);
+  };
+  t0 = ring.tail();
+  WCQ_CHECK(ring.enqueue_idx(5, Ring::kUnbounded, access) == Ring::kOk &&
+                calls == 1 && ring.tail() == t0 + 2,
+            "%s: enqueue with an access: %u calls, Tail %llu -> %llu, want "
+            "1 call and a second ticket",
+            name, calls, (unsigned long long)t0,
+            (unsigned long long)ring.tail());
+  WCQ_CHECK(ring.dequeue_idx(&idx, Ring::kUnbounded) == Ring::kOk && idx == 5,
+            "%s: index 5 did not come back", name);
+  // With one attempt the lost ticket is the last: kContended, and the
+  // access still ran once.
+  calls = 0;
+  t0 = ring.tail();
+  WCQ_CHECK(ring.enqueue_idx(9, 1, access) == Ring::kContended && calls == 1,
+            "%s: one attempt with an access: %u calls, want kContended "
+            "after 1",
+            name, calls);
+  if constexpr (std::is_same_v<Ring, FinalScqRing>) {
+    calls = 0;
+    ring.close();
+    WCQ_CHECK(ring.enqueue_idx(9, Ring::kUnbounded, access) == Ring::kClosed &&
+                  calls == 0,
+              "%s: closed ring: %u calls, want kClosed and none", name, calls);
+  }
+}
+
+void test_stage2_access() {
+  stage2_access_after_first_ticket<ScqRing>("scq");
+  stage2_access_after_first_ticket<CcqRing>("ccq");
+  stage2_access_after_first_ticket<FinalScqRing>("lscq's value ring");
+  std::printf("  ok stage2_access     (scq, ccq, lscq)\n");
+}
+
 void test_empty_exit() {
   empty_exit_takes_no_ticket<ScqRing>("scq");
   empty_exit_takes_no_ticket<CcqRing>("ccq");
@@ -518,6 +585,9 @@ int main(int argc, char** argv) {
   }
   if (argc < 2 || test::selected(argc, argv, "empty_exit")) {
     test_empty_exit();
+  }
+  if (argc < 2 || test::selected(argc, argv, "stage2_access")) {
+    test_stage2_access();
   }
   return 0;
 }
