@@ -425,17 +425,14 @@ class WcqQueueT {
   // request. A ring enqueue cannot fail, only contend. True iff the
   // fast path placed it.
   //
-  // `access` is the stage's data access: push_one's value store or
-  // pop_one's value load. The ring runs it once, right after its first
-  // Tail F&A, so the slot's miss overlaps the entry's fetch (scq.hpp
-  // has the argument). A ticket publishes nothing; the value store
-  // still precedes the install CAS that publishes idx in fq, and the
-  // value load the install that returns idx to aq. A lost first ticket
-  // does not repeat the access. When patience runs out the request
-  // below installs an index whose slot was already written or read;
-  // options refuses a patience of 0, so the access has always run by
-  // then. A burst's leftovers pass no access: their chunk already
-  // stored or loaded every slot.
+  // `access` is the stage's data access (push_one's value store,
+  // pop_one's value load); the ring runs it once, right after its first
+  // Tail F&A, and scq.hpp argues why that order is safe. A ticket
+  // publishes nothing: the store still precedes the install that
+  // publishes idx in fq, the load the install that returns idx to aq.
+  // When patience runs out, the request below installs an index whose
+  // slot was already written or read, since options refuses a patience
+  // of 0. A burst's leftovers pass none: their chunk moved every value.
   template <typename Access = detail::NoAccess>
   [[gnu::always_inline]] bool put_idx(ThreadRec* rec, bool fq_ring,
                                       std::uint64_t idx, Access access = {}) {
