@@ -44,9 +44,28 @@ inline void cpu_pause() {
 #endif
 }
 
-// The default data access of a ring's enqueue_idx: none.
+// The data accesses a ring's enqueue_idx runs after its first Tail
+// ticket (scq.hpp): none by default, a push's value store, a pop's
+// value load. They are named rather than lambdas because C++20 puts an
+// attribute on a lambda's call operator only from C++23 on.
 struct NoAccess {
   [[gnu::always_inline]] void operator()() const {}
+};
+
+struct StoreValue {
+  std::atomic<std::uint64_t>& slot;
+  std::uint64_t v;
+  [[gnu::always_inline]] void operator()() const {
+    slot.store(v, std::memory_order_relaxed);
+  }
+};
+
+struct LoadValue {
+  const std::atomic<std::uint64_t>& slot;
+  std::uint64_t* out;
+  [[gnu::always_inline]] void operator()() const {
+    *out = slot.load(std::memory_order_relaxed);
+  }
 };
 
 // Bump a counter that only one thread ever writes: the holder of the

@@ -9,10 +9,7 @@
 // starves) is *closed* — bit 63 of its tail — and a fresh ring is
 // linked Michael-Scott style (ring_list.hpp); drained rings are
 // retired through the shared SMR layer under a hazard pointer, so the
-// churn Figure 10 shows is in-flight rings only, not a leak. Each
-// ticket loads its cell's two words and then CAS2es the cell, so it
-// prefetches the cell for writing right after its F&A, as the ring
-// kernel's ticket bodies do with their entries.
+// churn Figure 10 shows is in-flight rings only, not a leak.
 //
 // Value ~0 is reserved as the cell-EMPTY sentinel and refused by
 // try_push (boxed slot_codec callers are unaffected: pointers never
@@ -69,7 +66,6 @@ class Crq {
       if (traw & kClosedBit) return false;
       const std::uint64_t t = traw;
       Cell* cell = &cells()[t & (ring_size_ - 1)];
-      detail::prefetch_for_write(cell);
       const std::uint64_t sidx = cell->sidx.load(std::memory_order_acquire);
       const std::uint64_t val = cell->val.load(std::memory_order_acquire);
       const std::uint64_t idx = sidx_idx(sidx);
@@ -100,7 +96,6 @@ class Crq {
     for (;;) {
       const std::uint64_t h = head.fetch_add(1, std::memory_order_seq_cst);
       Cell* cell = &cells()[h & (ring_size_ - 1)];
-      detail::prefetch_for_write(cell);
       for (;;) {
         const std::uint64_t sidx = cell->sidx.load(std::memory_order_acquire);
         const std::uint64_t val = cell->val.load(std::memory_order_acquire);

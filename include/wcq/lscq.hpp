@@ -72,10 +72,8 @@ class ScqSegment {
     }
     // The store runs inside fq's enqueue, after its first Tail ticket
     // (scq.hpp), so a closed fq may skip it.
-    const auto store = [&] [[gnu::always_inline]] {
-      data()[idx].store(v, std::memory_order_relaxed);
-    };
-    if (fq_.enqueue_idx(idx, FinalScqRing::kUnbounded, store) ==
+    if (fq_.enqueue_idx(idx, FinalScqRing::kUnbounded,
+                        detail::StoreValue{data()[idx], v}) ==
         FinalScqRing::kClosed) {
       // The value was never visible; the index dies with the segment.
       return false;
@@ -89,9 +87,8 @@ class ScqSegment {
         FinalScqRing::kEmpty) {
       return false;
     }
-    aq_.enqueue_idx(idx, ScqRing::kUnbounded, [&] [[gnu::always_inline]] {
-      *v = data()[idx].load(std::memory_order_relaxed);
-    });
+    aq_.enqueue_idx(idx, ScqRing::kUnbounded,
+                    detail::LoadValue{data()[idx], v});
     return true;
   }
 

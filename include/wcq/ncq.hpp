@@ -13,10 +13,6 @@
 //    on a near-empty queue. Entries are never cleared on dequeue —
 //    consumption is tracked by Head position alone.
 //
-// Nor does it prefetch its entries for writing, as the kernel's ticket
-// bodies and LCRQ's cells do: a dequeue here never writes its entry,
-// and the strawman stays the algorithm as published.
-//
 // The queue is scq.hpp's TwoRingQueue (aq free indices, fq filled),
 // which also supplies the invariant that makes the naive ring sound
 // here: at most `capacity` indices are live per ring, so an

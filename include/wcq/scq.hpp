@@ -75,9 +75,7 @@ class TwoRingQueue {
     if (aq_.dequeue_idx(&idx, Ring::kUnbounded) == Ring::kEmpty) {
       return false;  // no free slots: full
     }
-    fq_.enqueue_idx(idx, Ring::kUnbounded, [&] [[gnu::always_inline]] {
-      data_[idx].store(v, std::memory_order_relaxed);
-    });
+    fq_.enqueue_idx(idx, Ring::kUnbounded, detail::StoreValue{data_[idx], v});
     return true;
   }
 
@@ -87,9 +85,7 @@ class TwoRingQueue {
     if (fq_.dequeue_idx(&idx, Ring::kUnbounded) == Ring::kEmpty) {
       return false;
     }
-    aq_.enqueue_idx(idx, Ring::kUnbounded, [&] [[gnu::always_inline]] {
-      *v = data_[idx].load(std::memory_order_relaxed);
-    });
+    aq_.enqueue_idx(idx, Ring::kUnbounded, detail::LoadValue{data_[idx], v});
     return true;
   }
 

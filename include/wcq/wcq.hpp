@@ -362,10 +362,8 @@ class WcqQueueT {
       // We already own the free index; only the second stage may need
       // the cooperative path. The value store rides in it, after fq's
       // first Tail ticket (put_idx).
-      const bool fast =
-          put_idx(rec, /*fq_ring=*/true, idx, [&] [[gnu::always_inline]] {
-            data_[idx].store(v, std::memory_order_relaxed);
-          });
+      const bool fast = put_idx(rec, /*fq_ring=*/true, idx,
+                                detail::StoreValue{data_[idx], v});
       detail::owner_bump(fast ? rec->fast_enq : rec->slow_enq);
       return true;
     }
@@ -408,10 +406,8 @@ class WcqQueueT {
       // As in push_one, only the index return may need the cooperative
       // path, and the value load rides in it, after aq's first Tail
       // ticket.
-      const bool fast =
-          put_idx(rec, /*fq_ring=*/false, idx, [&] [[gnu::always_inline]] {
-            *v = data_[idx].load(std::memory_order_relaxed);
-          });
+      const bool fast = put_idx(rec, /*fq_ring=*/false, idx,
+                                detail::LoadValue{data_[idx], v});
       detail::owner_bump(fast ? rec->fast_deq : rec->slow_deq);
       return true;
     }
