@@ -37,7 +37,7 @@ class Crq {
   // cell's sidx word far from overflow.
   static constexpr unsigned kMaxOrder = 30;
 
-  static Crq* make(unsigned order, bool /*remap*/) {
+  static Crq* make(unsigned order) {
     const std::uint64_t ring_size = std::uint64_t{1} << order;
     Crq* c = new (mem::alloc(bytes(ring_size))) Crq(ring_size);
     Cell* cells = c->cells();

@@ -45,9 +45,9 @@ class ScqSegment {
   // 2^20 values.
   static constexpr unsigned kMaxOrder = 20;
 
-  static ScqSegment* make(unsigned order, bool remap) {
+  static ScqSegment* make(unsigned order) {
     const std::uint64_t n = std::uint64_t{1} << order;
-    ScqSegment* s = new (mem::alloc(bytes(n))) ScqSegment(order, remap);
+    ScqSegment* s = new (mem::alloc(bytes(n))) ScqSegment(order);
     std::atomic<std::uint64_t>* data = s->data();
     for (std::uint64_t i = 0; i < n; ++i) {
       new (&data[i]) std::atomic<std::uint64_t>(0);
@@ -105,8 +105,8 @@ class ScqSegment {
   alignas(detail::kNoFalseSharing) std::atomic<ScqSegment*> next{nullptr};
 
  private:
-  ScqSegment(unsigned order, bool remap)
-      : aq_(order, remap, /*full=*/true), fq_(order, remap, /*full=*/false) {}
+  explicit ScqSegment(unsigned order)
+      : aq_(order, /*full=*/true), fq_(order, /*full=*/false) {}
 
   static std::size_t bytes(std::uint64_t n) {
     return sizeof(ScqSegment) + n * sizeof(std::atomic<std::uint64_t>);

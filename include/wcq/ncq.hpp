@@ -1,8 +1,8 @@
 // NCQ — the naive circular queue, the SCQ paper's strawman (Nikolaev,
 // DISC 2019, Alg. 1) and the baseline of wCQ's Figure 11 family plots.
-// Same layer stack as the kernel (Geometry arithmetic, Remap, plain
-// 64-bit entries) with two deliberate regressions the later designs
-// exist to fix:
+// Same layer stack as the kernel (Geometry's arithmetic and Cache_Remap
+// layout, plain 64-bit entries) with two deliberate regressions the
+// later designs exist to fix:
 //
 //  - Head/Tail advance by CAS, not FAA: an enqueuer installs its entry
 //    first and then CAS-bumps Tail (losers that see the installed
@@ -18,7 +18,8 @@
 // here: at most `capacity` indices are live per ring, so an
 // install at Tail can never overwrite an unconsumed value (Tail - Head
 // <= capacity < ring_size). The ring keeps the family's 2n geometry
-// for like-for-like memory and remap behaviour in the figure benches.
+// and layout for like-for-like memory and cache behaviour in the
+// figure benches.
 #pragma once
 
 #include <atomic>
@@ -47,14 +48,12 @@ class NcqRing {
   // written as the state `capacity` enqueue_idx calls into the empty
   // ring leave: index i at position ring_size + i (entry map(i), cycle
   // 1), Tail capacity past Head.
-  NcqRing(unsigned order, bool remap, bool full)
-      : geo_(order),
-        remap_(remap ? ring::Remap::cache(geo_, kLineBits)
-                     : ring::Remap::identity(geo_)) {
+  NcqRing(unsigned order, bool full)
+      : geo_(order, sizeof(ring::PlainEntry)) {
     entries_ = static_cast<ring::PlainEntry*>(
         mem::alloc(geo_.ring_size() * sizeof(ring::PlainEntry)));
     for (std::uint64_t j = 0; j < geo_.ring_size(); ++j) {
-      const std::uint64_t i = remap_.unmap(j);
+      const std::uint64_t i = geo_.unmap(j);
       entries_[j].word.store(full && i < geo_.capacity()
                                  ? geo_.pack(1, true, i)
                                  : geo_.pack(0, true, geo_.bot()),
@@ -87,7 +86,7 @@ class NcqRing {
     for (std::uint64_t iter = 0; iter < max_iters; ++iter) {
       std::uint64_t t = tail_.load(std::memory_order_seq_cst);
       const std::uint64_t tcycle = geo_.cycle_of_pos(t);
-      const std::uint64_t j = remap_.map(t);
+      const std::uint64_t j = geo_.map(t);
       const std::uint64_t e = entries_[j].word.load(std::memory_order_acquire);
       const std::uint64_t ecycle = geo_.cycle_of_entry(e);
       if (ecycle == tcycle) {
@@ -119,7 +118,7 @@ class NcqRing {
     for (std::uint64_t iter = 0; iter < max_iters; ++iter) {
       std::uint64_t h = head_.load(std::memory_order_seq_cst);
       const std::uint64_t hcycle = geo_.cycle_of_pos(h);
-      const std::uint64_t j = remap_.map(h);
+      const std::uint64_t j = geo_.map(h);
       const std::uint64_t e = entries_[j].word.load(std::memory_order_acquire);
       if (geo_.cycle_of_entry(e) == hcycle) {
         // Position h holds this cycle's value. Whoever wins the Head
@@ -142,11 +141,7 @@ class NcqRing {
   }
 
  private:
-  static constexpr unsigned kLineBits =
-      detail::log2_pow2(detail::kCacheLine / sizeof(ring::PlainEntry));
-
   const ring::Geometry geo_;
-  const ring::Remap remap_;
 
   alignas(detail::kNoFalseSharing) std::atomic<std::uint64_t> head_{0};
   alignas(detail::kNoFalseSharing) std::atomic<std::uint64_t> tail_{0};

@@ -47,8 +47,8 @@ inline constexpr std::size_t kBatchChunk = 64;
 /// Fluent configuration builder shared by every queue backend.
 ///
 /// Defaults match the paper's §6 methodology (2^16 ring, patience
-/// 16/64, HELP_DELAY 16, Cache_Remap on). Each setter returns *this;
-/// the same-name no-argument overload reads the knob back.
+/// 16/64, HELP_DELAY 16). Each setter returns *this; the same-name
+/// no-argument overload reads the knob back.
 class options {
  public:
   /// A validate() ceiling the calling backend does not have.
@@ -109,13 +109,6 @@ class options {
     return *this;
   }
   constexpr unsigned help_delay() const { return help_delay_; }
-
-  /// Cache_Remap position permutation (§2; Ablation A3).
-  constexpr options& remap(bool v) {
-    remap_ = v;
-    return *this;
-  }
-  constexpr bool remap() const { return remap_; }
 
   /// Shard count for wcq::sharded: a power of two up to kMaxShards,
   /// or 0 = auto, a machine-derived count (see wcq/sharded.hpp). Total
@@ -186,7 +179,6 @@ class options {
   unsigned enqueue_patience_ = 16;
   unsigned dequeue_patience_ = 64;
   unsigned help_delay_ = 16;
-  bool remap_ = true;
   unsigned shards_ = 0;  // 0 = auto
   shard_policy_t shard_policy_ = shard_policy_t::round_robin;
 };

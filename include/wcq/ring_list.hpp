@@ -15,7 +15,7 @@
 // A Node supplies:
 //
 //   kName, kMaxOrder        refusal prefix and order ceiling
-//   make(order, remap)      a fresh, empty, open node of 2^order values
+//   make(order)             a fresh, empty, open node of 2^order values
 //   destroy(node)           free it (a node records its own size)
 //   refuses(v)              values the node cannot store
 //   push(v), pop(&v)        false iff the node refuses / is empty
@@ -44,12 +44,11 @@ class RingList {
 
   static constexpr unsigned kMaxOrder = Node::kMaxOrder;
 
-  // Reads order (2^order values per node), remap and max_threads.
+  // Reads order (2^order values per node) and max_threads.
   explicit RingList(const options& opt)
       : order_(opt.validate(Node::kName, kMaxOrder).order()),
-        remap_(opt.remap()),
         smr_(opt.max_threads()) {
-    Node* n = Node::make(order_, remap_);
+    Node* n = Node::make(order_);
     head_.store(n, std::memory_order_relaxed);
     tail_.store(n, std::memory_order_relaxed);
   }
@@ -89,7 +88,7 @@ class RingList {
       if (n->push(v)) return true;
       // Node full or closed. Seed a fresh node with the value (it is
       // empty and open, so this cannot fail) and link it.
-      Node* fresh = Node::make(order_, remap_);
+      Node* fresh = Node::make(order_);
       const bool seeded = fresh->push(v);
       assert(seeded && "push on a fresh node cannot fail");
       (void)seeded;
@@ -131,7 +130,6 @@ class RingList {
   }
 
   const unsigned order_;
-  const bool remap_;
 
   alignas(detail::kNoFalseSharing) std::atomic<Node*> head_{nullptr};
   alignas(detail::kNoFalseSharing) std::atomic<Node*> tail_{nullptr};

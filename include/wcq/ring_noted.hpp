@@ -164,7 +164,7 @@ void ScqRingT<Entry, Finalizable, Portable>::publish_commit(
     bool deq, std::uint64_t j, std::uint64_t cycle)
   requires(Noted)
 {
-  const std::uint64_t next = geo_.pos_of(cycle, remap_.unmap(j)) + 1;
+  const std::uint64_t next = geo_.pos_of(cycle, geo_.unmap(j)) + 1;
   if (deq) {
     bump(head_, next);
     return;
@@ -251,7 +251,7 @@ void ScqRingT<Entry, Finalizable, Portable>::step_dequeue(RingRequest* r,
   std::atomic<std::uint64_t>& pos = r->pos[is_fq_][1];
   std::uint64_t p = pos.load(std::memory_order_acquire);
   const std::uint64_t pcycle = geo_.cycle_of_pos(p);
-  const std::uint64_t j = remap_.map(p);
+  const std::uint64_t j = geo_.map(p);
   const std::uint64_t n = entries_[j].note.load(std::memory_order_acquire);
   if (n != 0) {
     help_note(j, n);  // ours: drives the commit decision; foreign: unblocks
@@ -344,7 +344,7 @@ void ScqRingT<Entry, Finalizable, Portable>::step_enqueue(RingRequest* r,
   std::atomic<std::uint64_t>& pos = r->pos[is_fq_][0];
   std::uint64_t p = pos.load(std::memory_order_acquire);
   const std::uint64_t pcycle = geo_.cycle_of_pos(p);
-  const std::uint64_t j = remap_.map(p);
+  const std::uint64_t j = geo_.map(p);
   const std::uint64_t n = entries_[j].note.load(std::memory_order_acquire);
   if (n != 0) {
     help_note(j, n);

@@ -20,9 +20,9 @@
 //  - wCQ: if patience runs out, the request it publishes installs an
 //    index whose slot was already written or read. Patience is at least
 //    1 (options::validate), so the access always runs.
-//  - LSCQ: when the segment's fq answers kClosed, at the pre-check or
-//    at the F&A, the store may be skipped. The value was never visible,
-//    and the index dies with the segment.
+//  - LSCQ: when the segment's fq answers kClosed, which its Tail F&A
+//    alone decides, the store may be skipped. The value was never
+//    visible, and the index dies with the segment.
 // The data accesses stay relaxed. The slow path (wCQ's slow_push and
 // slow_pop) and the bursts' chunks still access the data first.
 //
@@ -45,8 +45,8 @@
 
 namespace wcq {
 
-// Ring is any index ring with the kernel's shape: an (order, remap,
-// full) constructor, enqueue_idx/dequeue_idx taking an iteration
+// Ring is any index ring with the kernel's shape: an (order, full)
+// constructor, enqueue_idx/dequeue_idx taking an iteration
 // budget (enqueue_idx also the stage's data access), and
 // kEmpty/kUnbounded. Positions and cycles follow Geometry,
 // so every such ring shares ring::kMaxOrder as its ceiling.
@@ -90,12 +90,11 @@ class TwoRingQueue {
   }
 
  protected:
-  // Reads order (capacity = 2^order values) and remap; `who` prefixes
-  // refusals.
+  // Reads order (capacity = 2^order values); `who` prefixes refusals.
   TwoRingQueue(const options& opt, const char* who)
       : n_(std::uint64_t{1} << opt.validate(who, ring::kMaxOrder).order()),
-        aq_(opt.order(), opt.remap(), /*full=*/true),
-        fq_(opt.order(), opt.remap(), /*full=*/false) {
+        aq_(opt.order(), /*full=*/true),
+        fq_(opt.order(), /*full=*/false) {
     data_ = static_cast<std::atomic<std::uint64_t>*>(
         mem::alloc(n_ * sizeof(std::atomic<std::uint64_t>)));
     for (std::uint64_t i = 0; i < n_; ++i) {

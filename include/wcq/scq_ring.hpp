@@ -1,8 +1,8 @@
 // The ring kernel: SCQ's bounded FIFO of small indices (Nikolaev,
 // DISC 2019) as a composition of the layer headers —
 //
-//   ring_math.hpp     Geometry (cycle/index packing) + Remap
-//                     (Cache_Remap / identity position permutation)
+//   ring_math.hpp     Geometry (cycle/index packing and the
+//                     Cache_Remap entry layout)
 //   ring_entry.hpp    entry shapes (plain word, {word, note} pair,
 //                     CCQ's {meta, idx} pair)
 //   ring_policy.hpp   empty detection's budget (ScqThreshold)
@@ -15,8 +15,8 @@
 // entry's expected "cycle". Dequeuers have two constant-time empty
 // exits ahead of their first Head ticket: a spent `threshold`, and,
 // once the threshold has dropped below armed, Tail <= Head (tail_lead,
-// which carries the argument). Cache_Remap spreads consecutive
-// positions across cache lines.
+// which carries the argument). Geometry's Cache_Remap layout spreads
+// consecutive positions across cache lines.
 //
 // What one ticket does lives in one place: enqueue_ticket and
 // dequeue_ticket. The single-op loops (enqueue_idx/dequeue_idx), the
@@ -147,17 +147,15 @@ class ScqRingT {
   static constexpr std::uint64_t kUnbounded = ~std::uint64_t{0};
 
   // Capacity is 2^order indices; the ring itself has 2^(order+1)
-  // entries. `remap` toggles Cache_Remap. `full` starts the ring
-  // holding indices 0..capacity-1 in order instead of empty. `reqs` is
-  // the queue's RingRequest array, which notes reference by slot;
-  // required iff Noted. `is_fq` is the ring's identity bit in request
-  // ctl words (0 = free-index ring aq, 1 = value ring fq), so helpers
-  // never step a request against the wrong ring.
-  ScqRingT(unsigned order, bool remap, bool full,
-           RingRequest* reqs = nullptr, bool is_fq = false)
-      : geo_(order),
-        remap_(remap ? ring::Remap::cache(geo_, kLineBits)
-                     : ring::Remap::identity(geo_)),
+  // entries. `full` starts the ring holding indices 0..capacity-1 in
+  // order instead of empty. `reqs` is the queue's RingRequest array,
+  // which notes reference by slot; required iff Noted. `is_fq` is the
+  // ring's identity bit in request ctl words (0 = free-index ring aq,
+  // 1 = value ring fq), so helpers never step a request against the
+  // wrong ring.
+  ScqRingT(unsigned order, bool full, RingRequest* reqs = nullptr,
+           bool is_fq = false)
+      : geo_(order, sizeof(Entry)),
         reqs_(reqs),
         is_fq_(is_fq),
         threshold_(geo_) {
@@ -172,7 +170,7 @@ class ScqRingT {
     // the empty ring leave: index i at position ring_size + i (entry
     // map(i), cycle 1, safe), Tail capacity past Head, threshold armed.
     for (std::uint64_t j = 0; j < geo_.ring_size(); ++j) {
-      const std::uint64_t i = remap_.unmap(j);
+      const std::uint64_t i = geo_.unmap(j);
       const Word e = full && i < geo_.capacity() ? pack(1, true, i)
                                                  : pack(0, true, bot());
       if constexpr (Split) {
@@ -225,14 +223,16 @@ class ScqRingT {
                                             std::uint64_t max_iters,
                                             Access access = {}) {
     for (std::uint64_t iter = 0; iter < max_iters; ++iter) {
-      if constexpr (Finalizable) {
-        // Cheap pre-check; the FAA below is the authoritative one.
-        if (tail_.load(std::memory_order_seq_cst) & kClosedBit) {
-          return kClosed;
-        }
-      }
       const std::uint64_t t = tail_.fetch_add(1, std::memory_order_seq_cst);
       if constexpr (Finalizable) {
+        // The F&A alone decides a closed ring; no Tail load precedes it.
+        // A ticket taken after close() returns here, before it touches
+        // an entry or runs the access, so it never installs, and
+        // drain_idx burns its position like any other. close() runs only
+        // from LSCQ's last_pop, once the successor is linked, and
+        // RingList::try_push moves on when it sees `next`: each push
+        // call takes at most one such ticket per segment, so Tail's
+        // position stays far below the closed bit (ring_math.hpp).
         if (t & kClosedBit) return kClosed;
       }
       if (iter == 0) access();
@@ -383,9 +383,6 @@ class ScqRingT {
 
  private:
   friend struct WcqTestAccess<Portable>;
-
-  static constexpr unsigned kLineBits =
-      detail::log2_pow2(detail::kCacheLine / sizeof(Entry));
 
   // Bit 63 of tail_ is the Finalizable closed flag; positions are the
   // low 63 bits. Non-finalizable rings never set it, and tail_pos is
@@ -551,7 +548,7 @@ class ScqRingT {
   [[gnu::always_inline]] bool enqueue_ticket(std::uint64_t t,
                                              std::uint64_t eidx) {
     const std::uint64_t tcycle = geo_.cycle_of_pos(t);
-    const std::uint64_t j = remap_.map(t);
+    const std::uint64_t j = geo_.map(t);
     detail::prefetch_for_write(&entries_[j]);
     for (;;) {
       Word e = word_at(j);
@@ -581,7 +578,7 @@ class ScqRingT {
   [[gnu::always_inline]] Ticket dequeue_ticket(std::uint64_t h,
                                                std::uint64_t* out) {
     const std::uint64_t hcycle = geo_.cycle_of_pos(h);
-    const std::uint64_t j = remap_.map(h);
+    const std::uint64_t j = geo_.map(h);
     detail::prefetch_for_write(&entries_[j]);
     for (;;) {
       Word e = word_at(j);
@@ -710,7 +707,6 @@ class ScqRingT {
     requires(Noted);
 
   const ring::Geometry geo_;
-  const ring::Remap remap_;
   RingRequest* const reqs_;
   const bool is_fq_;
   // Portable rings only: libatomic's answer, at construction, to

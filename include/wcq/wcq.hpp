@@ -102,8 +102,8 @@ class WcqQueueT {
   // A thread's registration: its ThreadRec slot, recycled on release.
   using Handle = RegistryHandle<WcqQueueT, ThreadRec*>;
 
-  // Reads order, max_threads, both patience knobs (MAX_PATIENCE),
-  // help_delay (HELP_DELAY) and remap. Note words carry ring indices in
+  // Reads order, max_threads, both patience knobs (MAX_PATIENCE) and
+  // help_delay (HELP_DELAY). Note words carry ring indices in
   // 21 aux bits and thread slots in 9, so validate() refuses an order
   // above detail::kMaxNoteOrder (20) and max_threads above
   // detail::kMaxNoteThreads (512).
@@ -117,8 +117,8 @@ class WcqQueueT {
         n_(std::uint64_t{1} << opt.order()),
         reqs_(static_cast<RingRequest*>(
             mem::alloc(max_threads_ * sizeof(RingRequest)))),
-        aq_(opt.order(), opt.remap(), /*full=*/true, reqs_, /*is_fq=*/false),
-        fq_(opt.order(), opt.remap(), /*full=*/false, reqs_, /*is_fq=*/true),
+        aq_(opt.order(), /*full=*/true, reqs_, /*is_fq=*/false),
+        fq_(opt.order(), /*full=*/false, reqs_, /*is_fq=*/true),
         slots_(max_threads_) {
     for (unsigned i = 0; i < max_threads_; ++i) {
       new (&reqs_[i]) RingRequest();

@@ -19,15 +19,16 @@ cmake_minimum_required(VERSION 3.16)
 # over its caller's data access, and nm -C prints a template's
 # arguments before its parameter list, so the name may be followed by
 # '<' as well as '('. Then the small helpers every operation calls:
-# the entry codec's pure accessors, the Head-then-Tail read behind the
+# the entry codec's pure accessors, Geometry's layout (map/unmap) and
+# the packing they decode with, the Head-then-Tail read behind the
 # empty exit and the burst cap (tail_lead), the threshold's
 # level/spent/armed/arm/spend, wCQ's counter bump, the entry prefetch
 # every ticket body emits, and the data accesses a stage 2 hands to
 # enqueue_idx (NoAccess, StoreValue, LoadValue). Left to gcc, arm and
 # owner_bump were out of line in six of the eleven figure binaries, so
 # wCQ's try_push called both on every successful push. CMake's regex
-# allows 9 groups; this one uses 7.
-set(_pattern "(enqueue|dequeue)_(idx|idx_n|ticket)[<(]|wcq::(Crq|ScqSegment)::(push|pop)\\(|wcq::ScqRingT<[^>]*>::(pack|cycle_of|is_safe|idx_of|bot|word_at|tail_lead)\\(|wcq::ring::ScqThreshold::(level|spent|armed|arm|spend)\\(|wcq::detail::(owner_bump|prefetch_for_write|NoAccess::operator|StoreValue::operator|LoadValue::operator)\\(")
+# allows 9 groups; this one uses 8.
+set(_pattern "(enqueue|dequeue)_(idx|idx_n|ticket)[<(]|wcq::(Crq|ScqSegment)::(push|pop)\\(|wcq::ScqRingT<[^>]*>::(pack|cycle_of|is_safe|idx_of|bot|word_at|tail_lead)\\(|wcq::ring::Geometry::(map|unmap|pack|cycle_of_pos|cycle_of_entry|is_safe|idx_of_entry|bot)\\(|wcq::ring::ScqThreshold::(level|spent|armed|arm|spend)\\(|wcq::detail::(owner_bump|prefetch_for_write|NoAccess::operator|StoreValue::operator|LoadValue::operator)\\(")
 
 string(REPLACE "," ";" _binaries "${BINARIES}")
 set(_found 0)

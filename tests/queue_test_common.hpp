@@ -240,6 +240,10 @@ struct MpmcRun {
   bool linearizable = true;
   // Push with try_push_n and pop with try_pop_n, 1-64 values per call.
   bool bursts = false;
+  // Paced producers: each waits, after every `wave` values it pushed,
+  // until the consumers have taken every value pushed so far, so they
+  // keep meeting an empty queue for the witness to judge. 0: unpaced.
+  std::uint64_t wave = 0;
   // Runs on its own thread beside the workers, until `done`.
   std::function<void(Q&, const std::atomic<bool>& done)> beside;
   // Runs after the workers joined and the ledger passed.
@@ -277,6 +281,7 @@ MpmcCalls test_mpmc(Q& q, const char* name, unsigned producers,
   std::vector<std::atomic<std::uint32_t>> seen(total);
   for (auto& s : seen) s.store(0, std::memory_order_relaxed);
   std::atomic<std::uint64_t> consumed{0};
+  std::atomic<std::uint64_t> accepted{0};  // paced runs only
   std::atomic<bool> order_ok{true};
   std::atomic<std::uint64_t> push_calls{0};
   std::atomic<std::uint64_t> pop_calls{0};
@@ -314,6 +319,7 @@ MpmcCalls test_mpmc(Q& q, const char* name, unsigned producers,
       auto h = q.get_handle();
       Progress progress;
       std::uint64_t calls = 0;
+      std::uint64_t pause_at = run.wave;
       V vs[kBatchChunk];
       for (std::uint64_t i = 0; i < per_producer; ++calls) {
         // Burst sizes cycle through 1..64 from a per-producer offset.
@@ -335,6 +341,15 @@ MpmcCalls test_mpmc(Q& q, const char* name, unsigned producers,
         i += ok;
         if (ok < n) {  // full: wait for consumers
           check_progress(progress, at);
+          std::this_thread::yield();
+        }
+        if (run.wave == 0) continue;
+        const std::uint64_t all =
+            accepted.fetch_add(ok, std::memory_order_relaxed) + ok;
+        if (i < pause_at) continue;
+        pause_at = i + run.wave;
+        while (consumed.load(std::memory_order_acquire) < all) {
+          check_progress(progress, stamp_ns());
           std::this_thread::yield();
         }
       }

@@ -117,14 +117,17 @@ void test_churn_waves(const char* name) {
 // teardown must return every segment to the counting allocator.
 //
 // Two shapes, each on a fresh queue: 3 producers with 3 consumers,
-// and 1 producer with 3 consumers. The second keeps the queue near
-// empty, so the witness gets many empty answers to judge, and a
+// and 1 producer with 3 consumers. The second is paced (`wave`): its
+// producer pushes 40 values, two and a half segments, then waits for
+// the consumers to take them all, so the consumers meet an empty queue
+// between waves and the witness gets empty answers to judge. A
 // segment's push and pop (whose data access runs inside the second
 // ring's enqueue) race each other there rather than a full segment.
 // Only the 3x3 run must retire a segment: with one producer, whether
 // a segment ever fills is up to the scheduler.
 void lscq_segment_retirement(unsigned producers, unsigned consumers,
-                             std::uint64_t per_producer) {
+                             std::uint64_t per_producer,
+                             std::uint64_t wave = 0) {
   const std::string name = "lscq order 4 " + std::to_string(producers) +
                            "x" + std::to_string(consumers);
   const bool must_retire = producers > 1;
@@ -134,6 +137,7 @@ void lscq_segment_retirement(unsigned producers, unsigned consumers,
     using Q = harness::LscqAdapter;
     Q q(options{}.max_threads(producers + consumers).order(4));
     test::MpmcRun<Q> run;
+    run.wave = wave;
     run.after = [&](Q& q) {
       const auto st = q.smr_stats();
       retire_calls = st.retire_calls;
@@ -162,7 +166,7 @@ void lscq_segment_retirement(unsigned producers, unsigned consumers,
 
 void test_lscq_segment_retirement() {
   lscq_segment_retirement(3, 3, test::env_ops(8000));
-  lscq_segment_retirement(1, 3, test::env_ops(8000));
+  lscq_segment_retirement(1, 3, test::env_ops(8000), /*wave=*/40);
 }
 
 // Genuine exhaustion (max_threads handles simultaneously live) must be

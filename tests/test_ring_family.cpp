@@ -2,7 +2,7 @@
 // SCQ, NCQ, CCQ, LSCQ and wCQ — now sit on the same layered ring
 // kernel (ring_math / ring_entry / ring_policy, plus ring_noted for
 // wCQ), so they must be observationally identical FIFO queues; only
-// their progress guarantees and boundedness differ. Three checks:
+// their progress guarantees and boundedness differ. The checks:
 //
 //  1. Serial differential vs a std::deque model on a randomized op
 //     tape with fill/drain regime waves: every push accept/refuse and
@@ -37,6 +37,13 @@
 //     LSCQ's value ring): enqueue_idx runs it exactly once, after its
 //     first Tail ticket and before any install, and a closed ring
 //     never runs it.
+//  7. Cache_Remap, the one entry layout (ring::Geometry): map is a
+//     bijection of the ring's positions that unmap inverts, and it
+//     spreads consecutive positions over distinct cache lines.
+//  8. A closed LSCQ value ring (with the lscq member): every value
+//     enqueued before close() drains out, however many refused
+//     enqueues took a Tail ticket after it, and the drain then
+//     certifies the ring sterile.
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
@@ -50,8 +57,10 @@
 
 #include "queue_test_common.hpp"
 #include "wcq/ccq.hpp"
+#include "wcq/detail.hpp"
 #include "wcq/ncq.hpp"
 #include "wcq/queue.hpp"
+#include "wcq/ring_math.hpp"
 #include "wcq/scq.hpp"
 #include "wcq/wcq.hpp"
 
@@ -314,9 +323,9 @@ void fuzz_concurrent(const char* name, unsigned order, bool batch = false,
 // ---- 4. a ring started full vs one filled by enqueues ----
 
 template <typename Ring>
-void seed_differential(const char* name, unsigned order, bool remap) {
-  Ring started(order, remap, /*full=*/true);
-  Ring filled(order, remap, /*full=*/false);
+void seed_differential(const char* name, unsigned order) {
+  Ring started(order, /*full=*/true);
+  Ring filled(order, /*full=*/false);
   const std::uint64_t n = filled.capacity();
   for (std::uint64_t i = 0; i < n; ++i) {
     WCQ_CHECK(filled.enqueue_idx(i, Ring::kUnbounded) == Ring::kOk,
@@ -328,9 +337,9 @@ void seed_differential(const char* name, unsigned order, bool remap) {
     if constexpr (requires { started.head(); }) {
       WCQ_CHECK(started.head() == filled.head() &&
                     started.tail() == filled.tail(),
-                "%s order %u remap %d op %llu: started head/tail %llu/%llu, "
+                "%s order %u op %llu: started head/tail %llu/%llu, "
                 "filled %llu/%llu",
-                name, order, remap, (unsigned long long)op,
+                name, order, (unsigned long long)op,
                 (unsigned long long)started.head(),
                 (unsigned long long)started.tail(),
                 (unsigned long long)filled.head(),
@@ -344,8 +353,8 @@ void seed_differential(const char* name, unsigned order, bool remap) {
     const auto ra = started.dequeue_idx(&a, Ring::kUnbounded);
     const auto rb = filled.dequeue_idx(&b, Ring::kUnbounded);
     WCQ_CHECK(ra == rb && (ra != Ring::kOk || a == b),
-              "%s order %u remap %d op %llu: started %d/%llu, filled %d/%llu",
-              name, order, remap, (unsigned long long)op, (int)ra,
+              "%s order %u op %llu: started %d/%llu, filled %d/%llu",
+              name, order, (unsigned long long)op, (int)ra,
               (unsigned long long)a, (int)rb, (unsigned long long)b);
     return ra == Ring::kOk ? std::optional<std::uint64_t>(a) : std::nullopt;
   };
@@ -354,18 +363,18 @@ void seed_differential(const char* name, unsigned order, bool remap) {
   // Full drain: 0..n-1 in order, then empty.
   for (std::uint64_t i = 0; i < n; ++i) {
     const auto idx = dequeue_both(i);
-    WCQ_CHECK(idx && *idx == i, "%s order %u remap %d: drain slot %llu",
-              name, order, remap, (unsigned long long)i);
+    WCQ_CHECK(idx && *idx == i, "%s order %u: drain slot %llu", name, order,
+              (unsigned long long)i);
   }
-  WCQ_CHECK(!dequeue_both(n), "%s order %u remap %d: drained ring not empty",
-            name, order, remap);
+  WCQ_CHECK(!dequeue_both(n), "%s order %u: drained ring not empty", name,
+            order);
   positions_agree(n);
 
   // A random tape over the free indices (at most n live, as the
   // two-ring construction guarantees).
   std::vector<std::uint64_t> free_idx(n);
   std::iota(free_idx.begin(), free_idx.end(), 0);
-  Rng rng{0x5eed0000ull + order * 2 + remap};
+  Rng rng{0x5eed0000ull + order};
   for (std::uint64_t op = 0; op < 4000; ++op) {
     if (!free_idx.empty() && rng.next() % 2 == 0) {
       const std::size_t k = rng.next() % free_idx.size();
@@ -374,8 +383,8 @@ void seed_differential(const char* name, unsigned order, bool remap) {
       free_idx.pop_back();
       WCQ_CHECK(started.enqueue_idx(idx, Ring::kUnbounded) == Ring::kOk &&
                     filled.enqueue_idx(idx, Ring::kUnbounded) == Ring::kOk,
-                "%s order %u remap %d op %llu: enqueue failed", name, order,
-                remap, (unsigned long long)op);
+                "%s order %u op %llu: enqueue failed", name, order,
+                (unsigned long long)op);
     } else if (const auto idx = dequeue_both(op)) {
       free_idx.push_back(*idx);
     }
@@ -385,11 +394,9 @@ void seed_differential(const char* name, unsigned order, bool remap) {
 
 void test_seed_full() {
   for (const unsigned order : {1u, 4u, 10u}) {
-    for (const bool remap : {false, true}) {
-      seed_differential<ScqRing>("scq", order, remap);
-      seed_differential<NcqRing>("ncq", order, remap);
-      seed_differential<CcqRing>("ccq", order, remap);
-    }
+    seed_differential<ScqRing>("scq", order);
+    seed_differential<NcqRing>("ncq", order);
+    seed_differential<CcqRing>("ccq", order);
   }
   std::printf("  ok seed_full         (scq, ncq, ccq; orders 1/4/10)\n");
 }
@@ -404,7 +411,7 @@ void test_seed_full() {
 // them would take a ticket.
 template <typename Ring>
 void empty_exit_takes_no_ticket(const char* name) {
-  Ring ring(10, /*remap=*/true, /*full=*/false);
+  Ring ring(10, /*full=*/false);
   std::uint64_t idx = 0;
   WCQ_CHECK(ring.enqueue_idx(7, Ring::kUnbounded) == Ring::kOk &&
                 ring.dequeue_idx(&idx, Ring::kUnbounded) == Ring::kOk &&
@@ -470,7 +477,7 @@ void wcq_empty_exit_takes_no_ticket(const char* name) {
 // through a second ticket.
 template <typename Ring>
 void stage2_access_after_first_ticket(const char* name) {
-  Ring ring(10, /*remap=*/true, /*full=*/false);
+  Ring ring(10, /*full=*/false);
   std::uint64_t idx = 0;
   // One index in and out arms the threshold.
   WCQ_CHECK(ring.enqueue_idx(7, Ring::kUnbounded) == Ring::kOk &&
@@ -521,6 +528,141 @@ void test_stage2_access() {
   stage2_access_after_first_ticket<CcqRing>("ccq");
   stage2_access_after_first_ticket<FinalScqRing>("lscq's value ring");
   std::printf("  ok stage2_access     (scq, ccq, lscq)\n");
+}
+
+// ---- 7. Cache_Remap: the one entry layout ----
+
+// Checks Geometry(order, entry_bytes)'s layout at position p: map(p)
+// is an entry of the ring that depends on p mod ring_size alone, unmap
+// takes it back, a ring that fits one cache line keeps position order,
+// and the `window` positions from p on sit on distinct lines.
+void check_layout_at(const ring::Geometry& g, std::uint64_t p,
+                     std::uint64_t per_line, std::uint64_t window,
+                     const char* what) {
+  const std::uint64_t size = g.ring_size();
+  const std::uint64_t j = g.map(p);
+  WCQ_CHECK(j < size && g.unmap(j) == p % size,
+            "%s: position %llu maps to entry %llu, which unmaps to %llu",
+            what, (unsigned long long)p, (unsigned long long)j,
+            (unsigned long long)g.unmap(j));
+  // p + k * size wraps modulo 2^64, a multiple of size, so it stays
+  // congruent to p.
+  for (const std::uint64_t k : {1ull, 7ull, 1ull << 40, ~0ull}) {
+    WCQ_CHECK(g.map(p + k * size) == j,
+              "%s: position %llu maps to %llu, but %llu rings on to %llu",
+              what, (unsigned long long)p, (unsigned long long)j,
+              (unsigned long long)k,
+              (unsigned long long)g.map(p + k * size));
+  }
+  if (size <= per_line) {
+    WCQ_CHECK(j == p % size, "%s: one-line ring maps %llu to %llu", what,
+              (unsigned long long)p, (unsigned long long)j);
+  }
+  std::uint64_t line[detail::kCacheLine];
+  for (std::uint64_t d = 0; d < window; ++d) {
+    line[d] = g.map(p + d) / per_line;
+    for (std::uint64_t e = 0; e < d; ++e) {
+      WCQ_CHECK(line[d] != line[e],
+                "%s: positions %llu and %llu share cache line %llu", what,
+                (unsigned long long)(p + e), (unsigned long long)(p + d),
+                (unsigned long long)line[d]);
+    }
+  }
+}
+
+// Up to order 20, every position of the ring (and map must hit every
+// entry once); above it, spot checks. Any min(entries per line, lines)
+// consecutive positions must sit on as many lines: a ring of fewer
+// lines than a line has entries cannot do better.
+void layout_contract(unsigned order, std::size_t entry_bytes) {
+  const ring::Geometry g(order, entry_bytes);
+  const std::uint64_t size = g.ring_size();
+  const std::uint64_t per_line = detail::kCacheLine / entry_bytes;
+  const std::uint64_t window = std::min(per_line, std::max<std::uint64_t>(
+                                                      size / per_line, 1));
+  char what[64];
+  std::snprintf(what, sizeof what, "order %u, %zu-byte entries", order,
+                entry_bytes);
+  if (order <= 20) {
+    std::vector<bool> hit(size, false);
+    for (std::uint64_t p = 0; p < size; ++p) {
+      WCQ_CHECK(g.map(p) < size && !hit[g.map(p)],
+                "%s: entry %llu taken twice", what,
+                (unsigned long long)g.map(p));
+      hit[g.map(p)] = true;
+      check_layout_at(g, p, per_line, window, what);
+    }
+    return;
+  }
+  Rng rng{0x1a7ull + order};
+  for (int i = 0; i < 4096; ++i) {
+    check_layout_at(g, rng.next(), per_line, window, what);
+  }
+  // The wrap from the last position of a cycle to the first.
+  check_layout_at(g, size - window, per_line, window, what);
+  check_layout_at(g, size - 1, per_line, window, what);
+}
+
+void test_geometry() {
+  for (const std::size_t entry_bytes : {8u, 16u}) {
+    for (unsigned order = 0; order <= ring::kMaxOrder; ++order) {
+      layout_contract(order, entry_bytes);
+    }
+  }
+  std::printf("  ok geometry          (orders 0-20 whole, to %u spot-checked;"
+              " 8- and 16-byte entries)\n",
+              ring::kMaxOrder);
+}
+
+// ---- 8. a closed LSCQ value ring drains to sterility ----
+
+// After a few cycles of traffic, five indices are enqueued and the ring
+// is closed. Then 100 enqueues are refused; each may take a Tail ticket
+// (at most one, and never running its access), so Tail's position runs
+// three cycles past the last install. drain_idx must still hand out the
+// five in order and then answer kEmpty with Head at or past Tail.
+void test_closed_drain() {
+  FinalScqRing ring(4, /*full=*/false);
+  std::uint64_t idx = 0;
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    WCQ_CHECK(ring.enqueue_idx(i % 16, FinalScqRing::kUnbounded) ==
+                      FinalScqRing::kOk &&
+                  ring.dequeue_idx(&idx, FinalScqRing::kUnbounded) ==
+                      FinalScqRing::kOk &&
+                  idx == i % 16,
+              "closed drain: round trip %llu failed", (unsigned long long)i);
+  }
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    WCQ_CHECK(ring.enqueue_idx(i, FinalScqRing::kUnbounded) ==
+                  FinalScqRing::kOk,
+              "closed drain: enqueue of %llu failed", (unsigned long long)i);
+  }
+  ring.close();
+  const std::uint64_t t0 = ring.tail();
+  constexpr std::uint64_t kRefused = 100;
+  unsigned calls = 0;
+  for (std::uint64_t i = 0; i < kRefused; ++i) {
+    WCQ_CHECK(ring.enqueue_idx(9, FinalScqRing::kUnbounded,
+                               [&] { ++calls; }) == FinalScqRing::kClosed,
+              "closed drain: enqueue %llu after close() was not refused",
+              (unsigned long long)i);
+  }
+  WCQ_CHECK(calls == 0 && ring.tail() <= t0 + kRefused,
+            "closed drain: %llu refused enqueues ran %u accesses and moved "
+            "Tail %llu -> %llu",
+            (unsigned long long)kRefused, calls, (unsigned long long)t0,
+            (unsigned long long)ring.tail());
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    WCQ_CHECK(ring.drain_idx(&idx) == FinalScqRing::kOk && idx == i,
+              "closed drain: drain %llu did not hand out index %llu",
+              (unsigned long long)i, (unsigned long long)i);
+  }
+  WCQ_CHECK(ring.drain_idx(&idx) == FinalScqRing::kEmpty &&
+                ring.head() >= ring.tail(),
+            "closed drain: no sterile kEmpty, Head %llu Tail %llu",
+            (unsigned long long)ring.head(), (unsigned long long)ring.tail());
+  std::printf("  ok closed_drain      (5 values, %llu refused enqueues)\n",
+              (unsigned long long)kRefused);
 }
 
 void test_empty_exit() {
@@ -576,6 +718,7 @@ int main(int argc, char** argv) {
   if (test::selected(argc, argv, "lscq")) {
     diff_model<harness::LscqAdapter>("lscq", 4, false, ops);
     fuzz_concurrent<harness::LscqAdapter>("lscq", 4);
+    test_closed_drain();
   }
   if (argc < 2 || test::selected(argc, argv, "family")) {
     test_tape_agreement();
@@ -588,6 +731,9 @@ int main(int argc, char** argv) {
   }
   if (argc < 2 || test::selected(argc, argv, "stage2_access")) {
     test_stage2_access();
+  }
+  if (argc < 2 || test::selected(argc, argv, "geometry")) {
+    test_geometry();
   }
   return 0;
 }
